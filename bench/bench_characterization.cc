@@ -73,7 +73,8 @@ main(int argc, char **argv)
                    cell("%lld", (long long)c.k),
                    cell("%lld", (long long)c.s),
                    cell("%.1f", c.tpu.tflops),
-                   cell("%.0f%%", 100.0 * c.tpu.arrayUtilization),
+                   cell("%.0f%%", 100.0 * c.tpu.tflops /
+                                      tpu.config().peakTflops()),
                    cell("%.2f", c.energy.pjPerMac),
                    cell("%.1f", c.gpu.tflops)});
     t1.print();

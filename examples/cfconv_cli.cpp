@@ -119,7 +119,8 @@ main(int argc, char **argv)
         std::printf("\nTPU-v2: %.2f us | %.2f TFLOPS | util %.0f%% | "
                     "multi-tile %lld\n",
                     r.seconds * 1e6, r.tflops,
-                    100.0 * r.arrayUtilization, (long long)r.multiTile);
+                    100.0 * r.tflops / sim.config().peakTflops(),
+                    (long long)r.multiTile);
         std::printf("        DRAM %.2f MB | port util %.0f%% | "
                     "%.2f pJ/MAC (dram %.0f%%, sram %.0f%%, mac "
                     "%.0f%%)\n",

@@ -52,7 +52,8 @@ main()
     const tpusim::TpuLayerResult t = tpu.runConv(layer);
     std::printf("\nTPU-v2 (one core): %.1f us, %.1f TFLOPS, array "
                 "utilization %.0f%%, multi-tile=%lld\n",
-                t.seconds * 1e6, t.tflops, 100.0 * t.arrayUtilization,
+                t.seconds * 1e6, t.tflops,
+                100.0 * t.tflops / tpu.config().peakTflops(),
                 (long long)t.multiTile);
 
     // --- V100 performance estimate --------------------------------

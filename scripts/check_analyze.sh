@@ -1,15 +1,24 @@
 #!/usr/bin/env bash
-# Trace-analytics gate: record single-model traces on both backends
-# (model=/backend= selection keeps them small), push them through the
-# offline analyzer, and validate the emitted cfconv.trace_analysis
-# document — schema + version, a non-empty timeline table, the
-# fill/compute identity (span == compute + exposed_fill + idle), and
-# the cross-backend diff aligning every layer. The analysis must be a
-# pure function of the trace bytes: repeated runs are byte-identical,
-# and sim-domain analysis (wall=off) is byte-identical whether the
-# trace was recorded at 1 or 4 threads. Also exercises the metrics=
-# bench dump and the exit-2 naming-offender contract for bad CLI args.
-# Uses python3 when available, otherwise a grep-based fallback.
+# Trace gate: record single-model traces on both backends
+# (model=/backend= selection keeps them small) and one on every stock
+# backend at 4 threads, then check both the recorder and the offline
+# analyzer.
+#   - Recorder: the 4-thread trace parses as JSON and carries spans from
+#     every instrumented subsystem (model runner, both simulators, the
+#     thread pool, the memo caches), the X/i/C/M phases, events on both
+#     clock domains (pid 1 wall clock, pid 2 simulated cycles) and no
+#     negative duration; the v6 RunRecord written by the same run points
+#     back at the trace file and holds the layer latency histogram.
+#   - Analyzer: the cfconv.trace_analysis document has its schema +
+#     version, a non-empty timeline table, the fill/compute identity
+#     (span == compute + exposed_fill + idle), and the cross-backend
+#     diff aligns every layer. The analysis is a pure function of the
+#     trace bytes: repeated runs are byte-identical, and sim-domain
+#     analysis (wall=off) is byte-identical whether the trace was
+#     recorded at 1 or 4 threads.
+# Also exercises the metrics= bench dump and the exit-2 naming-offender
+# contract for bad CLI args. Uses python3 when available, otherwise a
+# grep-based fallback.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,6 +44,74 @@ echo "==== check_analyze: record single-model traces ===="
     "trace=$workdir/tpu_t4.trace" "json=$workdir/rec_t4.json" >/dev/null
 "$bench" model=AlexNet backend=gpu-v100 threads=1 \
     "trace=$workdir/gpu_t1.trace" "json=$workdir/rec_gpu.json" >/dev/null
+# Every stock backend, so one trace holds both simulators; 4 threads
+# take the thread-pool path even on a single-core machine, and the
+# deterministic pool gives the same numbers at any thread count.
+"$bench" model=AlexNet threads=4 "trace=$workdir/stock_t4.trace" \
+    "json=$workdir/rec_stock_t4.json" >/dev/null
+
+echo "==== check_analyze: the recorder's trace and report ===="
+validate_trace_py() {
+    python3 - "$workdir/stock_t4.trace" "$workdir/rec_stock_t4.json" <<'EOF'
+import json
+import sys
+
+trace_path, report_path = sys.argv[1], sys.argv[2]
+with open(trace_path) as f:
+    doc = json.load(f)
+events = doc.get("traceEvents")
+assert isinstance(events, list) and events, "no traceEvents"
+
+cats = {e.get("cat") for e in events}
+for expected in ("runner", "tpusim", "gpusim", "pool", "cache"):
+    assert expected in cats, f"no '{expected}' events in the trace"
+
+phases = {e.get("ph") for e in events}
+for expected in ("X", "i", "C", "M"):
+    assert expected in phases, f"no '{expected}' phase events"
+
+pids = {e.get("pid") for e in events if e.get("ph") != "M"}
+assert 1 in pids, "no wall-clock (pid 1) events"
+assert 2 in pids, "no simulated-cycles (pid 2) events"
+
+spans = [e for e in events if e.get("ph") == "X"]
+assert all(e.get("dur", 0) >= 0 for e in spans), "negative duration"
+
+with open(report_path) as f:
+    report = json.load(f)
+assert report.get("version") == 6, "traced report is not schema v6"
+assert report.get("trace_file") == trace_path, (
+    f"report trace_file {report.get('trace_file')!r} != {trace_path!r}")
+hists = report.get("metrics", {}).get("histograms", {})
+assert "runner.layer_sim_seconds" in hists, "no layer latency histogram"
+
+print(f"{trace_path}: {len(events)} events, "
+      f"{len(spans)} spans across {len(cats)} categories OK")
+EOF
+}
+
+validate_trace_grep() {
+    local trace="$workdir/stock_t4.trace"
+    grep -q '"traceEvents"' "$trace"
+    # Every instrumented subsystem shows up at least once.
+    for cat in runner tpusim gpusim pool cache; do
+        grep -q "\"cat\": \"$cat\"" "$trace"
+    done
+    # Both clock domains are present.
+    grep -q '"pid": 1' "$trace"
+    grep -q '"pid": 2' "$trace"
+    # The report points back at the trace.
+    grep -q '"version": 6' "$workdir/rec_stock_t4.json"
+    grep -q "\"trace_file\": \"$trace\"" "$workdir/rec_stock_t4.json"
+    grep -q '"runner.layer_sim_seconds"' "$workdir/rec_stock_t4.json"
+    echo "$trace: OK (grep fallback)"
+}
+
+if command -v python3 >/dev/null 2>&1; then
+    validate_trace_py
+else
+    validate_trace_grep
+fi
 
 echo "==== check_analyze: analyze + schema ===="
 "$analyze" "$workdir/tpu_t1.trace" "json=$workdir/analysis.json" \

@@ -41,10 +41,7 @@ done
 echo "==== structured run reports ===="
 scripts/check_report.sh
 
-echo "==== chrome-trace recorder ===="
-scripts/check_trace.sh
-
-echo "==== offline trace analytics ===="
+echo "==== chrome-trace recorder + offline trace analytics ===="
 scripts/check_analyze.sh
 
 echo "==== fault injection + resilience ===="

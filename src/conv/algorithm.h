@@ -12,8 +12,16 @@
  *   - a pass plan (im2col::PassPlan: tap order, depth, feed locality,
  *     metadata) that the TPU and GPU simulators each schedule with one
  *     generic loop,
- *   - a functional execute() proven against tensor::convDirect; the
- *     implicit schemes run their plans on im2col::gatherGemm().
+ *   - a pointer producer (im2col::TapPointers) that points each GEMM
+ *     row at its operand: the pixel gather (channel-first, SMM-Conv),
+ *     a pointer table (IndirectConv), a per-unit lowered panel
+ *     (channel-last) or one lowered M x K workspace written before the
+ *     GEMM (explicit im2col, so explicit minus channel-last is exactly
+ *     the workspace of Sec. II-B).
+ *
+ * The base class owns the one functional execute(): it runs the plan
+ * and the producer on im2col::gatherGemm(), and every algorithm is
+ * proven against tensor::convDirect through it.
  *
  * The registry is append-only: ids are serialized into memo-cache and
  *  tuned-config-DB keys, so new algorithms append at the end and
@@ -28,6 +36,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "im2col/implicit_conv.h"
 #include "im2col/pass_plan.h"
 #include "tensor/conv_params.h"
 #include "tensor/tensor.h"
@@ -144,20 +153,28 @@ class Algorithm
     /**
      * Functional execution: @p input is (N, C_I, H_I, W_I), @p filter
      * is (C_O, C_I, H_F, W_F); returns the (N, C_O, H_O, W_O) OFMap in
-     * NCHW layout. Must be bit-identical at any parallel::threads()
-     * count and match tensor::convDirect within accumulation-order
-     * float tolerance. Every implicit scheme runs its plan on the one
-     * host engine, im2col::gatherGemm(). Callers must check supports()
-     * first; executing an unsupported layer, a layer that fails
-     * ConvParams::validate(), or an operand whose dims do not match
-     * @p params is a fatal() user error.
+     * NCHW layout, bit-identical at any parallel::threads() count and
+     * within accumulation-order float tolerance of tensor::convDirect.
+     * One body for every algorithm: check @p input, take plan(), pack
+     * B from the plan, and run the plan with this algorithm's pointer
+     * producer on the one host engine, im2col::gatherGemm(). Callers
+     * must check supports() first; executing an unsupported layer, a
+     * layer that fails ConvParams::validate(), or an operand whose dims
+     * do not match @p params is a fatal() user error.
      */
-    virtual Tensor execute(const ConvParams &params, const Tensor &input,
-                           const Tensor &filter) const = 0;
+    Tensor execute(const ConvParams &params, const Tensor &input,
+                   const Tensor &filter) const;
 
   private:
     /** plan() body for a layer supports() accepted. */
     virtual im2col::PassPlan buildPlan(const ConvParams &params) const = 0;
+
+    /** The producer execute() runs @p plan with: it points each GEMM
+     *  row at its operand values for @p input. */
+    virtual im2col::TapPointers pointers(const ConvParams &params,
+                                         const Tensor &input,
+                                         const im2col::PassPlan &plan)
+        const = 0;
 };
 
 /** The registered algorithm with @p id (never null). */

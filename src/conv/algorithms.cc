@@ -4,13 +4,16 @@
  * schemes (channel-first implicit, channel-last implicit, explicit
  * im2col) plus the two zoo additions from PAPERS.md — IndirectConv
  * (Dukhan, arXiv:1907.02129) and SMM-Conv (Ofir & Ben-Artzi,
- * arXiv:2411.15659). Every execute() is deterministic at any thread
- * count: parallelFor only ever distributes disjoint output rows.
+ * arXiv:2411.15659). Each supplies its plan and its pointer producer;
+ * the one Algorithm::execute() runs them on im2col::gatherGemm(), which
+ * is deterministic at any thread count because parallelFor only ever
+ * distributes disjoint output rows.
  */
 
 #include "conv/algorithm.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "im2col/implicit_conv.h"
@@ -23,6 +26,7 @@ namespace {
 using im2col::FeedLocality;
 using im2col::FilterTile;
 using im2col::PassPlan;
+using im2col::TapPointers;
 using tensor::ColumnOrder;
 
 /** Pointer-size of one indirection-buffer entry (64-bit host). */
@@ -74,6 +78,22 @@ wholeGemmPlan(const ConvParams &params, FeedLocality feed)
     return plan;
 }
 
+/** B for @p plan: C_I-deep taps packed as tapStrips() packs them, or a
+ *  plan's one gemmK-deep column block in channel-last column order. */
+std::vector<float>
+planStrips(const ConvParams &params, const Tensor &filter,
+           const PassPlan &plan)
+{
+    if (plan.tapDepth == params.inChannels)
+        return im2col::tapStrips(params, filter, plan.taps);
+    CFCONV_ASSERT(plan.taps.size() == 1 && plan.tapDepth == params.gemmK(),
+                  "(plan is neither per-tap nor one column block)");
+    std::vector<tensor::ColCoord> cols;
+    for (Index k = 0; k < params.gemmK(); ++k)
+        cols.push_back(tensor::colCoord(params, ColumnOrder::ChannelLast, k));
+    return im2col::packFilter(params, filter, cols);
+}
+
 // ---------------------------------------------------------------------------
 // Channel-first implicit im2col (the paper's algorithm, Sec. III).
 // ---------------------------------------------------------------------------
@@ -103,19 +123,19 @@ class ChannelFirstAlgorithm final : public Algorithm
         return implicitTraffic(params);
     }
 
-    Tensor
-    execute(const ConvParams &params, const Tensor &input,
-            const Tensor &filter) const override
-    {
-        return im2col::convImplicit(params, input, filter);
-    }
-
   private:
     PassPlan
     buildPlan(const ConvParams &params) const override
     {
         return im2col::channelFirstPlan(params,
                                         im2col::decomposeFilter(params));
+    }
+
+    TapPointers
+    pointers(const ConvParams &params, const Tensor &input,
+             const PassPlan &) const override
+    {
+        return im2col::pixelGather(params, input);
     }
 };
 
@@ -148,37 +168,29 @@ class ChannelLastAlgorithm final : public Algorithm
         return implicitTraffic(params);
     }
 
-    Tensor
-    execute(const ConvParams &params, const Tensor &input,
-            const Tensor &filter) const override
-    {
-        // One tap spanning all of gemmK, B in the conventional column
-        // order; im2col's row lowering of each work unit's rows, every
-        // row pointing at its own lowered row.
-        std::vector<tensor::ColCoord> cols;
-        for (Index k = 0; k < params.gemmK(); ++k)
-            cols.push_back(
-                tensor::colCoord(params, ColumnOrder::ChannelLast, k));
-        return im2col::gatherGemm(
-            params, input, buildPlan(params),
-            im2col::packFilter(params, filter, cols),
-            [&](const std::vector<FilterTile> &, Index m0, Index m1,
-                const float **rows, Index, std::vector<float> &panel) {
-                const Index k = params.gemmK();
-                panel.resize(static_cast<size_t>((m1 - m0) * k));
-                tensor::im2colLowerRows(params, input,
-                                        ColumnOrder::ChannelLast, m0, m1,
-                                        panel.data());
-                for (Index m = m0; m < m1; ++m)
-                    rows[m - m0] = panel.data() + (m - m0) * k;
-            });
-    }
-
   private:
     PassPlan
     buildPlan(const ConvParams &params) const override
     {
         return wholeGemmPlan(params, FeedLocality::UnionGather);
+    }
+
+    TapPointers
+    pointers(const ConvParams &params, const Tensor &input,
+             const PassPlan &) const override
+    {
+        // im2col's row lowering of each work unit's rows, every row
+        // pointing at its own lowered row.
+        return [&params, &input](const std::vector<FilterTile> &, Index m0,
+                                 Index m1, const float **rows, Index,
+                                 std::vector<float> &panel) {
+            const Index k = params.gemmK();
+            panel.resize(static_cast<size_t>((m1 - m0) * k));
+            tensor::im2colLowerRows(params, input, ColumnOrder::ChannelLast,
+                                    m0, m1, panel.data());
+            for (Index m = m0; m < m1; ++m)
+                rows[m - m0] = panel.data() + (m - m0) * k;
+        };
     }
 };
 
@@ -230,15 +242,6 @@ class ExplicitIm2colAlgorithm final : public Algorithm
         return t;
     }
 
-    Tensor
-    execute(const ConvParams &params, const Tensor &input,
-            const Tensor &filter) const override
-    {
-        im2col::checkInput(params, input);
-        return tensor::convExplicitIm2col(params, input, filter,
-                                          ColumnOrder::ChannelLast);
-    }
-
   private:
     PassPlan
     buildPlan(const ConvParams &params) const override
@@ -246,6 +249,23 @@ class ExplicitIm2colAlgorithm final : public Algorithm
         PassPlan plan = wholeGemmPlan(params, FeedLocality::Workspace);
         plan.transformBytes = params.inputBytes() + params.loweredBytes();
         return plan;
+    }
+
+    TapPointers
+    pointers(const ConvParams &params, const Tensor &input,
+             const PassPlan &) const override
+    {
+        // Channel-last's lowering hoisted out of the work units: the
+        // whole M x K workspace is written before the GEMM reads it
+        // back, each row pointing at its own row.
+        const auto lowered = std::make_shared<const tensor::Matrix>(
+            tensor::im2colLower(params, input, ColumnOrder::ChannelLast));
+        return [lowered](const std::vector<FilterTile> &, Index m0,
+                         Index m1, const float **rows, Index,
+                         std::vector<float> &) {
+            for (Index m = m0; m < m1; ++m)
+                rows[m - m0] = lowered->data() + m * lowered->cols();
+        };
     }
 };
 
@@ -287,39 +307,6 @@ class IndirectAlgorithm final : public Algorithm
         return t;
     }
 
-    Tensor
-    execute(const ConvParams &params, const Tensor &input,
-            const Tensor &filter) const override
-    {
-        im2col::checkInput(params, input);
-        const PassPlan plan = buildPlan(params);
-        const Index taps = static_cast<Index>(plan.taps.size());
-
-        // Materialize the indirection buffer: for every (filter tap,
-        // output position), the address of the C_I-deep pixel it reads
-        // in the HWC copy, or of the shared zero pixel in the halo.
-        const Index m_total = params.gemmM();
-        const im2col::TapPointers pixels =
-            im2col::pixelGather(params, input);
-        std::vector<const float *> table(
-            static_cast<size_t>(taps * m_total));
-        std::vector<float> unused;
-        pixels(plan.taps, 0, m_total, table.data(), m_total, unused);
-
-        // Pointer GEMM: each work unit reads its rows' slice of the
-        // buffer.
-        return im2col::gatherGemm(
-            params, input, plan,
-            im2col::tapStrips(params, filter, plan.taps),
-            [&](const std::vector<FilterTile> &, Index m0, Index m1,
-                const float **rows, Index ld, std::vector<float> &) {
-                for (Index t = 0; t < taps; ++t)
-                    std::copy(table.begin() + t * m_total + m0,
-                              table.begin() + t * m_total + m1,
-                              rows + t * ld);
-            });
-    }
-
   private:
     PassPlan
     buildPlan(const ConvParams &params) const override
@@ -329,6 +316,34 @@ class IndirectAlgorithm final : public Algorithm
         PassPlan plan = tapPlan(params, FeedLocality::PointerGather);
         plan.metadataBytesPerRowTap = kPointerBytes;
         return plan;
+    }
+
+    TapPointers
+    pointers(const ConvParams &params, const Tensor &input,
+             const PassPlan &plan) const override
+    {
+        // Materialize the indirection buffer: for every (filter tap,
+        // output position), the address of the C_I-deep pixel it reads
+        // in the HWC copy, or of the shared zero pixel in the halo.
+        const Index taps = static_cast<Index>(plan.taps.size());
+        const Index m_total = params.gemmM();
+        const TapPointers pixels = im2col::pixelGather(params, input);
+        const auto table = std::make_shared<std::vector<const float *>>(
+            static_cast<size_t>(taps * m_total));
+        std::vector<float> unused;
+        pixels(plan.taps, 0, m_total, table->data(), m_total, unused);
+
+        // Pointer GEMM: each work unit reads its rows' slice of the
+        // buffer. The copy of `pixels` keeps the HWC copy it points
+        // into alive.
+        return [pixels, table, taps, m_total](
+                   const std::vector<FilterTile> &, Index m0, Index m1,
+                   const float **rows, Index ld, std::vector<float> &) {
+            for (Index t = 0; t < taps; ++t)
+                std::copy(table->begin() + t * m_total + m0,
+                          table->begin() + t * m_total + m1,
+                          rows + t * ld);
+        };
     }
 };
 
@@ -382,23 +397,6 @@ class SmmAlgorithm final : public Algorithm
         return implicitTraffic(params);
     }
 
-    Tensor
-    execute(const ConvParams &params, const Tensor &input,
-            const Tensor &filter) const override
-    {
-        const Status ok = supports(params, /*groups=*/1);
-        CFCONV_FATAL_IF(!ok.ok(), "SmmConv: %s", ok.message().c_str());
-
-        // One scalar-matrix pass per tap <r, s>: the IFMap shifted by
-        // (r - pad, s - pad), with the border rows packed as zeros --
-        // at unit stride, exactly the pixel gather.
-        const PassPlan plan = buildPlan(params);
-        return im2col::gatherGemm(
-            params, input, plan,
-            im2col::tapStrips(params, filter, plan.taps),
-            im2col::pixelGather(params, input));
-    }
-
   private:
     PassPlan
     buildPlan(const ConvParams &params) const override
@@ -406,6 +404,16 @@ class SmmAlgorithm final : public Algorithm
         // Unit stride makes each tap's shifted block one long
         // sequential run: no gather at all.
         return tapPlan(params, FeedLocality::Contiguous);
+    }
+
+    TapPointers
+    pointers(const ConvParams &params, const Tensor &input,
+             const PassPlan &) const override
+    {
+        // One scalar-matrix pass per tap <r, s>: the IFMap shifted by
+        // (r - pad, s - pad), with the border rows packed as zeros --
+        // at unit stride, exactly the pixel gather.
+        return im2col::pixelGather(params, input);
     }
 };
 
@@ -427,6 +435,18 @@ Algorithm::plan(const ConvParams &params) const
 {
     CFCONV_RETURN_IF_ERROR(supports(params, /*groups=*/1));
     return buildPlan(params);
+}
+
+Tensor
+Algorithm::execute(const ConvParams &params, const Tensor &input,
+                   const Tensor &filter) const
+{
+    im2col::checkInput(params, input);
+    const StatusOr<PassPlan> plan = this->plan(params);
+    CFCONV_FATAL_IF(!plan.ok(), "%s", plan.status().message().c_str());
+    const std::vector<float> strips = planStrips(params, filter, *plan);
+    return im2col::gatherGemm(params, input, *plan, strips,
+                              pointers(params, input, *plan));
 }
 
 const std::vector<const Algorithm *> &

@@ -1,13 +1,14 @@
 /**
  * @file
- * The host engine of every implicit lowering (Sec. III: implicit im2col
+ * The host engine of every lowering (Sec. III: implicit im2col
  * only changes the address generation in front of an unchanged GEMM).
  * gatherGemm() runs the pointer-table micro-kernel (tensor::indirectTile)
  * over a PassPlan's taps; a lowering contributes only a producer that
- * points each (GEMM row, tap) at its operand values. Channel-first,
- * channel-last, IndirectConv, SMM-Conv, multi-tile, sparse and
- * deformable execution all run here, so each is value-identical to the
- * others wherever their plans and gathered values agree.
+ * points each (GEMM row, tap) at its operand values. All five
+ * conv::Algorithm lowerings (explicit im2col's M x K workspace is one
+ * more producer), multi-tile, sparse and deformable execution run here,
+ * so each is value-identical to the others wherever their plans and
+ * gathered values agree.
  */
 
 #ifndef CFCONV_IM2COL_IMPLICIT_CONV_H

@@ -1,7 +1,5 @@
 #include "models/model_zoo.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace cfconv::models {
@@ -310,19 +308,6 @@ resnetRepresentativeLayers(Index batch)
     mk(14, 256, 256, 3);
     mk(14, 512, 512, 3);
     return layers;
-}
-
-ModelSpec
-splitBatchAcrossCores(const ModelSpec &model, Index cores)
-{
-    CFCONV_FATAL_IF(cores < 1,
-                    "splitBatchAcrossCores: cores must be >= 1");
-    ModelSpec sliced = model;
-    for (auto &layer : sliced.layers) {
-        layer.params.batch = std::max<Index>(
-            1, divCeil(layer.params.batch, cores));
-    }
-    return sliced;
 }
 
 std::vector<ConvLayerSpec>

@@ -73,18 +73,6 @@ std::vector<ConvLayerSpec> resnetRepresentativeLayers(Index batch);
  */
 std::vector<ConvLayerSpec> stridedLayers(Index batch);
 
-/**
- * Data-parallel batch split across @p cores: every layer keeps its
- * geometry but runs the per-core batch slice MAX(1, ceil(B / cores))
- * — weights are broadcast, activations stay core-local, so one core's
- * slice time is the board's time. The one slicing rule of the
- * multi-chip path (src/serve). A batch smaller than the core count
- * leaves cores idle (batch 1 gains nothing), which is the honest
- * behaviour of batch splitting.
- * Fatal when @p cores < 1.
- */
-ModelSpec splitBatchAcrossCores(const ModelSpec &model, Index cores);
-
 } // namespace cfconv::models
 
 #endif // CFCONV_MODELS_MODEL_ZOO_H

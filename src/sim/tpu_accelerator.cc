@@ -29,7 +29,7 @@ TpuAccelerator::runLayer(const ConvParams &params,
     rec.groups = options.groups;
     rec.seconds = r.seconds;
     rec.tflops = r.tflops;
-    rec.utilization = r.arrayUtilization;
+    rec.utilization = rec.tflops / peakTflops();
     rec.dramBytes = r.dramBytes;
     rec.flops = params.flops() / static_cast<Flops>(options.groups);
     rec.extras["multiTile"] = static_cast<double>(r.multiTile);

@@ -1,6 +1,7 @@
 #include "tensor/conv_ref.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/parallel.h"
 #include "tensor/microkernel.h"
@@ -59,6 +60,21 @@ convPlaneFast(const ConvParams &params, const Tensor &input,
     }
 }
 
+/** True when filter slice @p co of the NCHW @p filter holds a
+ *  non-finite weight. Every output of that plane adds it times a pixel
+ *  or a halo zero, so none is finite; only the per-element plane, which
+ *  multiplies the halo zeros too, gets the IEEE result (Inf * 0 = NaN)
+ *  where the fast plane skips the halo. */
+bool
+hasNonFiniteWeight(const ConvParams &params, const Tensor &filter,
+                   Index co)
+{
+    const float *w = filter.data() + filter.offsetOf(co, 0, 0, 0);
+    return !std::all_of(
+        w, w + params.inChannels * params.kernelH * params.kernelW,
+        [](float v) { return std::isfinite(v); });
+}
+
 /** The per-element plane loop through atPadded(): any operand layout. */
 void
 convPlanePerElement(const ConvParams &params, const Tensor &input,
@@ -107,8 +123,9 @@ convDirect(const ConvParams &params, const Tensor &input,
     Tensor out(params.batch, params.outChannels, params.outH(),
                params.outW(), Layout::NCHW);
 
-    // The fast plane needs contiguous NCHW rows.
-    const bool fast = input.layout() == Layout::NCHW &&
+    // The fast plane needs contiguous NCHW rows and skips the halo, so
+    // a plane with a non-finite weight takes the per-element one.
+    const bool nchw = input.layout() == Layout::NCHW &&
                       filter.layout() == Layout::NCHW;
 
     // Parallel over (batch, output-channel) slices: each worker owns a
@@ -120,7 +137,7 @@ convDirect(const ConvParams &params, const Tensor &input,
             for (Index plane = plane0; plane < plane1; ++plane) {
                 const Index n = plane / params.outChannels;
                 const Index co = plane % params.outChannels;
-                if (fast)
+                if (nchw && !hasNonFiniteWeight(params, filter, co))
                     convPlaneFast(params, input, filter, out, n, co);
                 else
                     convPlanePerElement(params, input, filter, out, n, co);

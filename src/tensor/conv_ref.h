@@ -16,7 +16,9 @@ namespace cfconv::tensor {
  * Direct convolution. @p input has dims (N, C_I, H_I, W_I), @p filter has
  * dims (C_O, C_I, H_F, W_F) (N slot carries C_O). Returns the OFMap with
  * dims (N, C_O, H_O, W_O) in NCHW layout. Honors stride, padding, and
- * dilation from @p params.
+ * dilation from @p params. Every output adds each weight times a pixel
+ * or a halo zero, so a non-finite weight that meets the halo gives NaN
+ * there, as in every conv::Algorithm, whatever the operand layout.
  */
 Tensor convDirect(const ConvParams &params, const Tensor &input,
                   const Tensor &filter);

@@ -2,7 +2,6 @@
 
 #include "common/parallel.h"
 #include "tensor/conv_ref.h"
-#include "tensor/gemm.h"
 
 namespace cfconv::tensor {
 
@@ -105,41 +104,6 @@ checkFilter(const ConvParams &params, const Tensor &filter)
                       {"W_F", filter.w(), params.kernelW}});
 }
 
-Matrix
-flattenFilter(const ConvParams &params, const Tensor &filter,
-              ColumnOrder order)
-{
-    checkFilter(params, filter);
-    Matrix flat(params.gemmK(), params.gemmN());
-    for (Index k = 0; k < flat.rows(); ++k) {
-        const ColCoord cc = colCoord(params, order, k);
-        for (Index co = 0; co < params.outChannels; ++co)
-            flat.at(k, co) = filter.at(co, cc.ci, cc.r, cc.s);
-    }
-    return flat;
-}
-
-Tensor
-foldOutput(const ConvParams &params, const Matrix &gemm_out)
-{
-    CFCONV_FATAL_IF(gemm_out.rows() != params.gemmM() ||
-                    gemm_out.cols() != params.gemmN(),
-                    "foldOutput: GEMM output shape mismatch");
-    Tensor out(params.batch, params.outChannels, params.outH(),
-               params.outW(), Layout::NCHW);
-    // Distinct GEMM rows map to distinct (n, oh, ow) positions, so row
-    // blocks write disjoint output elements.
-    parallel::parallelFor(
-        0, gemm_out.rows(), 64, [&](Index m0, Index m1) {
-            for (Index m = m0; m < m1; ++m) {
-                const RowCoord rc = rowCoord(params, m);
-                for (Index co = 0; co < params.outChannels; ++co)
-                    out.at(rc.n, co, rc.oh, rc.ow) = gemm_out.at(m, co);
-            }
-        });
-    return out;
-}
-
 Tensor
 col2im(const ConvParams &params, const Matrix &lowered, ColumnOrder order)
 {
@@ -159,17 +123,6 @@ col2im(const ConvParams &params, const Matrix &lowered, ColumnOrder order)
         }
     }
     return folded;
-}
-
-Tensor
-convExplicitIm2col(const ConvParams &params, const Tensor &input,
-                   const Tensor &filter, ColumnOrder order)
-{
-    const Matrix lowered = im2colLower(params, input, order);
-    const Matrix flat = flattenFilter(params, filter, order);
-    Matrix out(params.gemmM(), params.gemmN());
-    gemm(lowered, flat, out);
-    return foldOutput(params, out);
 }
 
 } // namespace cfconv::tensor

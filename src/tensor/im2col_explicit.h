@@ -1,11 +1,14 @@
 /**
  * @file
- * Explicit im2col: materialize the lowered feature matrix (Fig 1), in
- * either column order (Fig 6), flatten filters to match, and fold GEMM
- * output back into an OFMap. This is the baseline algorithm whose memory
- * and performance overheads motivate the paper (Sec. II-B), and the
- * functional reference for the implicit gathers in src/im2col. Every
- * cell reads the input pixel ConvParams::inputRow()/inputCol() name.
+ * Explicit im2col's lowering: materialize the lowered feature matrix
+ * (Fig 1) in either column order (Fig 6), plus the row and column
+ * coordinates and operand checks every lowering shares. Every cell
+ * reads the input pixel ConvParams::inputRow()/inputCol() name. The
+ * explicit conv::Algorithm writes the whole channel-last matrix as its
+ * workspace before the GEMM reads it back (the baseline whose overheads
+ * motivate the paper, Sec. II-B); channel-last lowers one work unit's
+ * rows at a time. The lower + flatten + GEMM + fold reference that the
+ * tests hold every lowering to is tests/common/explicit_oracle.h.
  */
 
 #ifndef CFCONV_TENSOR_IM2COL_EXPLICIT_H
@@ -97,19 +100,6 @@ void checkOperandDims(const ConvParams &params, const char *operand,
 void checkFilter(const ConvParams &params, const Tensor &filter);
 
 /**
- * Flatten the (C_O, C_I, H_F, W_F) filter tensor into the K x C_O matrix
- * whose row order matches @p order, so that lowered * flattened = OFMap.
- * Checks @p filter with checkFilter().
- */
-Matrix flattenFilter(const ConvParams &params, const Tensor &filter,
-                     ColumnOrder order);
-
-/**
- * Reshape a GEMM output (M x C_O) into the (N, C_O, H_O, W_O) OFMap.
- */
-Tensor foldOutput(const ConvParams &params, const Matrix &gemm_out);
-
-/**
  * col2im: scatter-accumulate a lowered matrix back into input geometry.
  * Each input element receives the sum of all lowered cells that reference
  * it (its receptive-field multiplicity). Used by tests and useful for
@@ -117,10 +107,6 @@ Tensor foldOutput(const ConvParams &params, const Matrix &gemm_out);
  */
 Tensor col2im(const ConvParams &params, const Matrix &lowered,
               ColumnOrder order);
-
-/** Convolution by explicit lowering + GEMM + fold; functional baseline. */
-Tensor convExplicitIm2col(const ConvParams &params, const Tensor &input,
-                          const Tensor &filter, ColumnOrder order);
 
 } // namespace cfconv::tensor
 

@@ -333,17 +333,6 @@ indirectTile(Index taps, Index depth, const float *const *rows, Index ld,
 }
 
 void
-vectorAddInto(float *dst, const float *src, Index n)
-{
-    if (activeKernelBackend() == KernelBackend::Avx2) {
-        detail::addIntoAvx2(dst, src, n);
-        return;
-    }
-    for (Index i = 0; i < n; ++i)
-        dst[i] += src[i];
-}
-
-void
 vectorAxpyInto(float *dst, const float *src, float scale, Index n)
 {
     if (activeKernelBackend() == KernelBackend::Avx2) {

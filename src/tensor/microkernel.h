@@ -120,9 +120,6 @@ std::vector<float> packColumnStrips(const float *base,
 void indirectTile(Index taps, Index depth, const float *const *rows,
                   Index ld, const float *b_panel, float *c, Index ldc);
 
-/** dst[i] += src[i] over @p n contiguous floats, vectorized. */
-void vectorAddInto(float *dst, const float *src, Index n);
-
 /** dst[i] += scale * src[i] over @p n contiguous floats (SAXPY). */
 void vectorAxpyInto(float *dst, const float *src, float scale, Index n);
 

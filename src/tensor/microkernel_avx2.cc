@@ -149,18 +149,6 @@ indirectTileAvx2(Index taps, Index depth, const float *const *rows,
 }
 
 void
-addIntoAvx2(float *dst, const float *src, Index n)
-{
-    Index i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm256_storeu_ps(dst + i,
-                         _mm256_add_ps(_mm256_loadu_ps(dst + i),
-                                       _mm256_loadu_ps(src + i)));
-    for (; i < n; ++i)
-        dst[i] += src[i];
-}
-
-void
 axpyIntoAvx2(float *dst, const float *src, float scale, Index n)
 {
     const __m256 v = _mm256_set1_ps(scale);
@@ -197,12 +185,6 @@ gemmPanelAvx2(Index, const float *, const float *, float *, Index, bool)
 void
 indirectTileAvx2(Index, Index, const float *const *, Index, const float *,
                  float *, Index)
-{
-    panic("AVX2 kernel called but not compiled in");
-}
-
-void
-addIntoAvx2(float *, const float *, Index)
 {
     panic("AVX2 kernel called but not compiled in");
 }

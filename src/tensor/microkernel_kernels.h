@@ -38,9 +38,6 @@ void indirectTileAvx2(Index taps, Index depth, const float *const *rows,
                       Index ld, const float *b_panel, float *c,
                       Index ldc);
 
-/** AVX2 dst[i] += src[i]. */
-void addIntoAvx2(float *dst, const float *src, Index n);
-
 /** AVX2+FMA dst[i] += scale * src[i]. */
 void axpyIntoAvx2(float *dst, const float *src, float scale, Index n);
 

@@ -7,7 +7,6 @@
 #include "common/trace.h"
 #include "im2col/implicit_conv.h"
 #include "tensor/im2col_explicit.h"
-#include "tensor/microkernel.h"
 
 namespace cfconv::tpusim {
 
@@ -42,11 +41,9 @@ FunctionalTpuCore::runConv(const ConvParams &params, const Tensor &input,
         im2col::channelFirstPlan(params, im2col::decomposeFilter(params));
     const im2col::TapPointers pixels = im2col::pixelGather(params, input);
 
-    Matrix acc(m_dim, params.gemmN());
-    acc.fill(0.0f);
-
     FunctionalRunResult result{
-        Tensor(1, 1, 1, 1), false, 0, 0, 0};
+        Tensor(params.batch, params.gemmN(), params.outH(), params.outW()),
+        false, 0, 0, 0};
 
     systolic::SystolicArray array(arrayRows_, arrayCols_);
 
@@ -190,13 +187,13 @@ FunctionalTpuCore::runConv(const ConvParams &params, const Tensor &input,
         round_start += std::max(group_cycles, deser_last);
         round += 1.0;
 
-        // Partial-sum accumulation across tile groups: one add per
-        // element either way, so the vectorized form is bit-exact.
-        tensor::vectorAddInto(acc.data(), out.data(),
-                              m_dim * params.gemmN());
+        // Partial-sum accumulation across tile groups, straight into
+        // the NCHW OFMap: one add per element per pass, in pass order.
+        tensor::RowCoord rc = tensor::rowCoord(params, 0);
+        for (Index m = 0; m < m_dim; ++m, tensor::nextRow(params, rc))
+            for (Index co = 0; co < params.gemmN(); ++co)
+                result.output.at(rc.n, co, rc.oh, rc.ow) += out.at(m, co);
     }
-
-    result.output = tensor::foldOutput(params, acc);
     return result;
 }
 

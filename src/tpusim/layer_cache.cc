@@ -97,7 +97,6 @@ layerResultChecksum(const TpuLayerResult &r)
     mixInt(static_cast<long long>(r.cycles));
     mixFloat(r.seconds);
     mixFloat(r.tflops);
-    mixFloat(r.arrayUtilization);
     mixInt(static_cast<long long>(r.dramBytes));
     mixInt(r.multiTile);
     mixFloat(r.portUtilization);

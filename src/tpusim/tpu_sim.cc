@@ -167,11 +167,6 @@ TpuSim::scheduleUnits(const std::vector<Unit> &units,
     r.exposedFillCycles = total - r.computeCycles;
     r.seconds = config_.cyclesToSeconds(total);
     r.tflops = static_cast<double>(total_flops) / r.seconds / 1e12;
-    const double capacity = static_cast<double>(total) *
-                            static_cast<double>(config_.array.rows) *
-                            static_cast<double>(config_.array.cols);
-    r.arrayUtilization =
-        static_cast<double>(total_flops) / 2.0 / capacity;
     r.portUtilization =
         static_cast<double>(port_ops) /
         (static_cast<double>(total) *
@@ -427,11 +422,6 @@ TpuSim::runMaterialized(const ConvParams &params,
     r.tflops =
         static_cast<double>(params.flops()) / r.seconds / 1e12;
     r.dramBytes += plan.transformBytes;
-    const double capacity = static_cast<double>(r.cycles) *
-                            static_cast<double>(config_.array.rows) *
-                            static_cast<double>(config_.array.cols);
-    r.arrayUtilization =
-        static_cast<double>(params.flops()) / 2.0 / capacity;
     return r;
 }
 
@@ -472,11 +462,6 @@ TpuSim::runGroupedConv(const ConvParams &base, Index groups,
     // are wasted array capacity.
     const Flops useful = base.flops() / static_cast<Flops>(groups);
     r.tflops = static_cast<double>(useful) / r.seconds / 1e12;
-    r.arrayUtilization =
-        static_cast<double>(useful) / 2.0 /
-        (static_cast<double>(r.cycles) *
-         static_cast<double>(config_.array.rows) *
-         static_cast<double>(config_.array.cols));
     return r;
 }
 

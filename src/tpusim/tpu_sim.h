@@ -64,8 +64,9 @@ struct TpuLayerResult
 {
     Cycles cycles = 0;
     double seconds = 0.0;
-    double tflops = 0.0;           ///< useful FLOPs / second
-    double arrayUtilization = 0.0; ///< MACs / (cycles * rows * cols)
+    /** Useful TFLOPS; over TpuConfig::peakTflops(), which counts
+     *  every MXU, it is the layer's utilization. */
+    double tflops = 0.0;
     Bytes dramBytes = 0;           ///< total off-chip traffic
     Index multiTile = 1;           ///< multi-tile parameter used
     double portUtilization = 0.0;  ///< vector-memory port busy fraction

@@ -3,8 +3,8 @@
  *  awkward shapes (stride 2/3, dilation 2, asymmetric padding,
  *  rectangular kernels, 1x1 and 7x7 filters, work-unit edges),
  *  bit-identical at any thread count on every kernel backend, the
- *  per-tap schemes byte-identical to each other and every implicit
- *  scheme to the explicit GEMM in its column order, blind to the
+ *  per-tap schemes byte-identical to each other and every scheme to
+ *  the explicit-GEMM oracle in its column order, blind to the
  *  input's layout (as the reference's two planes are to the operands'),
  *  one validate() error for an unfit layer and a named
  *  dimension for a mismatched operand, the same zoo surfaced through
@@ -13,7 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -31,6 +34,7 @@
 #include "tensor/tensor.h"
 
 #include "../common/determinism.h"
+#include "../common/explicit_oracle.h"
 #include "awkward_shapes.h"
 
 namespace cfconv::conv {
@@ -160,9 +164,11 @@ TEST(AlgoParity, PerTapSchemesReturnIdenticalBytes)
 TEST(AlgoParity, ImplicitExecuteIsExplicitGemmBytes)
 {
     // Implicit lowering changes only the address generation in front of
-    // an unchanged GEMM (Sec. III): every implicit execute() returns the
-    // bytes of the materialized lowered matrix times the packed GEMM in
-    // the same column order, on every backend at 1 and 4 threads.
+    // an unchanged GEMM (Sec. III): every execute() returns the bytes of
+    // the materialized lowered matrix times the packed GEMM in the same
+    // column order, on every backend at 1 and 4 threads. Explicit im2col
+    // is channel-last with its lowering hoisted into one workspace, so
+    // it owes the channel-last bytes.
     forEachKernelBackend([](tensor::KernelBackend backend) {
         const char *kernel = tensor::kernelBackendName(backend);
         for (const ConvParams &p : awkwardShapes()) {
@@ -177,13 +183,12 @@ TEST(AlgoParity, ImplicitExecuteIsExplicitGemmBytes)
                 explicitGemm(tensor::ColumnOrder::ChannelFirst);
             const Tensor channel_last =
                 explicitGemm(tensor::ColumnOrder::ChannelLast);
-            for (const AlgorithmId id :
-                 {AlgorithmId::ChannelFirst, AlgorithmId::ChannelLast,
-                  AlgorithmId::Indirect, AlgorithmId::Smm}) {
-                const Algorithm *algo = findAlgorithm(id);
+            for (const Algorithm *algo : allAlgorithms()) {
                 if (!algo->supports(p, 1).ok())
                     continue;
-                const Tensor &want = id == AlgorithmId::ChannelLast
+                const AlgorithmId id = algo->id();
+                const Tensor &want = id == AlgorithmId::ChannelLast ||
+                                             id == AlgorithmId::ExplicitIm2col
                                          ? channel_last
                                          : channel_first;
                 for (const Index n : {1, 4}) {
@@ -246,6 +251,41 @@ TEST(AlgoParity, ConvDirectIsLayoutBlindOnEveryBackend)
                     << kernel << ", " << p.toString();
             }
         }
+    });
+}
+
+TEST(AlgoParity, ConvDirectPlanesAgreeOnANonFiniteWeight)
+{
+    // One +Inf weight at tap (0, 0) of a pad-1 3x3: every output of its
+    // plane adds it times a pixel or a halo zero, so the nine outputs
+    // whose tap (0, 0) lies in the padding are Inf * 0 = NaN and the
+    // rest of that plane is infinite. Both reference planes and every
+    // execute() must agree on which outputs are NaN, infinite or finite.
+    const ConvParams p = makeConv(1, 2, 5, 3, 3, 1, 1);
+    Tensor input = tensor::makeInput(p);
+    Tensor filter = tensor::makeFilter(p);
+    input.fillRandom(167);
+    filter.fillRandom(173);
+    filter.at(0, 0, 0, 0) = std::numeric_limits<float>::infinity();
+    const auto classes = [](const Tensor &t) {
+        std::string c;
+        for (Index i = 0; i < t.size(); ++i)
+            c += std::isnan(t.data()[i])   ? 'n'
+                 : std::isinf(t.data()[i]) ? 'i'
+                                           : 'f';
+        return c;
+    };
+    const std::string want = classes(tensor::convDirect(
+        p, input.toLayout(tensor::Layout::NHWC),
+        filter.toLayout(tensor::Layout::NHWC)));
+    ASSERT_EQ(std::count(want.begin(), want.end(), 'n'), 9) << want;
+    forEachKernelBackend([&](tensor::KernelBackend backend) {
+        const char *kernel = tensor::kernelBackendName(backend);
+        EXPECT_EQ(classes(tensor::convDirect(p, input, filter)), want)
+            << "NCHW plane on " << kernel;
+        for (const Algorithm *algo : allAlgorithms())
+            EXPECT_EQ(classes(algo->execute(p, input, filter)), want)
+                << algo->name() << " on " << kernel;
     });
 }
 
@@ -427,13 +467,11 @@ mixRecord(std::uint64_t h, const sim::LayerRecord &record)
     return h;
 }
 
-TEST(AlgoParity, VariantRecordDigestIsPinned)
+/** The distinct (layer, groups) pairs of ResNet-50, MobileNet-v1 and
+ *  AlexNet at batch 1. */
+std::vector<models::ConvLayerSpec>
+distinctModelLayers()
 {
-    // Byte-identity net over every registered variant, including the
-    // indirect/SMM lowerings on non-stock arrays that no golden pins:
-    // one digest over each variant's tryRunLayer outcome (the record,
-    // or the status code of a rejected layer) on the distinct layers
-    // of three models at batch 1.
     std::vector<models::ConvLayerSpec> layers;
     std::set<std::pair<std::string, Index>> seen;
     for (const models::ModelSpec &model :
@@ -444,6 +482,42 @@ TEST(AlgoParity, VariantRecordDigestIsPinned)
                     .second)
                 layers.push_back(layer);
     }
+    return layers;
+}
+
+TEST(AlgoParity, EveryVariantRecordStaysUnderPeak)
+{
+    // No record may claim more work per second than its accelerator's
+    // peak, which counts every MXU: utilization <= 1, and no layer
+    // finishes faster than its FLOPs at peak.
+    const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
+    for (const std::string &name : sim::knownAccelerators()) {
+        const auto accel = sim::makeAccelerator(name);
+        const double peak_flops = accel->peakTflops() * 1e12;
+        for (const models::ConvLayerSpec &layer : layers) {
+            sim::RunOptions options;
+            options.groups = layer.groups;
+            const StatusOr<sim::LayerRecord> record =
+                accel->tryRunLayer(layer.params, options);
+            if (!record.ok())
+                continue;
+            EXPECT_LE(record->utilization, 1.0)
+                << name << " on " << record->geometry;
+            EXPECT_GE(record->seconds,
+                      static_cast<double>(record->flops) / peak_flops)
+                << name << " on " << record->geometry;
+        }
+    }
+}
+
+TEST(AlgoParity, VariantRecordDigestIsPinned)
+{
+    // Byte-identity net over every registered variant, including the
+    // indirect/SMM lowerings on non-stock arrays that no golden pins:
+    // one digest over each variant's tryRunLayer outcome (the record,
+    // or the status code of a rejected layer) on the distinct layers
+    // of three models at batch 1.
+    const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
     std::uint64_t digest = 0;
     for (const std::string &name : sim::knownAccelerators()) {
         const auto accel = sim::makeAccelerator(name);
@@ -464,8 +538,11 @@ TEST(AlgoParity, VariantRecordDigestIsPinned)
     // lowered matrix a third time in dramBytes (only the *-explicit
     // variants' dramBytes fell), and when the stock lowerings started
     // naming their algorithm (the same digest without the algorithm
-    // field, 0x97747d7c59a66032, held across that change).
-    constexpr std::uint64_t kPinned = 0xe0c4a6bcc306cec4ULL;
+    // field, 0x97747d7c59a66032, held across that change), and when
+    // TPU utilization became tflops over a peak that counts every MXU
+    // (0xe0c4a6bcc306cec4 before, when two-MXU variants reported up to
+    // twice their true utilization).
+    constexpr std::uint64_t kPinned = 0xb4bc7d6f7054bb84ULL;
     EXPECT_EQ(digest, kPinned) << std::hex << "digest 0x" << digest;
 }
 

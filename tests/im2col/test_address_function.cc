@@ -10,6 +10,8 @@
 #include "tensor/conv_ref.h"
 #include "tensor/im2col_explicit.h"
 
+#include "../common/explicit_oracle.h"
+
 namespace cfconv::tensor {
 namespace {
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "im2col/implicit_conv.h"
 #include "tensor/conv_ref.h"
 #include "tensor/microkernel.h"
@@ -23,6 +25,16 @@ struct ImplicitCase
     Index tiles;
     TileOrder order;
 };
+
+/** Names a case by its fields: gtest would otherwise print its raw
+ *  bytes, padding included, and the test names would vary by run. */
+void
+PrintTo(const ImplicitCase &c, std::ostream *os)
+{
+    *os << "N" << c.batch << " C_I" << c.ci << " HW" << c.hw << " C_O"
+        << c.co << " k" << c.k << " s" << c.s << " p" << c.p << " d"
+        << c.d << " T" << c.tiles << " " << tileOrderName(c.order);
+}
 
 class ImplicitConv : public ::testing::TestWithParam<ImplicitCase>
 {

@@ -9,7 +9,6 @@
 #include "im2col/sparse.h"
 #include "models/model_zoo.h"
 #include "tensor/conv_ref.h"
-#include "tensor/quantize.h"
 #include "tpusim/tpu_sim.h"
 
 namespace cfconv {
@@ -138,26 +137,22 @@ TEST(Integration, VggPipelineDimensionsChain)
     }
 }
 
-TEST(Integration, SparseQuantizedMultiTileReorderedConvIsCorrect)
+TEST(Integration, SparseMultiTileReorderedConvIsCorrect)
 {
-    // Pile every feature onto one convolution: bf16 operands,
-    // tile-pruned filter, multi-tile grouping, reuse-greedy order.
+    // Pile every feature onto one convolution: tile-pruned filter,
+    // multi-tile grouping, reuse-greedy order.
     const ConvParams p = makeConv(2, 4, 9, 4, 3, 2, 1);
     Tensor input = tensor::makeInput(p);
     Tensor filter = tensor::makeFilter(p);
     input.fillRandom(331);
     filter.fillRandom(337);
-
-    const Tensor q_input = tensor::quantize(input, DataType::Bf16);
-    const Tensor q_filter = tensor::quantize(
-        im2col::pruneFilterTiles(p, filter, 3.0 / 9.0),
-        DataType::Bf16);
+    const Tensor pruned = im2col::pruneFilterTiles(p, filter, 3.0 / 9.0);
 
     im2col::ImplicitConvOptions options;
     options.tilesPerGroup = im2col::tpuMultiTileParam(128, p);
     options.order = im2col::TileOrder::ReuseGreedy;
-    const Tensor fancy = convImplicit(p, q_input, q_filter, options);
-    const Tensor plain = tensor::convDirect(p, q_input, q_filter);
+    const Tensor fancy = convImplicit(p, input, pruned, options);
+    const Tensor plain = tensor::convDirect(p, input, pruned);
     EXPECT_LT(fancy.maxAbsDiff(plain), 1e-3f);
 }
 

@@ -154,7 +154,6 @@ expectSameResult(const tpusim::TpuLayerResult &a,
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.seconds, b.seconds);
     EXPECT_EQ(a.tflops, b.tflops);
-    EXPECT_EQ(a.arrayUtilization, b.arrayUtilization);
     EXPECT_EQ(a.dramBytes, b.dramBytes);
     EXPECT_EQ(a.multiTile, b.multiTile);
     EXPECT_EQ(a.portUtilization, b.portUtilization);

@@ -47,7 +47,14 @@ TEST(TpuAdapter, MatchesRawSimulatorExactly)
     const LayerRecord got = accelerator.runLayer(p);
     EXPECT_DOUBLE_EQ(got.seconds, expect.seconds);
     EXPECT_DOUBLE_EQ(got.tflops, expect.tflops);
-    EXPECT_DOUBLE_EQ(got.utilization, expect.arrayUtilization);
+    // On one MXU, tflops / peak is the MACs over the array's capacity
+    // in the layer's cycles.
+    const tpusim::TpuConfig cfg = tpusim::TpuConfig::tpuV2();
+    EXPECT_DOUBLE_EQ(got.utilization,
+                     static_cast<double>(p.flops()) / 2.0 /
+                         (static_cast<double>(expect.cycles) *
+                          static_cast<double>(cfg.array.rows) *
+                          static_cast<double>(cfg.array.cols)));
     EXPECT_EQ(got.dramBytes, expect.dramBytes);
     EXPECT_EQ(got.flops, p.flops());
     EXPECT_EQ(got.geometry, p.toString());

@@ -6,6 +6,8 @@
 #include "tensor/gemm.h"
 #include "tensor/im2col_explicit.h"
 
+#include "../common/explicit_oracle.h"
+
 namespace cfconv::tensor {
 namespace {
 

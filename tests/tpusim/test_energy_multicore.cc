@@ -1,5 +1,4 @@
-/** @file Tests for the energy model. Multi-core board runs are tested
- *  with the multi-chip path in tests/serve/test_multi_chip.cc. */
+/** @file Tests for the energy model. */
 
 #include <gtest/gtest.h>
 

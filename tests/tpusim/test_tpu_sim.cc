@@ -30,13 +30,13 @@ TEST(TpuSim, GemmLargeAlignedIsNearPeak)
 {
     const TpuLayerResult r = sim().runGemm(8192, 8192, 8192);
     EXPECT_GT(r.tflops, 0.85 * TpuConfig::tpuV2().peakTflops());
-    EXPECT_GT(r.arrayUtilization, 0.85);
+    EXPECT_GT(r.tflops / sim().config().peakTflops(), 0.85);
 }
 
 TEST(TpuSim, GemmSmallDimensionsLoseUtilization)
 {
     const TpuLayerResult small = sim().runGemm(256, 64, 64);
-    EXPECT_LT(small.arrayUtilization, 0.3);
+    EXPECT_LT(small.tflops / sim().config().peakTflops(), 0.3);
 }
 
 TEST(TpuSim, GemmCyclesGrowWithEveryDimension)

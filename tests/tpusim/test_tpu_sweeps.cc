@@ -55,8 +55,9 @@ TEST_P(TpuChannelSweep, MultiTileKeepsSmallChannelsEfficient)
     // and column quantization).
     const double occupancy =
         static_cast<double>(r.multiTile * ci) / 128.0;
-    EXPECT_GE(r.arrayUtilization, 0.5 * occupancy);
-    EXPECT_LE(r.arrayUtilization, occupancy + 1e-9);
+    const double util = r.tflops / sim.config().peakTflops();
+    EXPECT_GE(util, 0.5 * occupancy);
+    EXPECT_LE(util, occupancy + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Channels, TpuChannelSweep,
@@ -109,7 +110,7 @@ TEST(TpuSweeps, UtilizationFallsWithArraySize)
         TpuConfig cfg = TpuConfig::tpuV2();
         cfg.array.rows = cfg.array.cols = size;
         cfg.vectorMemories = size;
-        const double util = TpuSim(cfg).runConv(p).arrayUtilization;
+        const double util = TpuSim(cfg).runConv(p).tflops / cfg.peakTflops();
         EXPECT_LT(util, prev) << "array " << size;
         prev = util;
     }
@@ -209,7 +210,7 @@ TEST(TpuSweeps, GroupedConvPacksBlockDiagonally)
     const auto dense = sim.runConv(base);
     const auto dw = sim.runGroupedConv(base, 128);
     EXPECT_LE(dw.seconds, dense.seconds * 1.001);
-    EXPECT_LT(dw.arrayUtilization, 0.02);
+    EXPECT_LT(dw.tflops / sim.config().peakTflops(), 0.02);
     // Intermediate grouping degrades gracefully.
     const auto g4 = sim.runGroupedConv(base, 4);
     EXPECT_GT(g4.tflops, dw.tflops);
