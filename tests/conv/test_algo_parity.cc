@@ -18,23 +18,23 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "conv/algorithm.h"
-#include "models/model_zoo.h"
+#include "gpusim/kernel_cache.h"
 #include "sim/accelerator.h"
 #include "tensor/conv_ref.h"
 #include "tensor/im2col_explicit.h"
 #include "tensor/microkernel.h"
 #include "tensor/tensor.h"
+#include "tpusim/layer_cache.h"
 
 #include "../common/determinism.h"
 #include "../common/explicit_oracle.h"
+#include "../common/model_layers.h"
 #include "awkward_shapes.h"
 
 namespace cfconv::conv {
@@ -380,36 +380,49 @@ TEST(AlgoParity, BothBackendsExposeTheRegisteredAlgorithm)
 
 TEST(AlgoParity, LayerRecordsAreThreadCountInvariant)
 {
-    const auto p = makeConv(4, 64, 28, 64, 3, 1, 1);
-    sim::RunOptions grouped;
-    grouped.groups = 2;
-    for (const std::string &name : matrixVariants()) {
-        // Fresh accelerator per thread count so the comparison is
-        // between two real simulations, not a memo-cache hit.
-        sim::LayerRecord one, four, gone, gfour;
-        {
-            ScopedThreads st(1);
-            const auto accel = sim::makeAccelerator(name);
-            one = accel->runLayer(p);
-            gone = accel->runLayer(p, grouped);
+    // Every registered variant on the model layers and on a 2-group
+    // layer, simulated afresh at 1 and 4 threads. The memo caches are
+    // process-wide, so they are emptied before each run; otherwise the
+    // second run would only read back the first.
+    std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
+    models::ConvLayerSpec extra;
+    extra.params = makeConv(4, 64, 28, 64, 3, 1, 1);
+    layers.push_back(extra);
+    extra.groups = 2;
+    layers.push_back(extra);
+    const auto runAll = [&layers](const std::string &name, Index threads) {
+        ScopedThreads st(threads);
+        tpusim::LayerCache::instance().clear();
+        gpusim::KernelCache::instance().clear();
+        const auto accel = sim::makeAccelerator(name);
+        std::vector<StatusOr<sim::LayerRecord>> records;
+        for (const models::ConvLayerSpec &layer : layers) {
+            sim::RunOptions options;
+            options.groups = layer.groups;
+            records.push_back(accel->tryRunLayer(layer.params, options));
         }
-        {
-            ScopedThreads st(4);
-            const auto accel = sim::makeAccelerator(name);
-            four = accel->runLayer(p);
-            gfour = accel->runLayer(p, grouped);
-        }
-        for (const auto &[a, b] : {std::pair(one, four),
-                                   std::pair(gone, gfour)}) {
+        return records;
+    };
+    for (const std::string &name : sim::knownAccelerators()) {
+        const auto one = runAll(name, 1);
+        const auto four = runAll(name, 4);
+        for (size_t i = 0; i < one.size(); ++i) {
+            ASSERT_EQ(one[i].ok(), four[i].ok()) << name;
+            if (!one[i].ok())
+                continue;
+            const sim::LayerRecord &a = *one[i];
+            const sim::LayerRecord &b = *four[i];
             EXPECT_EQ(a.geometry, b.geometry) << name;
             EXPECT_EQ(a.groups, b.groups) << name;
-            EXPECT_EQ(a.seconds, b.seconds) << name;
-            EXPECT_EQ(a.tflops, b.tflops) << name;
-            EXPECT_EQ(a.utilization, b.utilization) << name;
-            EXPECT_EQ(a.dramBytes, b.dramBytes) << name;
-            EXPECT_EQ(a.flops, b.flops) << name;
+            EXPECT_EQ(a.seconds, b.seconds) << name << " on " << a.geometry;
+            EXPECT_EQ(a.tflops, b.tflops) << name << " on " << a.geometry;
+            EXPECT_EQ(a.utilization, b.utilization)
+                << name << " on " << a.geometry;
+            EXPECT_EQ(a.dramBytes, b.dramBytes)
+                << name << " on " << a.geometry;
+            EXPECT_EQ(a.flops, b.flops) << name << " on " << a.geometry;
             EXPECT_EQ(a.algorithm, b.algorithm) << name;
-            EXPECT_EQ(a.extras, b.extras) << name;
+            EXPECT_EQ(a.extras, b.extras) << name << " on " << a.geometry;
         }
     }
 }
@@ -429,17 +442,31 @@ TEST(AlgoParity, EveryVariantRecordNamesItsAlgorithm)
 TEST(AlgoParity, ExplicitRecordsMoveExactlyTheTraffic)
 {
     // Transform (IFMap read + workspace write) plus GEMM (workspace
-    // read + filter + output): the lowered matrix crosses DRAM twice.
-    const auto p = makeConv(4, 64, 28, 64, 3, 1, 1);
-    ASSERT_EQ(p.dataType, DataType::Fp16);
-    const Traffic traffic =
-        findAlgorithm(AlgorithmId::ExplicitIm2col)->traffic(p);
-    for (const char *name : {"tpu-v2-explicit", "gpu-v100-explicit"}) {
-        const StatusOr<sim::LayerRecord> record =
-            sim::makeAccelerator(name)->tryRunLayer(p);
-        ASSERT_TRUE(record.ok()) << name;
-        EXPECT_EQ(record->dramBytes, traffic.totalBytes()) << name;
+    // read + filter + output): the lowered matrix crosses DRAM twice,
+    // on every explicit variant and every ungrouped model layer.
+    std::vector<ConvParams> shapes = {makeConv(4, 64, 28, 64, 3, 1, 1)};
+    for (const models::ConvLayerSpec &layer : distinctModelLayers())
+        if (layer.groups == 1)
+            shapes.push_back(layer.params);
+    int variants = 0;
+    for (const std::string &name : sim::knownAccelerators()) {
+        const auto accel = sim::makeAccelerator(name);
+        if (accel->algorithm()->id() != AlgorithmId::ExplicitIm2col)
+            continue;
+        for (const ConvParams &p : shapes) {
+            ASSERT_EQ(p.dataType, DataType::Fp16);
+            const StatusOr<sim::LayerRecord> record = accel->tryRunLayer(p);
+            ASSERT_TRUE(record.ok()) << name;
+            EXPECT_EQ(record->dramBytes,
+                      findAlgorithm(AlgorithmId::ExplicitIm2col)
+                          ->traffic(p)
+                          .totalBytes())
+                << name << " on " << p.toString();
+        }
+        ++variants;
     }
+    // tpu-v2-explicit, gpu-v100-explicit and gpu-v100-explicit-tuned.
+    EXPECT_GE(variants, 3);
 }
 
 /** Mix the bit pattern of every deterministic LayerRecord field. */
@@ -465,24 +492,6 @@ mixRecord(std::uint64_t h, const sim::LayerRecord &record)
         mix(&value, sizeof(value));
     }
     return h;
-}
-
-/** The distinct (layer, groups) pairs of ResNet-50, MobileNet-v1 and
- *  AlexNet at batch 1. */
-std::vector<models::ConvLayerSpec>
-distinctModelLayers()
-{
-    std::vector<models::ConvLayerSpec> layers;
-    std::set<std::pair<std::string, Index>> seen;
-    for (const models::ModelSpec &model :
-         {models::resnet50(1), models::mobilenetv1(1),
-          models::alexnet(1)}) {
-        for (const models::ConvLayerSpec &layer : model.layers)
-            if (seen.insert({layer.params.toString(), layer.groups})
-                    .second)
-                layers.push_back(layer);
-    }
-    return layers;
 }
 
 TEST(AlgoParity, EveryVariantRecordStaysUnderPeak)
