@@ -18,7 +18,6 @@
 
 #include "bench_util.h"
 #include "conv/algorithm.h"
-#include "im2col/implicit_conv.h"
 #include "tensor/conv_ref.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col_explicit.h"
@@ -67,10 +66,10 @@ BM_ImplicitConv(benchmark::State &state)
     tensor::Tensor filter = tensor::makeFilter(p);
     input.fillRandom(5);
     filter.fillRandom(6);
-    im2col::ImplicitConvOptions options;
-    options.tilesPerGroup = im2col::tpuMultiTileParam(128, p);
+    const conv::Algorithm *channel_first =
+        conv::findAlgorithm(conv::AlgorithmId::ChannelFirst);
     for (auto _ : state) {
-        auto out = im2col::convImplicit(p, input, filter, options);
+        auto out = channel_first->execute(p, input, filter);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * p.flops());

@@ -46,6 +46,14 @@ pickModel(const std::string &name, Index batch)
           name.c_str());
 }
 
+/** @p base with the keys of the config file at @p path applied. */
+StatusOr<tpusim::TpuConfig>
+configFromFile(const char *path, const tpusim::TpuConfig &base)
+{
+    CFCONV_ASSIGN_OR_RETURN(const Config file, Config::fromFile(path));
+    return tpusim::tpuConfigFrom(file, base);
+}
+
 } // namespace
 
 int
@@ -68,8 +76,14 @@ main(int argc, char **argv)
             continue;
         }
         if (std::strncmp(argv[i], "config=", 7) == 0) {
-            cfg = tpusim::tpuConfigFrom(Config::fromFile(argv[i] + 7),
-                                        cfg);
+            const StatusOr<tpusim::TpuConfig> from_file =
+                configFromFile(argv[i] + 7, cfg);
+            if (!from_file.ok()) {
+                std::fprintf(stderr, "design_explorer: %s\n",
+                             from_file.status().toString().c_str());
+                return 2;
+            }
+            cfg = *from_file;
             continue;
         }
         if (std::strncmp(argv[i], "json=", 5) == 0 &&

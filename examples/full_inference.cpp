@@ -10,8 +10,8 @@
 
 #include <cstdio>
 
+#include "conv/algorithm.h"
 #include "im2col/grouped.h"
-#include "im2col/implicit_conv.h"
 #include "sim/accelerator.h"
 #include "tensor/conv_ref.h"
 #include "tensor/nn_ops.h"
@@ -27,7 +27,8 @@ checkedConv(const tensor::ConvParams &p, const Tensor &input,
             const Tensor &filter, double &worst_diff)
 {
     const Tensor out =
-        im2col::convImplicitTpuStrategy(p, input, filter, 128);
+        conv::findAlgorithm(conv::AlgorithmId::ChannelFirst)
+            ->execute(p, input, filter);
     const double diff = static_cast<double>(
         out.maxAbsDiff(tensor::convDirect(p, input, filter)));
     worst_diff = std::max(worst_diff, diff);

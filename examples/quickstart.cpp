@@ -11,8 +11,8 @@
 
 #include <cstdio>
 
+#include "conv/algorithm.h"
 #include "gpusim/gpu_sim.h"
-#include "im2col/implicit_conv.h"
 #include "tensor/conv_ref.h"
 #include "tpusim/tpu_sim.h"
 
@@ -38,14 +38,18 @@ main()
     input.fillRandom(1);
     filter.fillRandom(2);
 
-    im2col::ImplicitConvStats stats;
-    const tensor::Tensor out = im2col::convImplicitTpuStrategy(
-        layer, input, filter, /*array_rows=*/128, &stats);
+    const conv::Algorithm *channel_first =
+        conv::findAlgorithm(conv::AlgorithmId::ChannelFirst);
+    const tensor::Tensor out = channel_first->execute(layer, input, filter);
     const tensor::Tensor ref = tensor::convDirect(layer, input, filter);
+    // A 128-row array merges T = MIN(128 / C_I, W_F) taps per pass.
+    const size_t passes =
+        channel_first->plan(layer)
+            ->passes(128, im2col::tpuMultiTileParam(128, layer))
+            .size();
     std::printf("\nImplicit channel-first vs direct conv: max |diff| = "
-                "%.2e (multi-tile GEMM passes: %lld)\n",
-                static_cast<double>(out.maxAbsDiff(ref)),
-                (long long)stats.tileGemms);
+                "%.2e (multi-tile GEMM passes: %zu)\n",
+                static_cast<double>(out.maxAbsDiff(ref)), passes);
 
     // --- TPU-v2 performance estimate ------------------------------
     tpusim::TpuSim tpu((tpusim::TpuConfig::tpuV2()));

@@ -8,8 +8,8 @@
 
 #include <cstdio>
 
+#include "conv/algorithm.h"
 #include "im2col/conv_backward.h"
-#include "im2col/implicit_conv.h"
 #include "tensor/conv_ref.h"
 #include "tpusim/tpu_sim.h"
 
@@ -30,7 +30,8 @@ main()
 
     // Forward.
     const tensor::Tensor out =
-        im2col::convImplicitTpuStrategy(layer, input, filter, 128);
+        conv::findAlgorithm(conv::AlgorithmId::ChannelFirst)
+            ->execute(layer, input, filter);
     std::printf("forward:          max |diff| vs direct = %.2e\n",
                 static_cast<double>(out.maxAbsDiff(
                     tensor::convDirect(layer, input, filter))));

@@ -4,8 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/logging.h"
-
 namespace cfconv {
 
 namespace {
@@ -23,7 +21,7 @@ strip(const std::string &s)
 } // namespace
 
 StatusOr<Config>
-Config::tryFromString(const std::string &text)
+Config::fromString(const std::string &text)
 {
     Config config;
     std::istringstream in(text);
@@ -57,35 +55,17 @@ Config::tryFromString(const std::string &text)
 }
 
 StatusOr<Config>
-Config::tryFromFile(const std::string &path)
+Config::fromFile(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
         return notFoundError("config: cannot open '%s'", path.c_str());
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    auto parsed = tryFromString(buffer.str());
+    auto parsed = fromString(buffer.str());
     if (!parsed.ok())
         return parsed.status().withContext(path);
     return parsed;
-}
-
-Config
-Config::fromString(const std::string &text)
-{
-    auto parsed = tryFromString(text);
-    if (!parsed.ok())
-        fatal("%s", parsed.status().toString().c_str());
-    return std::move(parsed).value();
-}
-
-Config
-Config::fromFile(const std::string &path)
-{
-    auto parsed = tryFromFile(path);
-    if (!parsed.ok())
-        fatal("%s", parsed.status().toString().c_str());
-    return std::move(parsed).value();
 }
 
 const std::string *
@@ -105,7 +85,7 @@ Config::has(const std::string &key) const
 }
 
 StatusOr<long long>
-Config::tryGetInt(const std::string &key, long long fallback) const
+Config::getInt(const std::string &key, long long fallback) const
 {
     const std::string *v = find(key);
     if (!v)
@@ -120,7 +100,7 @@ Config::tryGetInt(const std::string &key, long long fallback) const
 }
 
 StatusOr<double>
-Config::tryGetDouble(const std::string &key, double fallback) const
+Config::getDouble(const std::string &key, double fallback) const
 {
     const std::string *v = find(key);
     if (!v)
@@ -134,7 +114,7 @@ Config::tryGetDouble(const std::string &key, double fallback) const
 }
 
 StatusOr<bool>
-Config::tryGetBool(const std::string &key, bool fallback) const
+Config::getBool(const std::string &key, bool fallback) const
 {
     const std::string *v = find(key);
     if (!v)
@@ -145,33 +125,6 @@ Config::tryGetBool(const std::string &key, bool fallback) const
         return false;
     return invalidArgumentError("config: '%s = %s' is not a boolean",
                                 key.c_str(), v->c_str());
-}
-
-long long
-Config::getInt(const std::string &key, long long fallback) const
-{
-    auto v = tryGetInt(key, fallback);
-    if (!v.ok())
-        fatal("%s", v.status().toString().c_str());
-    return v.value();
-}
-
-double
-Config::getDouble(const std::string &key, double fallback) const
-{
-    auto v = tryGetDouble(key, fallback);
-    if (!v.ok())
-        fatal("%s", v.status().toString().c_str());
-    return v.value();
-}
-
-bool
-Config::getBool(const std::string &key, bool fallback) const
-{
-    auto v = tryGetBool(key, fallback);
-    if (!v.ok())
-        fatal("%s", v.status().toString().c_str());
-    return v.value();
 }
 
 std::string

@@ -3,7 +3,8 @@
  * Minimal key=value configuration files for the simulators: lets
  * experiments live in checked-in .cfg files instead of recompiles.
  * Syntax: one `key = value` per line, `#` comments, blank lines
- * ignored. Unknown keys are detectable so configs fail loudly.
+ * ignored. Unknown keys are detectable so configs fail loudly. Every
+ * failure is a Status that names the line, key or path.
  */
 
 #ifndef CFCONV_COMMON_CONFIG_H
@@ -25,37 +26,24 @@ class Config
 
     /** Parse from file contents. The error names the offending line
      *  and key (INVALID_ARGUMENT). */
-    static StatusOr<Config> tryFromString(const std::string &text);
+    static StatusOr<Config> fromString(const std::string &text);
 
     /** Parse from a file on disk; NOT_FOUND when unreadable, parse
-     *  errors as tryFromString annotated with the path. */
-    static StatusOr<Config> tryFromFile(const std::string &path);
-
-    /** Parse from file contents; fatal on syntax errors. */
-    static Config fromString(const std::string &text);
-
-    /** Parse from a file on disk; fatal if unreadable. */
-    static Config fromFile(const std::string &path);
+     *  errors as fromString() annotated with the path. */
+    static StatusOr<Config> fromFile(const std::string &path);
 
     bool has(const std::string &key) const;
 
-    /** Typed getters: return @p fallback when the key is absent,
-     *  fatal when the value does not parse as the requested type. */
-    long long getInt(const std::string &key, long long fallback) const;
-    double getDouble(const std::string &key, double fallback) const;
-    bool getBool(const std::string &key, bool fallback) const;
+    /** Typed getters: @p fallback when the key is absent,
+     *  INVALID_ARGUMENT naming key and value when it does not parse as
+     *  the requested type. */
+    StatusOr<long long> getInt(const std::string &key,
+                               long long fallback) const;
+    StatusOr<double> getDouble(const std::string &key,
+                               double fallback) const;
+    StatusOr<bool> getBool(const std::string &key, bool fallback) const;
     std::string getString(const std::string &key,
                           const std::string &fallback) const;
-
-    /** Recoverable typed getters: @p fallback when the key is absent,
-     *  INVALID_ARGUMENT naming key and value when it does not parse.
-     *  The fatal getters above are thin wrappers over these. */
-    StatusOr<long long> tryGetInt(const std::string &key,
-                                  long long fallback) const;
-    StatusOr<double> tryGetDouble(const std::string &key,
-                                  double fallback) const;
-    StatusOr<bool> tryGetBool(const std::string &key,
-                              bool fallback) const;
 
     /**
      * Keys present in the file but never read through a getter; call

@@ -17,11 +17,14 @@
  *     a pointer table (IndirectConv), a per-unit lowered panel
  *     (channel-last) or one lowered M x K workspace written before the
  *     GEMM (explicit im2col, so explicit minus channel-last is exactly
- *     the workspace of Sec. II-B).
+ *     the workspace of Sec. II-B), plus the filter column each depth
+ *     row of the plan multiplies.
  *
- * The base class owns the one functional execute(): it runs the plan
- * and the producer on im2col::gatherGemm(), and every algorithm is
- * proven against tensor::convDirect through it.
+ * The base class owns the one host execute(): it runs the plan and the
+ * producer on im2col::gatherGemm(), and every algorithm is proven
+ * against tensor::convDirect through it. The functional models,
+ * tpusim::FunctionalTpuCore and gpusim::convBlock(), run the same plan,
+ * producer and columns pass by pass.
  *
  * The registry is append-only: ids are serialized into memo-cache and
  *  tuned-config-DB keys, so new algorithms append at the end and
@@ -39,6 +42,7 @@
 #include "im2col/implicit_conv.h"
 #include "im2col/pass_plan.h"
 #include "tensor/conv_params.h"
+#include "tensor/im2col_explicit.h"
 #include "tensor/tensor.h"
 
 namespace cfconv::conv {
@@ -151,16 +155,39 @@ class Algorithm
     StatusOr<im2col::PassPlan> plan(const ConvParams &params) const;
 
     /**
+     * The producer that runs @p plan on @p input: for whichever of the
+     * plan's taps it is asked, it points each GEMM row at the tapDepth
+     * values the row reads there (the im2col::TapPointers contract).
+     * Holds @p params and @p input by reference.
+     */
+    virtual im2col::TapPointers pointers(const ConvParams &params,
+                                         const Tensor &input,
+                                         const im2col::PassPlan &plan)
+        const = 0;
+
+    /**
+     * The filter coordinate each GEMM depth row of @p plan multiplies,
+     * in the order pointers() lays out a row's values: tap t owns rows
+     * [t * tapDepth, (t + 1) * tapDepth). C_I-deep taps read
+     * (r_t, s_t, ci); a plan that walks all of gemmK as one tap reads
+     * the channel-last column order. B of every run of @p plan is the
+     * filter read in this order.
+     */
+    std::vector<tensor::ColCoord> columns(const ConvParams &params,
+                                          const im2col::PassPlan &plan)
+        const;
+
+    /**
      * Functional execution: @p input is (N, C_I, H_I, W_I), @p filter
      * is (C_O, C_I, H_F, W_F); returns the (N, C_O, H_O, W_O) OFMap in
      * NCHW layout, bit-identical at any parallel::threads() count and
      * within accumulation-order float tolerance of tensor::convDirect.
      * One body for every algorithm: check @p input, take plan(), pack
-     * B from the plan, and run the plan with this algorithm's pointer
-     * producer on the one host engine, im2col::gatherGemm(). Callers
-     * must check supports() first; executing an unsupported layer, a
-     * layer that fails ConvParams::validate(), or an operand whose dims
-     * do not match @p params is a fatal() user error.
+     * B in columns() order, and run the plan with pointers() on the one
+     * host engine, im2col::gatherGemm(). Callers must check supports()
+     * first; executing an unsupported layer, a layer that fails
+     * ConvParams::validate(), or an operand whose dims do not match
+     * @p params is a fatal() user error.
      */
     Tensor execute(const ConvParams &params, const Tensor &input,
                    const Tensor &filter) const;
@@ -168,13 +195,6 @@ class Algorithm
   private:
     /** plan() body for a layer supports() accepted. */
     virtual im2col::PassPlan buildPlan(const ConvParams &params) const = 0;
-
-    /** The producer execute() runs @p plan with: it points each GEMM
-     *  row at its operand values for @p input. */
-    virtual im2col::TapPointers pointers(const ConvParams &params,
-                                         const Tensor &input,
-                                         const im2col::PassPlan &plan)
-        const = 0;
 };
 
 /** The registered algorithm with @p id (never null). */

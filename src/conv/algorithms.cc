@@ -78,22 +78,6 @@ wholeGemmPlan(const ConvParams &params, FeedLocality feed)
     return plan;
 }
 
-/** B for @p plan: C_I-deep taps packed as tapStrips() packs them, or a
- *  plan's one gemmK-deep column block in channel-last column order. */
-std::vector<float>
-planStrips(const ConvParams &params, const Tensor &filter,
-           const PassPlan &plan)
-{
-    if (plan.tapDepth == params.inChannels)
-        return im2col::tapStrips(params, filter, plan.taps);
-    CFCONV_ASSERT(plan.taps.size() == 1 && plan.tapDepth == params.gemmK(),
-                  "(plan is neither per-tap nor one column block)");
-    std::vector<tensor::ColCoord> cols;
-    for (Index k = 0; k < params.gemmK(); ++k)
-        cols.push_back(tensor::colCoord(params, ColumnOrder::ChannelLast, k));
-    return im2col::packFilter(params, filter, cols);
-}
-
 // ---------------------------------------------------------------------------
 // Channel-first implicit im2col (the paper's algorithm, Sec. III).
 // ---------------------------------------------------------------------------
@@ -123,19 +107,19 @@ class ChannelFirstAlgorithm final : public Algorithm
         return implicitTraffic(params);
     }
 
+    TapPointers
+    pointers(const ConvParams &params, const Tensor &input,
+             const PassPlan &) const override
+    {
+        return im2col::pixelGather(params, input);
+    }
+
   private:
     PassPlan
     buildPlan(const ConvParams &params) const override
     {
         return im2col::channelFirstPlan(params,
                                         im2col::decomposeFilter(params));
-    }
-
-    TapPointers
-    pointers(const ConvParams &params, const Tensor &input,
-             const PassPlan &) const override
-    {
-        return im2col::pixelGather(params, input);
     }
 };
 
@@ -168,29 +152,31 @@ class ChannelLastAlgorithm final : public Algorithm
         return implicitTraffic(params);
     }
 
-  private:
-    PassPlan
-    buildPlan(const ConvParams &params) const override
-    {
-        return wholeGemmPlan(params, FeedLocality::UnionGather);
-    }
-
     TapPointers
     pointers(const ConvParams &params, const Tensor &input,
              const PassPlan &) const override
     {
         // im2col's row lowering of each work unit's rows, every row
         // pointing at its own lowered row.
-        return [&params, &input](const std::vector<FilterTile> &, Index m0,
-                                 Index m1, const float **rows, Index,
-                                 std::vector<float> &panel) {
+        return [&params, &input](const std::vector<FilterTile> &taps,
+                                 Index m0, Index m1, const float **rows,
+                                 Index ld, std::vector<float> &panel) {
             const Index k = params.gemmK();
             panel.resize(static_cast<size_t>((m1 - m0) * k));
             tensor::im2colLowerRows(params, input, ColumnOrder::ChannelLast,
                                     m0, m1, panel.data());
-            for (Index m = m0; m < m1; ++m)
-                rows[m - m0] = panel.data() + (m - m0) * k;
+            for (size_t t = 0; t < taps.size(); ++t)
+                for (Index m = m0; m < m1; ++m)
+                    rows[static_cast<Index>(t) * ld + m - m0] =
+                        panel.data() + (m - m0) * k;
         };
+    }
+
+  private:
+    PassPlan
+    buildPlan(const ConvParams &params) const override
+    {
+        return wholeGemmPlan(params, FeedLocality::UnionGather);
     }
 };
 
@@ -242,15 +228,6 @@ class ExplicitIm2colAlgorithm final : public Algorithm
         return t;
     }
 
-  private:
-    PassPlan
-    buildPlan(const ConvParams &params) const override
-    {
-        PassPlan plan = wholeGemmPlan(params, FeedLocality::Workspace);
-        plan.transformBytes = params.inputBytes() + params.loweredBytes();
-        return plan;
-    }
-
     TapPointers
     pointers(const ConvParams &params, const Tensor &input,
              const PassPlan &) const override
@@ -260,12 +237,23 @@ class ExplicitIm2colAlgorithm final : public Algorithm
         // back, each row pointing at its own row.
         const auto lowered = std::make_shared<const tensor::Matrix>(
             tensor::im2colLower(params, input, ColumnOrder::ChannelLast));
-        return [lowered](const std::vector<FilterTile> &, Index m0,
-                         Index m1, const float **rows, Index,
+        return [lowered](const std::vector<FilterTile> &taps, Index m0,
+                         Index m1, const float **rows, Index ld,
                          std::vector<float> &) {
-            for (Index m = m0; m < m1; ++m)
-                rows[m - m0] = lowered->data() + m * lowered->cols();
+            for (size_t t = 0; t < taps.size(); ++t)
+                for (Index m = m0; m < m1; ++m)
+                    rows[static_cast<Index>(t) * ld + m - m0] =
+                        lowered->data() + m * lowered->cols();
         };
+    }
+
+  private:
+    PassPlan
+    buildPlan(const ConvParams &params) const override
+    {
+        PassPlan plan = wholeGemmPlan(params, FeedLocality::Workspace);
+        plan.transformBytes = params.inputBytes() + params.loweredBytes();
+        return plan;
     }
 };
 
@@ -307,6 +295,46 @@ class IndirectAlgorithm final : public Algorithm
         return t;
     }
 
+    TapPointers
+    pointers(const ConvParams &params, const Tensor &input,
+             const PassPlan &plan) const override
+    {
+        // Materialize the indirection buffer: for every (filter tap,
+        // output position), the address of the C_I-deep pixel it reads
+        // in the HWC copy, or of the shared zero pixel in the halo. Tap
+        // (r, s)'s M entries start at first[r * W_F + s].
+        const Index m_total = params.gemmM();
+        const Index kernel_w = params.kernelW;
+        const TapPointers pixels = im2col::pixelGather(params, input);
+        const auto table = std::make_shared<std::vector<const float *>>(
+            plan.taps.size() * static_cast<size_t>(m_total));
+        std::vector<float> unused;
+        pixels(plan.taps, 0, m_total, table->data(), m_total, unused);
+        std::vector<Index> first(
+            static_cast<size_t>(params.kernelH * kernel_w));
+        for (size_t t = 0; t < plan.taps.size(); ++t)
+            first[static_cast<size_t>(plan.taps[t].r * kernel_w +
+                                      plan.taps[t].s)] =
+                static_cast<Index>(t) * m_total;
+
+        // Pointer GEMM: each work unit reads its rows' slice of the
+        // requested taps' entries. The copy of `pixels` keeps the HWC
+        // copy it points into alive.
+        return [pixels, table, first, kernel_w](
+                   const std::vector<FilterTile> &taps, Index m0, Index m1,
+                   const float **rows, Index ld, std::vector<float> &) {
+            for (size_t t = 0; t < taps.size(); ++t) {
+                const auto from =
+                    table->begin() +
+                    first[static_cast<size_t>(taps[t].r * kernel_w +
+                                              taps[t].s)] +
+                    m0;
+                std::copy(from, from + (m1 - m0),
+                          rows + static_cast<Index>(t) * ld);
+            }
+        };
+    }
+
   private:
     PassPlan
     buildPlan(const ConvParams &params) const override
@@ -316,34 +344,6 @@ class IndirectAlgorithm final : public Algorithm
         PassPlan plan = tapPlan(params, FeedLocality::PointerGather);
         plan.metadataBytesPerRowTap = kPointerBytes;
         return plan;
-    }
-
-    TapPointers
-    pointers(const ConvParams &params, const Tensor &input,
-             const PassPlan &plan) const override
-    {
-        // Materialize the indirection buffer: for every (filter tap,
-        // output position), the address of the C_I-deep pixel it reads
-        // in the HWC copy, or of the shared zero pixel in the halo.
-        const Index taps = static_cast<Index>(plan.taps.size());
-        const Index m_total = params.gemmM();
-        const TapPointers pixels = im2col::pixelGather(params, input);
-        const auto table = std::make_shared<std::vector<const float *>>(
-            static_cast<size_t>(taps * m_total));
-        std::vector<float> unused;
-        pixels(plan.taps, 0, m_total, table->data(), m_total, unused);
-
-        // Pointer GEMM: each work unit reads its rows' slice of the
-        // buffer. The copy of `pixels` keeps the HWC copy it points
-        // into alive.
-        return [pixels, table, taps, m_total](
-                   const std::vector<FilterTile> &, Index m0, Index m1,
-                   const float **rows, Index ld, std::vector<float> &) {
-            for (Index t = 0; t < taps; ++t)
-                std::copy(table->begin() + t * m_total + m0,
-                          table->begin() + t * m_total + m1,
-                          rows + t * ld);
-        };
     }
 };
 
@@ -397,15 +397,6 @@ class SmmAlgorithm final : public Algorithm
         return implicitTraffic(params);
     }
 
-  private:
-    PassPlan
-    buildPlan(const ConvParams &params) const override
-    {
-        // Unit stride makes each tap's shifted block one long
-        // sequential run: no gather at all.
-        return tapPlan(params, FeedLocality::Contiguous);
-    }
-
     TapPointers
     pointers(const ConvParams &params, const Tensor &input,
              const PassPlan &) const override
@@ -414,6 +405,15 @@ class SmmAlgorithm final : public Algorithm
         // (r - pad, s - pad), with the border rows packed as zeros --
         // at unit stride, exactly the pixel gather.
         return im2col::pixelGather(params, input);
+    }
+
+  private:
+    PassPlan
+    buildPlan(const ConvParams &params) const override
+    {
+        // Unit stride makes each tap's shifted block one long
+        // sequential run: no gather at all.
+        return tapPlan(params, FeedLocality::Contiguous);
     }
 };
 
@@ -437,6 +437,19 @@ Algorithm::plan(const ConvParams &params) const
     return buildPlan(params);
 }
 
+std::vector<tensor::ColCoord>
+Algorithm::columns(const ConvParams &params, const PassPlan &plan) const
+{
+    if (plan.tapDepth == params.inChannels)
+        return im2col::tapColumns(params, plan.taps);
+    CFCONV_ASSERT(plan.taps.size() == 1 && plan.tapDepth == params.gemmK(),
+                  "(plan is neither per-tap nor one column block)");
+    std::vector<tensor::ColCoord> cols;
+    for (Index k = 0; k < params.gemmK(); ++k)
+        cols.push_back(tensor::colCoord(params, ColumnOrder::ChannelLast, k));
+    return cols;
+}
+
 Tensor
 Algorithm::execute(const ConvParams &params, const Tensor &input,
                    const Tensor &filter) const
@@ -444,7 +457,8 @@ Algorithm::execute(const ConvParams &params, const Tensor &input,
     im2col::checkInput(params, input);
     const StatusOr<PassPlan> plan = this->plan(params);
     CFCONV_FATAL_IF(!plan.ok(), "%s", plan.status().message().c_str());
-    const std::vector<float> strips = planStrips(params, filter, *plan);
+    const std::vector<float> strips =
+        im2col::packFilter(params, filter, columns(params, *plan));
     return im2col::gatherGemm(params, input, *plan, strips,
                               pointers(params, input, *plan));
 }

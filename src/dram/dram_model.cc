@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/memo_cache.h"
 
 namespace cfconv::dram {
 
@@ -129,6 +130,21 @@ DramModel::service(const std::vector<Request> &requests)
         ? static_cast<double>(hits) / static_cast<double>(accesses)
         : 0.0;
     return finish;
+}
+
+void
+memoKeyAppend(std::string &key, const DramConfig &config)
+{
+    memoKeyAppendInt(key, config.channels);
+    memoKeyAppendInt(key, config.banksPerChannel);
+    memoKeyAppendInt(key, static_cast<long long>(config.rowBytes));
+    memoKeyAppendInt(key, static_cast<long long>(config.busBytesPerCycle));
+    memoKeyAppendInt(key, static_cast<long long>(config.tPrecharge));
+    memoKeyAppendInt(key, static_cast<long long>(config.tActivate));
+    memoKeyAppendInt(key, static_cast<long long>(config.tCas));
+    memoKeyAppendFloat(key, config.clockGhz);
+    memoKeyAppendInt(key, static_cast<long long>(config.pagePolicy));
+    memoKeyAppendInt(key, static_cast<long long>(config.mapping));
 }
 
 Cycles

@@ -9,6 +9,7 @@
 #ifndef CFCONV_DRAM_DRAM_MODEL_H
 #define CFCONV_DRAM_DRAM_MODEL_H
 
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -69,6 +70,10 @@ struct DramConfig
     /** An HBM2 stack roughly matching V100's 900 GB/s. */
     static DramConfig hbm900();
 };
+
+/** Append every field of @p config to a memo-cache key (common/
+ *  memo_cache.h's `value|` format). */
+void memoKeyAppend(std::string &key, const DramConfig &config);
 
 /**
  * Sequential-issue banked DRAM model. Requests are serviced in order;

@@ -4,26 +4,35 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "im2col/filter_decomp.h"
+#include "im2col/implicit_conv.h"
 #include "tensor/im2col_explicit.h"
 #include "tensor/microkernel.h"
 
 namespace cfconv::gpusim {
 
 Tensor
-convBlockChannelFirst(const ConvParams &params, const Tensor &input,
-                      const Tensor &filter,
-                      const BlockKernelConfig &config,
-                      BlockKernelStats *stats)
+convBlock(const conv::Algorithm &algorithm, const im2col::PassPlan &plan,
+          const ConvParams &params, const Tensor &input,
+          const Tensor &filter, const BlockKernelConfig &config,
+          BlockKernelStats *stats)
 {
-    params.validate();
+    im2col::checkInput(params, input);
     CFCONV_FATAL_IF(config.tileM < 1 || config.tileN < 1 ||
                     config.chunkK < 1,
                     "block kernel: non-positive tile configuration");
 
     const Index m_total = params.gemmM();
     const Index n_total = params.gemmN();
-    const auto sequence = im2col::orderTiles(params, config.order);
+    const std::vector<im2col::PlanPass> passes = plan.passes(config.chunkK);
+    const im2col::TapPointers point =
+        algorithm.pointers(params, input, plan);
+    // Each pass's B rows, read in the algorithm's column order.
+    const std::vector<tensor::ColCoord> cols =
+        algorithm.columns(params, plan);
+    std::vector<tensor::Matrix> weights;
+    for (const im2col::PlanPass &pass : passes)
+        weights.push_back(
+            im2col::passWeights(params, filter, cols, plan, pass));
 
     BlockKernelStats local;
     Tensor out(params.batch, params.outChannels, params.outH(),
@@ -43,55 +52,34 @@ convBlockChannelFirst(const ConvParams &params, const Tensor &input,
             tensor::Matrix acc(m1 - m0, n1 - n0);
             acc.fill(0.0f);
 
-            for (const auto &tile : sequence) {
-                for (Index k0 = 0; k0 < params.inChannels;
-                     k0 += config.chunkK) {
-                    const Index k1 = std::min(k0 + config.chunkK,
-                                              params.inChannels);
+            for (size_t p = 0; p < passes.size(); ++p) {
+                const Index depth = passes[p].depth();
+                // Stage the A and B chunks "into shared memory".
+                const Bytes staged =
+                    static_cast<Bytes>((m1 - m0) * depth +
+                                       depth * (n1 - n0)) *
+                    config.elemBytes;
+                CFCONV_FATAL_IF(staged > config.sharedMemBytes,
+                                "block kernel: staging %llu B exceeds "
+                                "shared memory %llu B",
+                                (unsigned long long)staged,
+                                (unsigned long long)config.sharedMemBytes);
+                ++local.stagingSteps;
+                local.peakStagingBytes =
+                    std::max(local.peakStagingBytes, staged);
 
-                    // Stage the A and B chunks "into shared memory".
-                    const Bytes staged =
-                        static_cast<Bytes>((m1 - m0) * (k1 - k0) +
-                                           (k1 - k0) * (n1 - n0)) *
-                        config.elemBytes;
-                    CFCONV_FATAL_IF(staged > config.sharedMemBytes,
-                                    "block kernel: staging %llu B "
-                                    "exceeds shared memory %llu B",
-                                    (unsigned long long)staged,
-                                    (unsigned long long)
-                                        config.sharedMemBytes);
-                    ++local.stagingSteps;
-                    local.peakStagingBytes =
-                        std::max(local.peakStagingBytes, staged);
+                std::vector<float> a_smem(
+                    static_cast<size_t>((m1 - m0) * depth));
+                im2col::gatherPass(point, plan, passes[p], m0, m1,
+                                   a_smem.data());
 
-                    std::vector<float> a_smem(
-                        static_cast<size_t>((m1 - m0) * (k1 - k0)));
-                    for (Index m = m0; m < m1; ++m) {
-                        const tensor::RowCoord rc =
-                            tensor::rowCoord(params, m);
-                        const Index ih = params.inputRow(rc.oh, tile.r);
-                        const Index iw = params.inputCol(rc.ow, tile.s);
-                        for (Index k = k0; k < k1; ++k)
-                            a_smem[static_cast<size_t>(
-                                (m - m0) * (k1 - k0) + (k - k0))] =
-                                input.atPadded(rc.n, k, ih, iw);
-                    }
-                    std::vector<float> b_smem(
-                        static_cast<size_t>((k1 - k0) * (n1 - n0)));
-                    for (Index k = k0; k < k1; ++k)
-                        for (Index n = n0; n < n1; ++n)
-                            b_smem[static_cast<size_t>(
-                                (k - k0) * (n1 - n0) + (n - n0))] =
-                                filter.at(n, k, tile.r, tile.s);
-
-                    // The tensor-core MMA over the staged chunks,
-                    // dispatched to the micro-kernel GEMM (the staged
-                    // buffers are exactly its packed-operand shape).
-                    tensor::microkernelGemm(
-                        m1 - m0, n1 - n0, k1 - k0, a_smem.data(),
-                        k1 - k0, b_smem.data(), n1 - n0, acc.data(),
-                        n1 - n0, true);
-                }
+                // The tensor-core MMA over the staged chunks,
+                // dispatched to the micro-kernel GEMM (the staged
+                // buffers are exactly its operand shape).
+                tensor::microkernelGemm(m1 - m0, n1 - n0, depth,
+                                        a_smem.data(), depth,
+                                        weights[p].data() + n0, n_total,
+                                        acc.data(), n1 - n0, true);
             }
 
             // Epilogue: each TB writes its own disjoint output tile.

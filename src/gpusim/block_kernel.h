@@ -1,10 +1,11 @@
 /**
  * @file
- * Functional block-level channel-first kernel (Fig 12): executes the
- * convolution exactly as the GPU implementation schedules it — the
- * output matrix partitioned into thread-block tiles, each TB walking
- * the decomposed filters and staging operand chunks through a
- * bounded shared-memory buffer — and proves two claims of Sec. V:
+ * Functional block-level kernel (Fig 12): executes a conv::Algorithm's
+ * pass plan exactly as the GPU implementation schedules it — the output
+ * matrix partitioned into thread-block tiles, each TB walking the
+ * plan's chunkK-deep passes (the k-steps GpuSim prices) and staging
+ * each pass's operands through a bounded shared-memory buffer — and
+ * proves two claims of Sec. V for every algorithm:
  *  1. thread blocks own disjoint output tiles, so no atomic updates
  *     are ever needed, and
  *  2. the staging buffer respects the configured shared-memory
@@ -14,7 +15,7 @@
 #ifndef CFCONV_GPUSIM_BLOCK_KERNEL_H
 #define CFCONV_GPUSIM_BLOCK_KERNEL_H
 
-#include "im2col/reorder.h"
+#include "conv/algorithm.h"
 #include "tensor/conv_params.h"
 #include "tensor/tensor.h"
 
@@ -31,7 +32,6 @@ struct BlockKernelConfig
     Index chunkK = 32;         ///< staged operand depth per step
     Bytes sharedMemBytes = 96 * 1024; ///< per-TB staging capacity
     Bytes elemBytes = 2;       ///< staged element width (fp16)
-    im2col::TileOrder order = im2col::TileOrder::ReuseGreedy;
 };
 
 /** Execution statistics the functional kernel collects. */
@@ -46,14 +46,18 @@ struct BlockKernelStats
 };
 
 /**
- * Execute the convolution with the block-level channel-first schedule.
- * Throws (fatal) if any staging step would exceed the shared-memory
- * capacity. @p stats, when non-null, receives execution statistics.
+ * Execute @p plan, @p algorithm's plan with its taps in any order (the
+ * tile order of Sec. V), on the block-level schedule: every TB stages
+ * each of plan.passes(chunkK) through @p algorithm's producer and
+ * column order, then writes its own output tile. Throws (fatal) if any
+ * staging step would exceed the shared-memory capacity. @p stats, when
+ * non-null, receives execution statistics.
  */
-Tensor convBlockChannelFirst(const ConvParams &params,
-                             const Tensor &input, const Tensor &filter,
-                             const BlockKernelConfig &config = {},
-                             BlockKernelStats *stats = nullptr);
+Tensor convBlock(const conv::Algorithm &algorithm,
+                 const im2col::PassPlan &plan, const ConvParams &params,
+                 const Tensor &input, const Tensor &filter,
+                 const BlockKernelConfig &config = {},
+                 BlockKernelStats *stats = nullptr);
 
 } // namespace cfconv::gpusim
 

@@ -160,10 +160,12 @@ convBackwardFilterImplicit(const ConvParams &params,
     // Each tap's (M x C_I) forward operand, copied through the pixel
     // producer's pointers.
     const Index c_i = params.inChannels;
+    const PassPlan plan = channelFirstPlan(params, decomposeFilter(params));
     const TapPointers pixels = pixelGather(params, input);
     std::vector<float> a(static_cast<size_t>(params.gemmM() * c_i));
-    for (const FilterTile &tile : decomposeFilter(params)) {
-        gatherPanel(pixels, {tile}, c_i, 0, params.gemmM(), a.data(), c_i);
+    for (const PlanPass &pass : plan.passes(c_i)) {
+        const FilterTile &tile = plan.taps[static_cast<size_t>(pass.firstTap)];
+        gatherPass(pixels, plan, pass, 0, params.gemmM(), a.data());
         // dW[r,s] = A^T * dY: (C_I x M) * (M x C_O). Halo zeros count
         // too: 0 * Inf/NaN in dY must reach dW as it does in the direct
         // pass.

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "im2col/pass_plan.h"
+#include "im2col/implicit_conv.h"
 #include "tensor/conv_ref.h"
 
 namespace cfconv::im2col {
@@ -123,14 +123,16 @@ convGroupedDirect(const GroupedConvParams &params,
 tensor::Tensor
 convGroupedImplicit(const GroupedConvParams &params,
                     const tensor::Tensor &input,
-                    const tensor::Tensor &filter,
-                    const ImplicitConvOptions &options)
+                    const tensor::Tensor &filter)
 {
     return runGroups(params, input, filter,
-                     [&options](const ConvParams &g,
-                                const tensor::Tensor &in,
-                                const tensor::Tensor &f) {
-                         return convImplicit(g, in, f, options);
+                     [](const ConvParams &g, const tensor::Tensor &in,
+                        const tensor::Tensor &f) {
+                         const PassPlan plan =
+                             channelFirstPlan(g, decomposeFilter(g));
+                         return gatherGemm(g, in, plan,
+                                           tapStrips(g, f, plan.taps),
+                                           pixelGather(g, in));
                      });
 }
 

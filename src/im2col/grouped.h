@@ -12,8 +12,7 @@
 #ifndef CFCONV_IM2COL_GROUPED_H
 #define CFCONV_IM2COL_GROUPED_H
 
-#include "im2col/implicit_conv.h"
-#include "tensor/conv_params.h"
+#include "im2col/pass_plan.h"
 #include "tensor/tensor.h"
 
 namespace cfconv::im2col {
@@ -40,14 +39,13 @@ tensor::Tensor convGroupedDirect(const GroupedConvParams &params,
                                  const tensor::Tensor &filter);
 
 /**
- * Grouped convolution via the channel-first implicit engine, one group
- * slice at a time. @p filter has dims (C_O, C_I/G, H_F, W_F).
+ * Grouped convolution via the channel-first plan on the host engine
+ * (gatherGemm), one group slice at a time: each slice's bytes are
+ * channel-first execute()'s. @p filter has dims (C_O, C_I/G, H_F, W_F).
  */
 tensor::Tensor convGroupedImplicit(const GroupedConvParams &params,
                                    const tensor::Tensor &input,
-                                   const tensor::Tensor &filter,
-                                   const ImplicitConvOptions &options =
-                                       {});
+                                   const tensor::Tensor &filter);
 
 /**
  * Systolic-row occupancy of one grouped pass under the TPU strategy:

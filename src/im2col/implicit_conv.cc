@@ -135,31 +135,21 @@ packFilter(const ConvParams &params, const tensor::Tensor &filter,
                                     filter.offsetOf(1, 0, 0, 0));
 }
 
-std::vector<float>
-tapStrips(const ConvParams &params, const tensor::Tensor &filter,
-          const std::vector<FilterTile> &taps)
+std::vector<tensor::ColCoord>
+tapColumns(const ConvParams &params, const std::vector<FilterTile> &taps)
 {
     std::vector<tensor::ColCoord> cols;
     for (const FilterTile &tap : taps)
         for (Index ci = 0; ci < params.inChannels; ++ci)
             cols.push_back({tap.r, tap.s, ci});
-    return packFilter(params, filter, cols);
+    return cols;
 }
 
-tensor::Matrix
-tapWeights(const ConvParams &params, const tensor::Tensor &filter,
-           const std::vector<FilterTile> &taps)
+std::vector<float>
+tapStrips(const ConvParams &params, const tensor::Tensor &filter,
+          const std::vector<FilterTile> &taps)
 {
-    tensor::checkFilter(params, filter);
-    const Index c_i = params.inChannels;
-    tensor::Matrix b(static_cast<Index>(taps.size()) * c_i,
-                     params.outChannels);
-    for (size_t t = 0; t < taps.size(); ++t)
-        for (Index ci = 0; ci < c_i; ++ci)
-            for (Index co = 0; co < params.outChannels; ++co)
-                b.at(static_cast<Index>(t) * c_i + ci, co) =
-                    filter.at(co, ci, taps[t].r, taps[t].s);
-    return b;
+    return packFilter(params, filter, tapColumns(params, taps));
 }
 
 TapPointers
@@ -189,60 +179,37 @@ pixelGather(const ConvParams &params, const tensor::Tensor &input)
 }
 
 void
-gatherPanel(const TapPointers &point, const std::vector<FilterTile> &taps,
-            Index depth, Index m0, Index m1, float *panel, Index ld)
+gatherPass(const TapPointers &point, const PassPlan &plan,
+           const PlanPass &pass, Index m0, Index m1, float *panel)
 {
-    const Index n_taps = static_cast<Index>(taps.size());
+    const auto first = plan.taps.begin() + pass.firstTap;
+    const std::vector<FilterTile> taps(first, first + pass.taps);
     const Index n_rows = m1 - m0;
-    std::vector<const float *> rows(static_cast<size_t>(n_taps * n_rows));
+    std::vector<const float *> rows(static_cast<size_t>(pass.taps * n_rows));
     std::vector<float> scratch;
     point(taps, m0, m1, rows.data(), n_rows, scratch);
-    for (Index t = 0; t < n_taps; ++t)
+    for (Index t = 0; t < pass.taps; ++t)
         for (Index i = 0; i < n_rows; ++i)
-            std::copy_n(rows[static_cast<size_t>(t * n_rows + i)], depth,
-                        panel + i * ld + t * depth);
+            std::copy_n(rows[static_cast<size_t>(t * n_rows + i)] +
+                            pass.offset,
+                        pass.slice,
+                        panel + i * pass.depth() + t * pass.slice);
 }
 
-tensor::Tensor
-convImplicit(const ConvParams &params, const tensor::Tensor &input,
-             const tensor::Tensor &filter,
-             const ImplicitConvOptions &options, ImplicitConvStats *stats)
+tensor::Matrix
+passWeights(const ConvParams &params, const tensor::Tensor &filter,
+            const std::vector<tensor::ColCoord> &cols, const PassPlan &plan,
+            const PlanPass &pass)
 {
-    params.validate();
-    CFCONV_FATAL_IF(options.tilesPerGroup < 1,
-                    "convImplicit: tilesPerGroup must be >= 1");
-    const Index merge = options.tilesPerGroup;
-    const PassPlan plan =
-        channelFirstPlan(params, orderTiles(params, options.order));
-    if (stats) {
-        *stats = {};
-        for (const PlanPass &pass :
-             plan.passes(merge * plan.tapDepth, merge)) {
-            ++stats->tileGemms;
-            for (Index t = pass.firstTap; t < pass.firstTap + pass.taps;
-                 ++t)
-                stats->fillElems += tileFillElems(
-                    params, plan.taps[static_cast<size_t>(t)]);
-            stats->peakWorkspace = std::max(
-                stats->peakWorkspace, params.gemmM() * pass.depth());
-            stats->macFlops += 2ULL * static_cast<Flops>(params.gemmM()) *
-                               static_cast<Flops>(pass.depth()) *
-                               static_cast<Flops>(params.gemmN());
-        }
+    tensor::checkFilter(params, filter);
+    const Index first = pass.firstTap * plan.tapDepth + pass.offset;
+    tensor::Matrix b(pass.depth(), params.outChannels);
+    for (Index k = 0; k < pass.depth(); ++k) {
+        const tensor::ColCoord &col = cols[static_cast<size_t>(first + k)];
+        for (Index co = 0; co < params.outChannels; ++co)
+            b.at(k, co) = filter.at(co, col.ci, col.r, col.s);
     }
-    return gatherGemm(params, input, plan, tapStrips(params, filter, plan.taps),
-                      pixelGather(params, input));
-}
-
-tensor::Tensor
-convImplicitTpuStrategy(const ConvParams &params,
-                        const tensor::Tensor &input,
-                        const tensor::Tensor &filter, Index array_rows,
-                        ImplicitConvStats *stats)
-{
-    ImplicitConvOptions options;
-    options.tilesPerGroup = tpuMultiTileParam(array_rows, params);
-    return convImplicit(params, input, filter, options, stats);
+    return b;
 }
 
 } // namespace cfconv::im2col

@@ -6,9 +6,10 @@
  * over a PassPlan's taps; a lowering contributes only a producer that
  * points each (GEMM row, tap) at its operand values. All five
  * conv::Algorithm lowerings (explicit im2col's M x K workspace is one
- * more producer), multi-tile, sparse and deformable execution run here,
+ * more producer), grouped, sparse and deformable execution run here,
  * so each is value-identical to the others wherever their plans and
- * gathered values agree.
+ * gathered values agree. The functional models stage the same
+ * producers pass by pass (gatherPass(), passWeights()).
  */
 
 #ifndef CFCONV_IM2COL_IMPLICIT_CONV_H
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "im2col/pass_plan.h"
-#include "im2col/reorder.h"
 #include "tensor/conv_ref.h"
 #include "tensor/im2col_explicit.h"
 
@@ -27,7 +27,8 @@ namespace cfconv::im2col {
 /**
  * Points the micro-kernel at the operand of GEMM rows [m0, m1): entry
  * rows[t * ld + (m - m0)] gets the address of the tapDepth contiguous
- * values row m reads at tap t. A producer that addresses the input
+ * values row m reads at @p taps[t], for exactly the taps asked, whether
+ * all of a plan's or one pass's. A producer that addresses the input
  * points into it; one that computes values (a lowering, an
  * interpolation) writes them to @p panel, scratch its caller owns until
  * the pointers are spent, and points there. Producers are called from
@@ -69,17 +70,15 @@ std::vector<float> packFilter(const ConvParams &params,
                               const tensor::Tensor &filter,
                               const std::vector<tensor::ColCoord> &cols);
 
-/** packFilter() for C_I-deep @p taps, rows laid out as tapWeights()
- *  lays them out. */
+/** The filter column of each depth row of C_I-deep @p taps: row
+ *  t * C_I + ci reads (r_t, s_t, ci). */
+std::vector<tensor::ColCoord> tapColumns(const ConvParams &params,
+                                         const std::vector<FilterTile> &taps);
+
+/** packFilter() in tapColumns() order. */
 std::vector<float> tapStrips(const ConvParams &params,
                              const tensor::Tensor &filter,
                              const std::vector<FilterTile> &taps);
-
-/** B for C_I-deep @p taps: row t * C_I + ci of tap t is
- *  filter(:, ci, r_t, s_t). Checks @p filter (tensor::checkFilter). */
-tensor::Matrix tapWeights(const ConvParams &params,
-                          const tensor::Tensor &filter,
-                          const std::vector<FilterTile> &taps);
 
 /**
  * The pixel producer every per-tap lowering shares: tap t of row m
@@ -92,55 +91,26 @@ TapPointers pixelGather(const ConvParams &params,
                         const tensor::Tensor &input);
 
 /**
- * Copy @p taps' operand for GEMM rows [m0, m1) side by side into
- * @p panel (row m at panel + (m - m0) * ld, tap t at column t * depth)
- * through @p point's pointers: the value panel of the functional models
- * that need one.
+ * Copy pass @p pass of @p plan for GEMM rows [m0, m1) into @p panel
+ * ((m1 - m0) x pass.depth(), row-major) through @p point: the pass's
+ * taps side by side, each the depth slice [offset, offset + slice) of
+ * the values @p point addresses. The A operand of the functional
+ * models, which stage one pass at a time.
  */
-void gatherPanel(const TapPointers &point,
-                 const std::vector<FilterTile> &taps, Index depth,
-                 Index m0, Index m1, float *panel, Index ld);
-
-/** Execution statistics of convImplicit(), read off its passes. */
-struct ImplicitConvStats
-{
-    Index tileGemms = 0;        ///< number of (merged) GEMM passes
-    Index fillElems = 0;        ///< input elements brought "on chip"
-    Index peakWorkspace = 0;    ///< peak merged-operand elements
-    Flops macFlops = 0;         ///< multiply-accumulate FLOPs executed
-};
-
-/** Knobs of convImplicit(). */
-struct ImplicitConvOptions
-{
-    Index tilesPerGroup = 1;            ///< multi-tile parameter T
-    TileOrder order = TileOrder::Naive; ///< tile execution order
-};
+void gatherPass(const TapPointers &point, const PassPlan &plan,
+                const PlanPass &pass, Index m0, Index m1, float *panel);
 
 /**
- * Channel-first implicit convolution: the channel-first plan over
- * orderTiles(options.order). Functionally equivalent to
- * tensor::convDirect for every legal ConvParams (incl. stride, padding,
- * dilation). @p stats, when non-null, receives the statistics of the
- * plan's passes with tilesPerGroup taps merged per pass; the host
- * engine keeps every tap's sum in registers, so the output bytes do not
- * depend on tilesPerGroup.
+ * B of pass @p pass of @p plan (pass.depth() x C_O): row k is
+ * filter(:, cols[first + k]), where @p cols names the filter column of
+ * each depth row of the plan (conv::Algorithm::columns()) and first is
+ * the pass's first depth row. A pass merges whole taps or slices one,
+ * so its rows are contiguous. Checks @p filter (tensor::checkFilter).
  */
-tensor::Tensor convImplicit(const ConvParams &params,
-                            const tensor::Tensor &input,
-                            const tensor::Tensor &filter,
-                            const ImplicitConvOptions &options = {},
-                            ImplicitConvStats *stats = nullptr);
-
-/**
- * Convenience: implicit convolution with the TPU's inferred multi-tile
- * strategy for a given systolic-array height.
- */
-tensor::Tensor convImplicitTpuStrategy(const ConvParams &params,
-                                       const tensor::Tensor &input,
-                                       const tensor::Tensor &filter,
-                                       Index array_rows,
-                                       ImplicitConvStats *stats = nullptr);
+tensor::Matrix passWeights(const ConvParams &params,
+                           const tensor::Tensor &filter,
+                           const std::vector<tensor::ColCoord> &cols,
+                           const PassPlan &plan, const PlanPass &pass);
 
 } // namespace cfconv::im2col
 

@@ -1,6 +1,7 @@
 #include "tensor/conv_params.h"
 
 #include "common/logging.h"
+#include "common/memo_cache.h"
 
 namespace cfconv::tensor {
 
@@ -96,6 +97,18 @@ makeConv(Index batch, Index in_channels, Index in_hw, Index out_channels,
     p.dilationH = p.dilationW = dilation;
     p.validate();
     return p;
+}
+
+void
+memoKeyAppend(std::string &key, const ConvParams &params)
+{
+    for (const Index field :
+         {params.batch, params.inChannels, params.inH, params.inW,
+          params.outChannels, params.kernelH, params.kernelW,
+          params.strideH, params.strideW, params.padH, params.padW,
+          params.dilationH, params.dilationW})
+        memoKeyAppendInt(key, field);
+    memoKeyAppendInt(key, static_cast<long long>(params.dataType));
 }
 
 } // namespace cfconv::tensor

@@ -169,6 +169,10 @@ ConvParams makeConvRect(Index batch, Index in_channels, Index in_h,
                         Index pad_h, Index pad_w, Index dilation_h = 1,
                         Index dilation_w = 1);
 
+/** Append every field of @p params to a memo-cache key (common/
+ *  memo_cache.h's `value|` format). */
+void memoKeyAppend(std::string &key, const ConvParams &params);
+
 } // namespace cfconv::tensor
 
 #endif // CFCONV_TENSOR_CONV_PARAMS_H

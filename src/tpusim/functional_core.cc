@@ -20,26 +20,31 @@ FunctionalTpuCore::FunctionalTpuCore(Index array_rows, Index array_cols,
 }
 
 FunctionalRunResult
-FunctionalTpuCore::runConv(const ConvParams &params, const Tensor &input,
+FunctionalTpuCore::runConv(const conv::Algorithm &algorithm,
+                           const im2col::PassPlan &plan,
+                           const ConvParams &params, const Tensor &input,
                            const Tensor &filter, Index tiles_per_group)
 {
     im2col::checkInput(params, input);
     CFCONV_FATAL_IF(tiles_per_group < 1,
                     "FunctionalTpuCore: tiles_per_group must be >= 1");
-    CFCONV_FATAL_IF(params.inChannels * tiles_per_group > arrayRows_,
-                    "FunctionalTpuCore: C_I * T = %lld exceeds array "
-                    "rows %lld",
-                    static_cast<long long>(params.inChannels *
-                                           tiles_per_group),
+    CFCONV_FATAL_IF(tiles_per_group > 1 &&
+                        (!plan.mergeable ||
+                         plan.tapDepth * tiles_per_group > arrayRows_),
+                    "FunctionalTpuCore: %lld taps of depth %lld do not "
+                    "merge into %lld array rows",
+                    static_cast<long long>(tiles_per_group),
+                    static_cast<long long>(plan.tapDepth),
                     static_cast<long long>(arrayRows_));
     CFCONV_FATAL_IF(params.outChannels > arrayCols_,
                     "FunctionalTpuCore: C_O exceeds array columns");
 
     const Index m_dim = params.gemmM();
     const Index w = wordElems_;
-    const im2col::PassPlan plan =
-        im2col::channelFirstPlan(params, im2col::decomposeFilter(params));
-    const im2col::TapPointers pixels = im2col::pixelGather(params, input);
+    const im2col::TapPointers point =
+        algorithm.pointers(params, input, plan);
+    const std::vector<tensor::ColCoord> cols =
+        algorithm.columns(params, plan);
 
     FunctionalRunResult result{
         Tensor(params.batch, params.gemmN(), params.outH(), params.outW()),
@@ -66,16 +71,13 @@ FunctionalTpuCore::runConv(const ConvParams &params, const Tensor &input,
 
     for (const im2col::PlanPass &pass :
          plan.passes(arrayRows_, tiles_per_group)) {
-        // The pass's merged operand (its taps side by side, M x k_dim)
-        // and weight block.
-        const auto first = plan.taps.begin() + pass.firstTap;
-        const std::vector<im2col::FilterTile> taps(first,
-                                                   first + pass.taps);
-        const Matrix b = im2col::tapWeights(params, filter, taps);
+        // The pass's merged operand (its taps' slices side by side,
+        // M x k_dim) and weight block.
+        const Matrix b =
+            im2col::passWeights(params, filter, cols, plan, pass);
         const Index k_dim = pass.depth();
         std::vector<float> a(static_cast<size_t>(m_dim * k_dim));
-        im2col::gatherPanel(pixels, taps, plan.tapDepth, 0, m_dim,
-                            a.data(), k_dim);
+        im2col::gatherPass(point, plan, pass, 0, m_dim, a.data());
 
         // One vector memory per active PE row. The IFMap occupies word
         // addresses [0, words_in); the OFMap region starts above it.

@@ -2,10 +2,12 @@
  * @file
  * Functional TPU core: wires per-row vector memories, serializers, the
  * skewed address generation, and the cycle-level systolic array into an
- * executable model of Fig 10. Small configurations prove that the
- * channel-first mapping produces exact convolution results and that
- * IFMap reads and OFMap writes interleave on the single SRAM port
- * without conflicts.
+ * executable model of Fig 10. It runs any conv::Algorithm's pass plan
+ * through that algorithm's producer and filter columns, so small
+ * configurations prove that each mapping produces exact convolution
+ * results, that IFMap reads and OFMap writes interleave on the single
+ * SRAM port without conflicts, and that its port operations are the
+ * ones TpuSim counts for the same plan.
  */
 
 #ifndef CFCONV_TPUSIM_FUNCTIONAL_CORE_H
@@ -14,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "conv/algorithm.h"
 #include "sram/vector_memory.h"
 #include "systolic/systolic_array.h"
 #include "tensor/conv_ref.h"
@@ -48,14 +51,19 @@ class FunctionalTpuCore
                       Index word_elems);
 
     /**
-     * Execute a full convolution with the channel-first algorithm and
-     * multi-tile parameter @p tiles_per_group: one array pass per
-     * im2col::PassPlan::passes() group, its vector memories filled
-     * through the pixel gather. C_I * tiles_per_group must fit in the
-     * array rows and C_O in the array cols (use the tile-level TpuSim
-     * for larger shapes).
+     * Execute a full convolution: one array pass per
+     * @p plan.passes(array rows, @p tiles_per_group), its vector
+     * memories filled through @p algorithm's producer and its weights
+     * read in @p algorithm's column order, each pass's output added
+     * straight into the NCHW OFMap. @p plan is @p algorithm's plan,
+     * its taps in any order. C_O must fit in the array cols, and
+     * merging needs a mergeable plan with tiles_per_group * tapDepth
+     * within the array rows (use the tile-level TpuSim for larger
+     * shapes).
      */
-    FunctionalRunResult runConv(const ConvParams &params,
+    FunctionalRunResult runConv(const conv::Algorithm &algorithm,
+                                const im2col::PassPlan &plan,
+                                const ConvParams &params,
                                 const Tensor &input,
                                 const Tensor &filter,
                                 Index tiles_per_group);

@@ -18,36 +18,7 @@ appendConfig(std::string &key, const TpuConfig &config)
     memoKeyAppendInt(key, static_cast<long long>(config.onChipBytes));
     memoKeyAppendInt(key,
                      static_cast<long long>(config.invokeOverheadCycles));
-    const dram::DramConfig &d = config.dram;
-    memoKeyAppendInt(key, d.channels);
-    memoKeyAppendInt(key, d.banksPerChannel);
-    memoKeyAppendInt(key, static_cast<long long>(d.rowBytes));
-    memoKeyAppendInt(key, static_cast<long long>(d.busBytesPerCycle));
-    memoKeyAppendInt(key, static_cast<long long>(d.tPrecharge));
-    memoKeyAppendInt(key, static_cast<long long>(d.tActivate));
-    memoKeyAppendInt(key, static_cast<long long>(d.tCas));
-    memoKeyAppendFloat(key, d.clockGhz);
-    memoKeyAppendInt(key, static_cast<long long>(d.pagePolicy));
-    memoKeyAppendInt(key, static_cast<long long>(d.mapping));
-}
-
-void
-appendParams(std::string &key, const tensor::ConvParams &p)
-{
-    memoKeyAppendInt(key, p.batch);
-    memoKeyAppendInt(key, p.inChannels);
-    memoKeyAppendInt(key, p.inH);
-    memoKeyAppendInt(key, p.inW);
-    memoKeyAppendInt(key, p.outChannels);
-    memoKeyAppendInt(key, p.kernelH);
-    memoKeyAppendInt(key, p.kernelW);
-    memoKeyAppendInt(key, p.strideH);
-    memoKeyAppendInt(key, p.strideW);
-    memoKeyAppendInt(key, p.padH);
-    memoKeyAppendInt(key, p.padW);
-    memoKeyAppendInt(key, p.dilationH);
-    memoKeyAppendInt(key, p.dilationW);
-    memoKeyAppendInt(key, static_cast<long long>(p.dataType));
+    dram::memoKeyAppend(key, config.dram);
 }
 
 } // namespace
@@ -58,7 +29,7 @@ layerCacheKey(const TpuConfig &config, const tensor::ConvParams &params,
 {
     std::string key = "conv|";
     key.reserve(256);
-    appendParams(key, params);
+    tensor::memoKeyAppend(key, params);
     memoKeyAppendInt(key, static_cast<long long>(options.algorithm));
     memoKeyAppendInt(key, options.multiTileOverride);
     memoKeyAppendInt(key, static_cast<long long>(options.dramLayout));

@@ -1,7 +1,5 @@
 #include "tpusim/tpu_config.h"
 
-#include "common/logging.h"
-
 namespace cfconv::tpusim {
 
 TpuConfig
@@ -30,36 +28,39 @@ TpuConfig::tpuV3ish()
     return c;
 }
 
-TpuConfig
+StatusOr<TpuConfig>
 tpuConfigFrom(const Config &config, TpuConfig base)
 {
     TpuConfig c = base;
-    const Index array =
-        static_cast<Index>(config.getInt("array", c.array.rows));
-    c.array.rows = c.array.cols = array;
-    c.vectorMemories = array;
-    c.clockGhz = config.getDouble("clock_ghz", c.clockGhz);
-    c.wordElems =
-        static_cast<Index>(config.getInt("word_elems", c.wordElems));
-    c.elemBytes = static_cast<Bytes>(
-        config.getInt("elem_bytes",
-                      static_cast<long long>(c.elemBytes)));
-    c.onChipBytes = static_cast<Bytes>(config.getInt(
-                        "onchip_mb",
-                        static_cast<long long>(c.onChipBytes >> 20)))
-                    << 20;
-    const double gbps =
-        config.getDouble("dram_gbps", c.dram.peakGBps());
+    CFCONV_ASSIGN_OR_RETURN(const long long array,
+                            config.getInt("array", c.array.rows));
+    c.array.rows = c.array.cols = static_cast<Index>(array);
+    c.vectorMemories = c.array.rows;
+    CFCONV_ASSIGN_OR_RETURN(c.clockGhz,
+                            config.getDouble("clock_ghz", c.clockGhz));
+    CFCONV_ASSIGN_OR_RETURN(c.wordElems,
+                            config.getInt("word_elems", c.wordElems));
+    CFCONV_ASSIGN_OR_RETURN(
+        c.elemBytes,
+        config.getInt("elem_bytes", static_cast<long long>(c.elemBytes)));
+    CFCONV_ASSIGN_OR_RETURN(
+        const long long onchip_mb,
+        config.getInt("onchip_mb",
+                      static_cast<long long>(c.onChipBytes >> 20)));
+    c.onChipBytes = static_cast<Bytes>(onchip_mb) << 20;
+    CFCONV_ASSIGN_OR_RETURN(
+        const double gbps, config.getDouble("dram_gbps", c.dram.peakGBps()));
     c.dram.clockGhz *= gbps / c.dram.peakGBps();
-    c.invokeOverheadCycles = static_cast<Cycles>(config.getInt(
-        "invoke_overhead_cycles",
-        static_cast<long long>(c.invokeOverheadCycles)));
-    c.mxus = static_cast<Index>(config.getInt("mxus", c.mxus));
+    CFCONV_ASSIGN_OR_RETURN(
+        c.invokeOverheadCycles,
+        config.getInt("invoke_overhead_cycles",
+                      static_cast<long long>(c.invokeOverheadCycles)));
+    CFCONV_ASSIGN_OR_RETURN(c.mxus, config.getInt("mxus", c.mxus));
 
     const auto unused = config.unusedKeys();
-    CFCONV_FATAL_IF(!unused.empty(),
-                    "tpu config: unknown key '%s'",
-                    unused.begin()->c_str());
+    if (!unused.empty())
+        return invalidArgumentError("tpu config: unknown key '%s'",
+                                    unused.begin()->c_str());
     return c;
 }
 

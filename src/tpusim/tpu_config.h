@@ -74,11 +74,11 @@ struct TpuConfig
 /**
  * Override @p base with keys from a configuration file. Recognized
  * keys: array, clock_ghz, word_elems, elem_bytes, onchip_mb,
- * dram_gbps, invoke_overhead_cycles. Fatal on unknown keys so typos
- * surface.
+ * dram_gbps, invoke_overhead_cycles, mxus. INVALID_ARGUMENT names an
+ * unknown key, so typos surface, or a value that does not parse.
  */
-TpuConfig tpuConfigFrom(const Config &config,
-                        TpuConfig base = TpuConfig::tpuV2());
+StatusOr<TpuConfig> tpuConfigFrom(const Config &config,
+                                  TpuConfig base = TpuConfig::tpuV2());
 
 } // namespace cfconv::tpusim
 

@@ -3,16 +3,37 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/config.h"
-#include "common/logging.h"
 #include "tpusim/tpu_config.h"
 
 namespace cfconv {
 namespace {
 
+/** @p text parsed; the test fails if it does not parse. */
+Config
+parse(const std::string &text)
+{
+    StatusOr<Config> parsed = Config::fromString(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().toString();
+    return parsed.ok() ? std::move(parsed).value() : Config();
+}
+
+/** Expect @p status to be INVALID_ARGUMENT with @p needle in its
+ *  message. */
+void
+expectInvalid(const Status &status, const std::string &needle)
+{
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.toString();
+    EXPECT_NE(status.message().find(needle), std::string::npos)
+        << status.toString();
+}
+
 TEST(Config, ParsesTypedValues)
 {
-    const Config c = Config::fromString(
+    const Config c = parse(
         "array = 256\n"
         "clock_ghz = 0.94   # comment\n"
         "name = tpu-v3ish\n"
@@ -20,18 +41,18 @@ TEST(Config, ParsesTypedValues)
         "\n"
         "# full-line comment\n");
     EXPECT_EQ(c.size(), 4u);
-    EXPECT_EQ(c.getInt("array", 0), 256);
-    EXPECT_DOUBLE_EQ(c.getDouble("clock_ghz", 0.0), 0.94);
+    EXPECT_EQ(c.getInt("array", 0).value(), 256);
+    EXPECT_DOUBLE_EQ(c.getDouble("clock_ghz", 0.0).value(), 0.94);
     EXPECT_EQ(c.getString("name", ""), "tpu-v3ish");
-    EXPECT_TRUE(c.getBool("overlap", false));
+    EXPECT_TRUE(c.getBool("overlap", false).value());
 }
 
 TEST(Config, FallbacksForMissingKeys)
 {
-    const Config c = Config::fromString("a = 1\n");
-    EXPECT_EQ(c.getInt("missing", 42), 42);
-    EXPECT_DOUBLE_EQ(c.getDouble("missing", 2.5), 2.5);
-    EXPECT_FALSE(c.getBool("missing", false));
+    const Config c = parse("a = 1\n");
+    EXPECT_EQ(c.getInt("missing", 42).value(), 42);
+    EXPECT_DOUBLE_EQ(c.getDouble("missing", 2.5).value(), 2.5);
+    EXPECT_FALSE(c.getBool("missing", false).value());
     EXPECT_EQ(c.getString("missing", "x"), "x");
     EXPECT_FALSE(c.has("missing"));
     EXPECT_TRUE(c.has("a"));
@@ -39,23 +60,29 @@ TEST(Config, FallbacksForMissingKeys)
 
 TEST(Config, RejectsMalformedInput)
 {
-    EXPECT_THROW(Config::fromString("just a line\n"), FatalError);
-    EXPECT_THROW(Config::fromString("= value\n"), FatalError);
-    EXPECT_THROW(Config::fromString("a = 1\na = 2\n"), FatalError);
+    expectInvalid(Config::fromString("just a line\n").status(),
+                  "line 1: expected 'key = value'");
+    expectInvalid(Config::fromString("= value\n").status(),
+                  "line 1: empty key");
+    expectInvalid(Config::fromString("a = 1\na = 2\n").status(),
+                  "line 2: duplicate key 'a'");
 }
 
 TEST(Config, RejectsWrongTypes)
 {
-    const Config c = Config::fromString("k = hello\n");
-    EXPECT_THROW(c.getInt("k", 0), FatalError);
-    EXPECT_THROW(c.getDouble("k", 0.0), FatalError);
-    EXPECT_THROW(c.getBool("k", false), FatalError);
+    const Config c = parse("k = hello\n");
+    expectInvalid(c.getInt("k", 0).status(),
+                  "'k = hello' is not an integer");
+    expectInvalid(c.getDouble("k", 0.0).status(),
+                  "'k = hello' is not a number");
+    expectInvalid(c.getBool("k", false).status(),
+                  "'k = hello' is not a boolean");
 }
 
 TEST(Config, TracksUnusedKeys)
 {
-    const Config c = Config::fromString("a = 1\nb = 2\n");
-    EXPECT_EQ(c.getInt("a", 0), 1);
+    const Config c = parse("a = 1\nb = 2\n");
+    EXPECT_EQ(c.getInt("a", 0).value(), 1);
     const auto unused = c.unusedKeys();
     ASSERT_EQ(unused.size(), 1u);
     EXPECT_EQ(*unused.begin(), "b");
@@ -63,17 +90,22 @@ TEST(Config, TracksUnusedKeys)
 
 TEST(Config, MissingFileIsFatal)
 {
-    EXPECT_THROW(Config::fromFile("/nonexistent/path.cfg"),
-                 FatalError);
+    // NOT_FOUND, naming the path.
+    const Status status =
+        Config::fromFile("/nonexistent/path.cfg").status();
+    EXPECT_EQ(status.code(), StatusCode::kNotFound) << status.toString();
+    EXPECT_NE(status.message().find("/nonexistent/path.cfg"),
+              std::string::npos)
+        << status.toString();
 }
 
 TEST(TpuConfigFrom, AppliesOverrides)
 {
-    const Config c = Config::fromString(
+    const Config c = parse(
         "array = 256\n"
         "clock_ghz = 0.94\n"
         "dram_gbps = 900\n");
-    const tpusim::TpuConfig cfg = tpusim::tpuConfigFrom(c);
+    const tpusim::TpuConfig cfg = tpusim::tpuConfigFrom(c).value();
     EXPECT_EQ(cfg.array.rows, 256);
     EXPECT_EQ(cfg.vectorMemories, 256);
     EXPECT_DOUBLE_EQ(cfg.clockGhz, 0.94);
@@ -85,8 +117,7 @@ TEST(TpuConfigFrom, AppliesOverrides)
 TEST(TpuConfigFrom, EmptyConfigIsIdentity)
 {
     const tpusim::TpuConfig base = tpusim::TpuConfig::tpuV2();
-    const tpusim::TpuConfig cfg =
-        tpusim::tpuConfigFrom(Config::fromString(""));
+    const tpusim::TpuConfig cfg = tpusim::tpuConfigFrom(parse("")).value();
     EXPECT_EQ(cfg.array.rows, base.array.rows);
     EXPECT_DOUBLE_EQ(cfg.clockGhz, base.clockGhz);
     EXPECT_EQ(cfg.onChipBytes, base.onChipBytes);
@@ -94,8 +125,12 @@ TEST(TpuConfigFrom, EmptyConfigIsIdentity)
 
 TEST(TpuConfigFrom, UnknownKeysAreFatal)
 {
-    const Config c = Config::fromString("arary = 256\n");
-    EXPECT_THROW(tpusim::tpuConfigFrom(c), FatalError);
+    // INVALID_ARGUMENT naming the key, and so is a value that does not
+    // parse.
+    expectInvalid(tpusim::tpuConfigFrom(parse("arary = 256\n")).status(),
+                  "unknown key 'arary'");
+    expectInvalid(tpusim::tpuConfigFrom(parse("array = big\n")).status(),
+                  "'array = big' is not an integer");
 }
 
 } // namespace

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "conv/algorithm.h"
 #include "im2col/pass_plan.h"
 #include "tensor/conv_params.h"
+#include "tensor/conv_ref.h"
 
 #include "awkward_shapes.h"
 
@@ -306,6 +308,72 @@ TEST(AlgorithmPlan, SmmOnStridedShapesIsInvalidArgument)
                   smm->supports(p, 1).message());
     }
     EXPECT_GT(strided, 0);
+}
+
+/** @p point's pointer rows for @p taps over GEMM rows [m0, m1), in a
+ *  buffer exactly as long as the TapPointers contract asks for; the
+ *  values stay valid while @p panel lives. */
+std::vector<const float *>
+pointRows(const im2col::TapPointers &point,
+          const std::vector<im2col::FilterTile> &taps, Index m0, Index m1,
+          std::vector<float> &panel)
+{
+    std::vector<const float *> rows(taps.size() *
+                                    static_cast<size_t>(m1 - m0));
+    point(taps, m0, m1, rows.data(), m1 - m0, panel);
+    return rows;
+}
+
+TEST(AlgorithmPlan, ProducersPointOnlyAtTheRequestedTaps)
+{
+    // Every producer fills one pointer row per tap it is asked for, and
+    // no more: one tap, or one pass's taps, point at the values the
+    // whole-plan call gives those taps. The functional models ask for
+    // one pass at a time, into a buffer sized for that pass.
+    for (const ConvParams &p : awkwardShapes()) {
+        tensor::Tensor input = tensor::makeInput(p);
+        input.fillRandom(71);
+        for (const Algorithm *algo : allAlgorithms()) {
+            const StatusOr<im2col::PassPlan> plan = algo->plan(p);
+            if (!plan.ok())
+                continue;
+            const im2col::TapPointers point =
+                algo->pointers(p, input, *plan);
+            const Index m0 = p.gemmM() / 2;
+            const Index m1 = p.gemmM();
+            const Index depth = plan->tapDepth;
+            std::vector<float> whole_panel;
+            const std::vector<const float *> whole =
+                pointRows(point, plan->taps, m0, m1, whole_panel);
+            const auto expectSame = [&](Index first_tap, Index taps) {
+                const auto begin = plan->taps.begin() + first_tap;
+                std::vector<float> panel;
+                const std::vector<const float *> rows = pointRows(
+                    point, {begin, begin + taps}, m0, m1, panel);
+                for (Index t = 0; t < taps; ++t)
+                    for (Index i = 0; i < m1 - m0; ++i)
+                        EXPECT_EQ(std::memcmp(
+                                      rows[static_cast<size_t>(
+                                          t * (m1 - m0) + i)],
+                                      whole[static_cast<size_t>(
+                                          (first_tap + t) * (m1 - m0) +
+                                          i)],
+                                      static_cast<size_t>(depth) *
+                                          sizeof(float)),
+                                  0)
+                            << algo->name() << " tap " << first_tap + t
+                            << " row " << m0 + i << " on "
+                            << p.toString();
+            };
+            for (Index t = 0; t < static_cast<Index>(plan->taps.size());
+                 ++t)
+                expectSame(t, 1);
+            const Index merge = plan->mergeable ? 2 : 1;
+            for (const im2col::PlanPass &pass :
+                 plan->passes(merge * depth, merge))
+                expectSame(pass.firstTap, pass.taps);
+        }
+    }
 }
 
 } // namespace

@@ -1,9 +1,12 @@
-/** @file Tests for the functional block-level channel-first kernel. */
+/** @file Tests for the functional block-level kernel on every
+ *  registered algorithm's plan. */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "conv/algorithm.h"
 #include "gpusim/block_kernel.h"
+#include "im2col/reorder.h"
 #include "tensor/conv_ref.h"
 
 namespace cfconv::gpusim {
@@ -11,6 +14,20 @@ namespace {
 
 using tensor::makeConv;
 using tensor::Tensor;
+
+/** Channel-first's plan for @p p, its taps in @p order. */
+im2col::PassPlan
+channelFirstPlan(const ConvParams &p,
+                 im2col::TileOrder order = im2col::TileOrder::Naive)
+{
+    return im2col::channelFirstPlan(p, im2col::orderTiles(p, order));
+}
+
+const conv::Algorithm &
+channelFirst()
+{
+    return *conv::findAlgorithm(conv::AlgorithmId::ChannelFirst);
+}
 
 struct BlockCase
 {
@@ -25,30 +42,43 @@ class BlockKernel : public ::testing::TestWithParam<BlockCase>
 
 TEST_P(BlockKernel, EqualsDirectConvWithoutAtomics)
 {
+    // Every algorithm that supports the layer; the per-tap plans walk
+    // their taps in the case's tile order.
     const BlockCase c = GetParam();
     const auto p = makeConv(c.batch, c.ci, c.hw, c.co, c.k, c.s, c.p);
     Tensor input = tensor::makeInput(p);
     Tensor filter = tensor::makeFilter(p);
     input.fillRandom(161);
     filter.fillRandom(163);
+    const Tensor ref = tensor::convDirect(p, input, filter);
 
     BlockKernelConfig cfg;
     cfg.tileM = c.tm;
     cfg.tileN = c.tn;
     cfg.chunkK = c.kc;
-    cfg.order = c.order;
-    BlockKernelStats stats;
-    const Tensor out =
-        convBlockChannelFirst(p, input, filter, cfg, &stats);
-    const Tensor ref = tensor::convDirect(p, input, filter);
-    EXPECT_LT(out.maxAbsDiff(ref), 1e-3f) << p.toString();
+    for (const conv::Algorithm *algo : conv::allAlgorithms()) {
+        StatusOr<im2col::PassPlan> plan = algo->plan(p);
+        if (!plan.ok())
+            continue;
+        if (plan->tapDepth == p.inChannels)
+            plan->taps = im2col::orderTiles(p, c.order);
+        BlockKernelStats stats;
+        const Tensor out =
+            convBlock(*algo, *plan, p, input, filter, cfg, &stats);
+        EXPECT_LT(out.maxAbsDiff(ref), 1e-3f)
+            << algo->name() << " on " << p.toString();
 
-    // Each OFMap element written exactly once (checked internally via
-    // assertion) and accounted for here.
-    EXPECT_EQ(stats.outputWrites, p.outputElems());
-    EXPECT_EQ(stats.threadBlocks,
-              divCeil(p.gemmM(), c.tm) * divCeil(p.gemmN(), c.tn));
-    EXPECT_GT(stats.stagingSteps, 0);
+        // Each OFMap element written exactly once (checked internally
+        // via assertion) and accounted for here.
+        EXPECT_EQ(stats.outputWrites, p.outputElems()) << algo->name();
+        EXPECT_EQ(stats.threadBlocks,
+                  divCeil(p.gemmM(), c.tm) * divCeil(p.gemmN(), c.tn))
+            << algo->name();
+        EXPECT_EQ(stats.stagingSteps,
+                  stats.threadBlocks *
+                      static_cast<Index>(plan->passes(c.kc).size()))
+            << algo->name();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -67,6 +97,45 @@ INSTANTIATE_TEST_SUITE_P(
         BlockCase{1, 3, 10, 4, 3, 3, 1, 8, 8, 3,
                   im2col::TileOrder::ReuseGreedy}));
 
+TEST(BlockKernel, StagesEveryPassOfEveryPlan)
+{
+    // On layers whose M is not a multiple of the TB tile, every
+    // registered plan writes each OFMap element once and stages each of
+    // its chunkK-deep passes once per thread block: the k-steps GpuSim
+    // prices.
+    const ConvParams layers[] = {
+        makeConv(1, 2, 5, 4, 3),       // M 9, unit stride
+        makeConv(1, 3, 6, 5, 3, 2, 1), // M 9, stride 2
+        makeConv(1, 4, 7, 8, 3, 1, 1), // M 49
+    };
+    BlockKernelConfig cfg;
+    cfg.tileM = 16;
+    cfg.tileN = 4;
+    cfg.chunkK = 8;
+    for (const ConvParams &p : layers) {
+        Tensor input = tensor::makeInput(p);
+        Tensor filter = tensor::makeFilter(p);
+        input.fillRandom(169);
+        filter.fillRandom(173);
+        const Tensor ref = tensor::convDirect(p, input, filter);
+        for (const conv::Algorithm *algo : conv::allAlgorithms()) {
+            const StatusOr<im2col::PassPlan> plan = algo->plan(p);
+            if (!plan.ok())
+                continue;
+            BlockKernelStats stats;
+            const Tensor out =
+                convBlock(*algo, *plan, p, input, filter, cfg, &stats);
+            EXPECT_LT(out.maxAbsDiff(ref), 1e-3f)
+                << algo->name() << " on " << p.toString();
+            EXPECT_EQ(stats.outputWrites, p.outputElems()) << algo->name();
+            const auto k_steps =
+                static_cast<Index>(plan->passes(cfg.chunkK).size());
+            EXPECT_EQ(stats.stagingSteps, stats.threadBlocks * k_steps)
+                << algo->name() << " on " << p.toString();
+        }
+    }
+}
+
 TEST(BlockKernel, TileOrderDoesNotChangeResults)
 {
     const auto p = makeConv(2, 4, 8, 4, 3, 2, 1);
@@ -74,11 +143,12 @@ TEST(BlockKernel, TileOrderDoesNotChangeResults)
     Tensor filter = tensor::makeFilter(p);
     input.fillRandom(167);
     filter.fillRandom(173);
-    BlockKernelConfig naive, greedy;
-    naive.order = im2col::TileOrder::Naive;
-    greedy.order = im2col::TileOrder::ReuseGreedy;
-    const Tensor a = convBlockChannelFirst(p, input, filter, naive);
-    const Tensor b = convBlockChannelFirst(p, input, filter, greedy);
+    const Tensor a =
+        convBlock(channelFirst(), channelFirstPlan(p), p, input, filter);
+    const Tensor b = convBlock(
+        channelFirst(),
+        channelFirstPlan(p, im2col::TileOrder::ReuseGreedy), p, input,
+        filter);
     EXPECT_LT(a.maxAbsDiff(b), 1e-4f);
 }
 
@@ -92,7 +162,8 @@ TEST(BlockKernel, StagingRespectsSharedMemoryBound)
     cfg.tileN = 8;
     cfg.chunkK = 8;
     BlockKernelStats stats;
-    convBlockChannelFirst(p, input, filter, cfg, &stats);
+    convBlock(channelFirst(), channelFirstPlan(p), p, input, filter, cfg,
+              &stats);
     EXPECT_LE(stats.peakStagingBytes, cfg.sharedMemBytes);
     // (tileM*chunkK + chunkK*tileN) * 2 bytes.
     EXPECT_EQ(stats.peakStagingBytes,
@@ -109,7 +180,8 @@ TEST(BlockKernel, OversizedStagingIsFatal)
     cfg.tileN = 64;
     cfg.chunkK = 64;
     cfg.sharedMemBytes = 1024; // absurdly small
-    EXPECT_THROW(convBlockChannelFirst(p, input, filter, cfg),
+    EXPECT_THROW(convBlock(channelFirst(), channelFirstPlan(p), p, input,
+                           filter, cfg),
                  FatalError);
 }
 
@@ -120,7 +192,8 @@ TEST(BlockKernel, RejectsBadConfig)
     Tensor filter = tensor::makeFilter(p);
     BlockKernelConfig cfg;
     cfg.tileM = 0;
-    EXPECT_THROW(convBlockChannelFirst(p, input, filter, cfg),
+    EXPECT_THROW(convBlock(channelFirst(), channelFirstPlan(p), p, input,
+                           filter, cfg),
                  FatalError);
 }
 

@@ -89,11 +89,7 @@ TEST_P(GroupedSweep, ImplicitEqualsDirect)
     const Tensor filter = makeGroupFilter(p, 123);
 
     const Tensor direct = convGroupedDirect(p, input, filter);
-    ImplicitConvOptions options;
-    options.tilesPerGroup =
-        tpuMultiTileParam(128, p.groupParams());
-    const Tensor implicit =
-        convGroupedImplicit(p, input, filter, options);
+    const Tensor implicit = convGroupedImplicit(p, input, filter);
     EXPECT_LT(implicit.maxAbsDiff(direct), 1e-3f)
         << p.base.toString() << " G=" << c.groups;
 }

@@ -1,16 +1,18 @@
-/** @file Property tests: the host engine equals direct convolution,
- *  and multi-tile merging on it is exact. */
+/** @file Property tests of channel-first implicit convolution: the
+ *  host engine equals direct convolution, the statistics the simulators
+ *  read off its passes, and multi-tile merging, exact on the functional
+ *  TPU core, the one path where merging taps changes the arithmetic. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 
+#include "conv/algorithm.h"
 #include "im2col/implicit_conv.h"
+#include "im2col/reorder.h"
 #include "tensor/conv_ref.h"
-#include "tensor/microkernel.h"
-
-#include "../common/determinism.h"
-#include "../conv/awkward_shapes.h"
+#include "tpusim/functional_core.h"
 
 namespace cfconv::im2col {
 namespace {
@@ -18,6 +20,12 @@ namespace {
 using tensor::makeConv;
 using tensor::makeFilter;
 using tensor::makeInput;
+
+const conv::Algorithm &
+channelFirst()
+{
+    return *conv::findAlgorithm(conv::AlgorithmId::ChannelFirst);
+}
 
 struct ImplicitCase
 {
@@ -42,6 +50,8 @@ class ImplicitConv : public ::testing::TestWithParam<ImplicitCase>
 
 TEST_P(ImplicitConv, EqualsDirectConv)
 {
+    // The host engine, and T taps merged per pass in either tile order
+    // on a 24-row functional core.
     const ImplicitCase c = GetParam();
     const ConvParams p =
         makeConv(c.batch, c.ci, c.hw, c.co, c.k, c.s, c.p, c.d);
@@ -50,16 +60,17 @@ TEST_P(ImplicitConv, EqualsDirectConv)
     input.fillRandom(101);
     filter.fillRandom(103);
 
-    ImplicitConvOptions options;
-    options.tilesPerGroup = c.tiles;
-    options.order = c.order;
-    ImplicitConvStats stats;
-    const tensor::Tensor out =
-        convImplicit(p, input, filter, options, &stats);
     const tensor::Tensor ref = tensor::convDirect(p, input, filter);
-    EXPECT_LT(out.maxAbsDiff(ref), 1e-3f) << p.toString();
-    EXPECT_GT(stats.tileGemms, 0);
-    EXPECT_EQ(stats.macFlops >= p.flops(), true);
+    EXPECT_LT(channelFirst().execute(p, input, filter).maxAbsDiff(ref),
+              1e-3f)
+        << p.toString();
+    tpusim::FunctionalTpuCore core(24, 8, 2);
+    const tpusim::FunctionalRunResult r =
+        core.runConv(channelFirst(),
+                     channelFirstPlan(p, orderTiles(p, c.order)), p,
+                     input, filter, c.tiles);
+    EXPECT_LT(r.output.maxAbsDiff(ref), 1e-3f) << p.toString();
+    EXPECT_FALSE(r.portConflict) << p.toString();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -77,55 +88,44 @@ INSTANTIATE_TEST_SUITE_P(
         ImplicitCase{1, 6, 6, 6, 1, 1, 0, 1, 1, TileOrder::Naive},
         ImplicitCase{1, 2, 8, 2, 2, 2, 0, 1, 4, TileOrder::ReuseGreedy}));
 
+/** What the simulators read off channel-first's passes with @p merge
+ *  taps each. */
+struct PassStats
+{
+    Index passes = 0;        ///< array passes
+    Index fillElems = 0;     ///< input elements brought on chip
+    Index peakWorkspace = 0; ///< widest merged operand, in elements
+};
+
+PassStats
+passStats(const ConvParams &p, Index merge)
+{
+    const PassPlan plan = channelFirstPlan(p, decomposeFilter(p));
+    PassStats stats;
+    for (const PlanPass &pass : plan.passes(merge * p.inChannels, merge)) {
+        ++stats.passes;
+        for (Index t = pass.firstTap; t < pass.firstTap + pass.taps; ++t)
+            stats.fillElems +=
+                tileFillElems(p, plan.taps[static_cast<size_t>(t)]);
+        stats.peakWorkspace =
+            std::max(stats.peakWorkspace, p.gemmM() * pass.depth());
+    }
+    return stats;
+}
+
 TEST(ImplicitConv, StatsReflectMultiTileMerging)
 {
     const ConvParams p = makeConv(1, 4, 8, 4, 3, 1, 1);
-    tensor::Tensor input = makeInput(p);
-    tensor::Tensor filter = makeFilter(p);
-    input.fillRandom(1);
-    filter.fillRandom(2);
-
-    ImplicitConvStats s1, s3;
-    convImplicit(p, input, filter, {1, TileOrder::Naive}, &s1);
-    convImplicit(p, input, filter, {3, TileOrder::Naive}, &s3);
-    EXPECT_EQ(s1.tileGemms, 9);
-    EXPECT_EQ(s3.tileGemms, 3);
+    const PassStats s1 = passStats(p, 1);
+    const PassStats s3 = passStats(p, 3);
+    EXPECT_EQ(s1.passes, 9);
+    EXPECT_EQ(s3.passes, 3);
     // Same data volume enters the GEMMs either way.
     EXPECT_EQ(s1.fillElems, s3.fillElems);
     // But the merged operand is T times wider.
     EXPECT_NEAR(static_cast<double>(s3.peakWorkspace) /
                     static_cast<double>(s1.peakWorkspace),
                 3.0, 1e-9);
-}
-
-TEST(ImplicitConv, EveryTilesPerGroupIsBitIdentical)
-{
-    // Sec. IV-B calls multi-tile merging correct by associativity. On
-    // the one engine it is exact: every T in 1..W_F accumulates each
-    // output in the same tap order, at 1 and 4 threads, on every
-    // available kernel backend.
-    forEachKernelBackend([](tensor::KernelBackend backend) {
-        const char *kernel = tensor::kernelBackendName(backend);
-        for (const ConvParams &p : conv::awkwardShapes()) {
-            tensor::Tensor input = makeInput(p);
-            tensor::Tensor filter = makeFilter(p);
-            input.fillRandom(61);
-            filter.fillRandom(67);
-            const tensor::Tensor ref = [&] {
-                ScopedThreads st(1);
-                return convImplicit(p, input, filter);
-            }();
-            for (Index t = 1; t <= p.kernelW; ++t)
-                for (const Index n : {1, 4}) {
-                    ScopedThreads st(n);
-                    EXPECT_TRUE(sameBytes(
-                        ref, convImplicit(p, input, filter,
-                                          {t, TileOrder::Naive})))
-                        << "T = " << t << " (" << kernel << ") at " << n
-                        << " threads on " << p.toString();
-                }
-        }
-    });
 }
 
 TEST(GatherGemm, PerTapGemmsReconstructDirectConv)
@@ -153,22 +153,15 @@ TEST(ImplicitConv, TpuStrategyPicksPaperParameter)
     tensor::Tensor filter = makeFilter(p);
     input.fillRandom(3);
     filter.fillRandom(4);
-    ImplicitConvStats stats;
-    const tensor::Tensor out =
-        convImplicitTpuStrategy(p, input, filter, 128, &stats);
-    // T = MIN(128/8, 3) = 3 -> ceil(9/3) = 3 merged GEMMs.
-    EXPECT_EQ(stats.tileGemms, 3);
+    // T = MIN(128/8, 3) = 3 -> ceil(9/3) = 3 merged passes.
+    const Index tiles = tpuMultiTileParam(128, p);
+    EXPECT_EQ(tiles, 3);
+    EXPECT_EQ(passStats(p, tiles).passes, 3);
+    tpusim::FunctionalTpuCore core(128, 8, 8);
+    const tpusim::FunctionalRunResult r = core.runConv(
+        channelFirst(), *channelFirst().plan(p), p, input, filter, tiles);
     const tensor::Tensor ref = tensor::convDirect(p, input, filter);
-    EXPECT_LT(out.maxAbsDiff(ref), 1e-3f);
-}
-
-TEST(ImplicitConv, RejectsBadOptions)
-{
-    const ConvParams p = makeConv(1, 2, 5, 2, 3);
-    tensor::Tensor input = makeInput(p);
-    tensor::Tensor filter = makeFilter(p);
-    EXPECT_THROW(convImplicit(p, input, filter, {0, TileOrder::Naive}),
-                 FatalError);
+    EXPECT_LT(r.output.maxAbsDiff(ref), 1e-3f);
 }
 
 TEST(ImplicitConv, FillElemsShrinkWithStride)
@@ -177,17 +170,9 @@ TEST(ImplicitConv, FillElemsShrinkWithStride)
     // stride^2 just like the compute does.
     const ConvParams s1 = makeConv(1, 4, 33, 4, 3, 1, 1);
     const ConvParams s2 = makeConv(1, 4, 33, 4, 3, 2, 1);
-    tensor::Tensor in1 = makeInput(s1), f1 = makeFilter(s1);
-    tensor::Tensor in2 = makeInput(s2), f2 = makeFilter(s2);
-    in1.fillRandom(9);
-    f1.fillRandom(10);
-    in2.fillRandom(9);
-    f2.fillRandom(10);
-    ImplicitConvStats st1, st2;
-    convImplicit(s1, in1, f1, {}, &st1);
-    convImplicit(s2, in2, f2, {}, &st2);
-    const double fill_ratio = static_cast<double>(st1.fillElems) /
-                              static_cast<double>(st2.fillElems);
+    const double fill_ratio =
+        static_cast<double>(passStats(s1, 1).fillElems) /
+        static_cast<double>(passStats(s2, 1).fillElems);
     const double flop_ratio = static_cast<double>(s1.flops()) /
                               static_cast<double>(s2.flops());
     EXPECT_NEAR(fill_ratio, flop_ratio, flop_ratio * 0.2);

@@ -1,14 +1,17 @@
 /** @file Tests for multi-tile grouping (Sec. IV-B): PassPlan::passes()
- *  merging, and merged passes on the host engine. */
+ *  merging, merged operands on the host engine, and merged passes on
+ *  the functional TPU core. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "conv/algorithm.h"
 #include "im2col/implicit_conv.h"
 #include "tensor/conv_ref.h"
 #include "tensor/microkernel.h"
+#include "tpusim/functional_core.h"
 
 namespace cfconv::im2col {
 namespace {
@@ -162,8 +165,9 @@ class MultiTileConv : public ::testing::TestWithParam<Index>
 
 TEST_P(MultiTileConv, MergedGemmsEqualDirectConv)
 {
-    // GEMM associativity: merging T tiles into one pass must not change
-    // the result (the correctness argument of Sec. IV-B).
+    // GEMM associativity: merging T tiles into one array pass of the
+    // functional core must not change the result beyond rounding (the
+    // correctness argument of Sec. IV-B).
     const Index tiles_per_group = GetParam();
     const ConvParams p = makeConv(2, 3, 7, 4, 3, 2, 1);
     tensor::Tensor input = makeInput(p);
@@ -171,13 +175,18 @@ TEST_P(MultiTileConv, MergedGemmsEqualDirectConv)
     input.fillRandom(5);
     filter.fillRandom(7);
 
-    ImplicitConvStats stats;
-    const tensor::Tensor out = convImplicit(
-        p, input, filter, {tiles_per_group, TileOrder::Naive}, &stats);
-    EXPECT_EQ(stats.tileGemms,
-              divCeil(p.kernelH * p.kernelW, tiles_per_group));
+    const conv::Algorithm &channel_first =
+        *conv::findAlgorithm(conv::AlgorithmId::ChannelFirst);
+    const PassPlan plan = *channel_first.plan(p);
+    constexpr Index kRows = 32;
+    const Index passes =
+        static_cast<Index>(plan.passes(kRows, tiles_per_group).size());
+    EXPECT_EQ(passes, divCeil(p.kernelH * p.kernelW, tiles_per_group));
+    tpusim::FunctionalTpuCore core(kRows, 4, 2);
+    const tpusim::FunctionalRunResult r = core.runConv(
+        channel_first, plan, p, input, filter, tiles_per_group);
     const tensor::Tensor ref = tensor::convDirect(p, input, filter);
-    EXPECT_LT(out.maxAbsDiff(ref), 1e-3f)
+    EXPECT_LT(r.output.maxAbsDiff(ref), 1e-3f)
         << "tiles_per_group = " << tiles_per_group;
 }
 

@@ -3,21 +3,30 @@
 
 #include <gtest/gtest.h>
 
+#include "conv/algorithm.h"
 #include "gpusim/gpu_sim.h"
 #include "im2col/conv_backward.h"
-#include "im2col/implicit_conv.h"
+#include "im2col/reorder.h"
 #include "im2col/sparse.h"
 #include "models/model_zoo.h"
 #include "tensor/conv_ref.h"
+#include "tpusim/functional_core.h"
 #include "tpusim/tpu_sim.h"
 
 namespace cfconv {
 namespace {
 
-using im2col::convImplicit;
 using tensor::ConvParams;
 using tensor::makeConv;
 using tensor::Tensor;
+
+/** The host engine's channel-first convolution. */
+Tensor
+convImplicit(const ConvParams &p, const Tensor &input, const Tensor &filter)
+{
+    return conv::findAlgorithm(conv::AlgorithmId::ChannelFirst)
+        ->execute(p, input, filter);
+}
 
 float
 mseLoss(const Tensor &a, const Tensor &b)
@@ -140,7 +149,8 @@ TEST(Integration, VggPipelineDimensionsChain)
 TEST(Integration, SparseMultiTileReorderedConvIsCorrect)
 {
     // Pile every feature onto one convolution: tile-pruned filter,
-    // multi-tile grouping, reuse-greedy order.
+    // multi-tile grouping, reuse-greedy order, on the functional TPU
+    // core with the TPU strategy's T for its 16 rows.
     const ConvParams p = makeConv(2, 4, 9, 4, 3, 2, 1);
     Tensor input = tensor::makeInput(p);
     Tensor filter = tensor::makeFilter(p);
@@ -148,10 +158,14 @@ TEST(Integration, SparseMultiTileReorderedConvIsCorrect)
     filter.fillRandom(337);
     const Tensor pruned = im2col::pruneFilterTiles(p, filter, 3.0 / 9.0);
 
-    im2col::ImplicitConvOptions options;
-    options.tilesPerGroup = im2col::tpuMultiTileParam(128, p);
-    options.order = im2col::TileOrder::ReuseGreedy;
-    const Tensor fancy = convImplicit(p, input, pruned, options);
+    tpusim::FunctionalTpuCore core(16, 4, 2);
+    const Tensor fancy =
+        core.runConv(*conv::findAlgorithm(conv::AlgorithmId::ChannelFirst),
+                     im2col::channelFirstPlan(
+                         p, im2col::orderTiles(
+                                p, im2col::TileOrder::ReuseGreedy)),
+                     p, input, pruned, im2col::tpuMultiTileParam(16, p))
+            .output;
     const Tensor plain = tensor::convDirect(p, input, pruned);
     EXPECT_LT(fancy.maxAbsDiff(plain), 1e-3f);
 }

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "im2col/implicit_conv.h"
+#include "conv/algorithm.h"
 #include "models/model_zoo.h"
 #include "sim/model_runner.h"
 #include "tensor/conv_ref.h"
@@ -128,10 +128,10 @@ TEST_F(ParallelDeterminism, ImplicitConvBitExact)
     tensor::Tensor filter = tensor::makeFilter(p);
     input.fillRandom(10);
     filter.fillRandom(11);
-    im2col::ImplicitConvOptions options;
-    options.tilesPerGroup = im2col::tpuMultiTileParam(128, p);
+    const conv::Algorithm *channel_first =
+        conv::findAlgorithm(conv::AlgorithmId::ChannelFirst);
     auto [serial, par] = serialAndParallel(
-        [&] { return im2col::convImplicit(p, input, filter, options); });
+        [&] { return channel_first->execute(p, input, filter); });
     expectBitExact(serial, par);
 }
 

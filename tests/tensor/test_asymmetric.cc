@@ -3,11 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "conv/algorithm.h"
 #include "im2col/conv_backward.h"
 #include "im2col/filter_decomp.h"
-#include "im2col/implicit_conv.h"
 #include "tensor/conv_ref.h"
 #include "tensor/im2col_explicit.h"
+#include "tpusim/functional_core.h"
 
 #include "../common/explicit_oracle.h"
 
@@ -56,14 +57,23 @@ TEST_P(AsymmetricConv, ImplicitEngineEqualsDirect)
     input.fillRandom(95);
     filter.fillRandom(97);
     const Tensor ref = convDirect(p, input, filter);
-    for (Index tiles : {1L, 2L, 3L}) {
-        im2col::ImplicitConvOptions options;
-        options.tilesPerGroup = tiles;
-        EXPECT_LT(im2col::convImplicit(p, input, filter, options)
-                      .maxAbsDiff(ref),
+    for (const conv::Algorithm *algo : conv::allAlgorithms()) {
+        if (algo->supports(p, 1).ok()) {
+            EXPECT_LT(algo->execute(p, input, filter).maxAbsDiff(ref),
+                      1e-3f)
+                << algo->name() << " on " << p.toString();
+        }
+    }
+    // Multi-tile merging on the functional TPU core.
+    const conv::Algorithm &channel_first =
+        *conv::findAlgorithm(conv::AlgorithmId::ChannelFirst);
+    tpusim::FunctionalTpuCore core(9, 4, 2);
+    for (Index tiles : {1L, 2L, 3L})
+        EXPECT_LT(core.runConv(channel_first, *channel_first.plan(p), p,
+                               input, filter, tiles)
+                      .output.maxAbsDiff(ref),
                   1e-3f)
             << p.toString() << " tiles " << tiles;
-    }
 }
 
 TEST_P(AsymmetricConv, BackwardPassesMatchDirect)
