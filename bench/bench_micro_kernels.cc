@@ -155,7 +155,7 @@ timeGemmMs(const tensor::Matrix &a, const tensor::Matrix &b,
            tensor::Matrix &c)
 {
     double best = 1e30;
-    tensor::gemm(a, b, c); // warm up packing buffers and the pool
+    tensor::gemm(a, b, c); // warm up the pool and the caches
     for (int rep = 0; rep < 3; ++rep) {
         bench::WallTimer t;
         tensor::gemm(a, b, c);

@@ -11,6 +11,14 @@
 # avx2+fma or the build disabled CFCONV_ENABLE_AVX2; the dispatcher
 # would otherwise warn and fall back, which is correct at runtime but
 # would make this gate silently re-test the generic backend.
+#
+# Pair this with the CFCONV_ENABLE_AVX2=OFF CMake option to compile the
+# AVX2 translation unit's panicking stubs, the configuration a compiler
+# without -mavx2/-mfma (a non-x86 host, say) gets automatically; only
+# the generic leg runs there:
+#   cmake -B build-noavx2 -DCFCONV_ENABLE_AVX2=OFF
+#   cmake --build build-noavx2 --target cfconv_tests
+#   BUILD_DIR=build-noavx2 scripts/check_kernels.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -9,8 +9,6 @@ namespace cfconv {
 
 namespace {
 
-std::atomic<bool> quietFlag{false};
-
 constexpr int kLevelUnset = -1;
 
 /** Active level, or kLevelUnset until first use (then env-derived). */
@@ -34,8 +32,6 @@ envLevel()
 bool
 levelAllows(LogLevel at_least)
 {
-    if (quietFlag.load(std::memory_order_relaxed))
-        return false;
     return static_cast<int>(logLevel()) <= static_cast<int>(at_least);
 }
 
@@ -144,12 +140,6 @@ warn(const char *fmt, ...)
     std::string s = detail::vformat(fmt, args);
     va_end(args);
     std::fprintf(stderr, "warn: %s\n", s.c_str());
-}
-
-void
-setQuiet(bool quiet)
-{
-    quietFlag.store(quiet, std::memory_order_relaxed);
 }
 
 } // namespace cfconv

@@ -83,11 +83,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Print a warning about possibly-imprecise behaviour to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Globally silence inform()/warn() output (used by benches);
- *  equivalent to raising the level to Error, kept as a separate flag
- *  so callers can restore the previous level with setQuiet(false). */
-void setQuiet(bool quiet);
-
 /** printf-style fatal(). */
 template <typename... Args>
 [[noreturn]] void

@@ -94,11 +94,11 @@ gatherGemm(const ConvParams &params, const tensor::Tensor &input,
                             tensor::indirectTile(taps, plan.tapDepth, a,
                                                  kUnitRows, b,
                                                  ofmap + at + j * plane,
-                                                 plane);
+                                                 plane, false);
                             continue;
                         }
                         tensor::indirectTile(taps, plan.tapDepth, a,
-                                             kUnitRows, b, tile, MR);
+                                             kUnitRows, b, tile, MR, false);
                         const Index mr = std::min(MR, m1 - i);
                         for (Index jj = 0; jj < nr; ++jj)
                             for (Index ii = 0; ii < mr; ++ii)

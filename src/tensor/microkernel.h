@@ -1,22 +1,23 @@
 /**
  * @file
- * SIMD micro-kernel GEMM subsystem: runtime-dispatched, register-tiled
- * inner kernels with cache-blocked operand packing. This is the single
- * hot loop under every functional GEMM in the repo; tensor::gemm() and
- * the simulator functional cores all route here.
+ * SIMD micro-kernel subsystem: one runtime-dispatched 8x8 register tile
+ * per backend, fed through a table of row pointers (Dukhan's indirect
+ * GEMM). This is the single hot loop under every functional GEMM in
+ * the repo: tensor::gemm(), the GPU block kernel's staged MMA and every
+ * conv::Algorithm::execute() (im2col::gatherGemm) all route here.
  *
  * Kernel hierarchy (see DESIGN.md "Micro-kernel GEMM"):
  *
  *   dispatch  — CPUID picks avx2, else generic, at first use;
  *               CFCONV_KERNEL=avx2|generic overrides it for a whole run;
- *   packing   — A is packed into MR-row panels and B into NR-column
- *               panels per kPanelK-deep cache block so the inner kernel
- *               only ever streams contiguous memory;
- *   kernel    — an MR x NR register-tiled FMA micro-kernel (AVX2+FMA
- *               intrinsics, or its plain-C vectorizable 8-wide twin);
- *   indirect  — the same register tile fed through a table of row
- *               pointers (indirectTile()), the inner loop of every
- *               implicit convolution (im2col::gatherGemm).
+ *   packing   — B is packed once per call into 8-column strips
+ *               (packColumnStrips()), from a row-major matrix or
+ *               straight from a filter; A is read in place;
+ *   tile      — indirectTile(): a kMicroRows x kMicroCols register
+ *               tile (AVX2+FMA intrinsics, or its plain-C vectorizable
+ *               8-wide twin) whose row i reads A through its own
+ *               pointer. A plain GEMM is the tile with one tap whose
+ *               pointers point straight into A (microkernelGemm()).
  *
  * Determinism contract: within a fixed backend, every entry point is
  * bit-exact at any thread count (workers own disjoint row blocks of C
@@ -34,17 +35,15 @@
 
 namespace cfconv::tensor {
 
-/** Register tile height (rows of A per micro-panel). */
+/** Register tile height (rows of A per tile). */
 constexpr Index kMicroRows = 8;
-/** Register tile width (columns of B per micro-panel). */
+/** Register tile width (columns of B per strip). */
 constexpr Index kMicroCols = 8;
-/** Default K-dimension cache-block depth for operand packing. */
-constexpr Index kPanelK = 256;
 
 /** The available inner-kernel implementations, slowest first. */
 enum class KernelBackend {
-    Generic, ///< plain-C 8-wide kernel over packed panels (auto-vectorized)
-    Avx2,    ///< AVX2+FMA intrinsics over packed panels
+    Generic, ///< plain-C 8-wide tile (auto-vectorized)
+    Avx2,    ///< AVX2+FMA intrinsics tile
 };
 
 /** @return a printable lowercase name ("generic", "avx2"). */
@@ -83,7 +82,10 @@ void resetKernelBackend();
  * @p lda) * B (k x n, leading dimension @p ldb), or C += A * B when
  * @p accumulate, using the active backend. This is the raw driver under
  * gemm(); use that unless operating on borrowed buffers (the
- * simulators' staged shared-memory chunks do).
+ * simulators' staged shared-memory chunks do). It is indirectTile()
+ * with one k-deep tap: each element is one chain over ascending p,
+ * started from zero or, when accumulating, from C, so a GEMM split
+ * along k into accumulating calls returns the unsplit bytes.
  */
 void microkernelGemm(Index m, Index n, Index k, const float *a,
                      Index lda, const float *b, Index ldb, float *c,
@@ -106,19 +108,21 @@ std::vector<float> packColumnStrips(const float *base,
  * The pointer-table micro-kernel (Dukhan's indirect GEMM): one
  * kMicroRows x kMicroCols C tile, held in registers across all taps,
  *
- *     C[i][j] = sum over t < taps, p < depth of
- *               rows[t * ld + i][p] * b_panel[(t * depth + p) * 8 + j]
+ *     C[i][j] (+)= sum over t < taps, p < depth of
+ *                  rows[t * ld + i][p] * b_panel[(t * depth + p) * 8 + j]
  *
- * accumulated from zero in ascending (t, p) order: one FMA per step on
- * avx2, one multiply and one add on generic. Every element therefore
- * holds the bytes microkernelGemm() gives for the same lowered row
- * against the same B. rows[t * ld + i] addresses the @p depth
- * contiguous values row i reads at tap t; @p b_panel is one strip of
- * packColumnStrips(). C[i][j] is stored at c[j * ldc + i], each column's
- * rows contiguous, as NCHW holds one channel of consecutive pixels.
+ * accumulated in ascending (t, p) order from zero, or from C when
+ * @p accumulate: one FMA per step on avx2, one multiply and one add on
+ * generic. Every element therefore holds the bytes microkernelGemm()
+ * gives for the same lowered row against the same B. rows[t * ld + i]
+ * addresses the @p depth contiguous values row i reads at tap t;
+ * @p b_panel is one strip of packColumnStrips(). C[i][j] lives at
+ * c[j * ldc + i], each column's rows contiguous, as NCHW holds one
+ * channel of consecutive pixels.
  */
 void indirectTile(Index taps, Index depth, const float *const *rows,
-                  Index ld, const float *b_panel, float *c, Index ldc);
+                  Index ld, const float *b_panel, float *c, Index ldc,
+                  bool accumulate);
 
 /** dst[i] += scale * src[i] over @p n contiguous floats (SAXPY). */
 void vectorAxpyInto(float *dst, const float *src, float scale, Index n);

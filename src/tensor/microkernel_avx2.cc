@@ -24,14 +24,56 @@ avx2CompiledIn()
     return true;
 }
 
-void
-gemmPanelAvx2(Index kc, const float *a_panel, const float *b_panel,
-              float *c, Index ldc, bool load_c)
+namespace {
+
+/**
+ * Transposes the 8x8 tile in r0..r7 in place: register i holding row i
+ * comes out as register i holding column i, and back, as the transpose
+ * is its own inverse. A call would spill the eight accumulators, so it
+ * is always inlined.
+ */
+[[gnu::always_inline]] inline void
+transpose8x8(__m256 &r0, __m256 &r1, __m256 &r2, __m256 &r3, __m256 &r4,
+             __m256 &r5, __m256 &r6, __m256 &r7)
 {
-    // One ymm accumulator per output row; with the B row vector and the
-    // broadcast lane this uses 10 of the 16 ymm registers.
+    const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+    const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+    const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+    const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+    const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+    const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+    const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+    const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+    const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    r0 = _mm256_permute2f128_ps(s0, s4, 0x20);
+    r1 = _mm256_permute2f128_ps(s1, s5, 0x20);
+    r2 = _mm256_permute2f128_ps(s2, s6, 0x20);
+    r3 = _mm256_permute2f128_ps(s3, s7, 0x20);
+    r4 = _mm256_permute2f128_ps(s0, s4, 0x31);
+    r5 = _mm256_permute2f128_ps(s1, s5, 0x31);
+    r6 = _mm256_permute2f128_ps(s2, s6, 0x31);
+    r7 = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+} // namespace
+
+void
+indirectTileAvx2(Index taps, Index depth, const float *const *rows,
+                 Index ld, const float *b_panel, float *c, Index ldc,
+                 bool accumulate)
+{
+    // One ymm accumulator per tile row; with the B row vector and the
+    // broadcast lane this uses 10 of the 16 ymm registers. Each row's
+    // A operand is read through its own pointer for every tap.
     __m256 c0, c1, c2, c3, c4, c5, c6, c7;
-    if (load_c) {
+    if (accumulate) {
         c0 = _mm256_loadu_ps(c + 0 * ldc);
         c1 = _mm256_loadu_ps(c + 1 * ldc);
         c2 = _mm256_loadu_ps(c + 2 * ldc);
@@ -40,39 +82,10 @@ gemmPanelAvx2(Index kc, const float *a_panel, const float *b_panel,
         c5 = _mm256_loadu_ps(c + 5 * ldc);
         c6 = _mm256_loadu_ps(c + 6 * ldc);
         c7 = _mm256_loadu_ps(c + 7 * ldc);
+        transpose8x8(c0, c1, c2, c3, c4, c5, c6, c7);
     } else {
         c0 = c1 = c2 = c3 = c4 = c5 = c6 = c7 = _mm256_setzero_ps();
     }
-    for (Index p = 0; p < kc; ++p) {
-        const __m256 b = _mm256_loadu_ps(b_panel + p * 8);
-        const float *a = a_panel + p * 8;
-        c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 0), b, c0);
-        c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 1), b, c1);
-        c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 2), b, c2);
-        c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 3), b, c3);
-        c4 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 4), b, c4);
-        c5 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 5), b, c5);
-        c6 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 6), b, c6);
-        c7 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 7), b, c7);
-    }
-    _mm256_storeu_ps(c + 0 * ldc, c0);
-    _mm256_storeu_ps(c + 1 * ldc, c1);
-    _mm256_storeu_ps(c + 2 * ldc, c2);
-    _mm256_storeu_ps(c + 3 * ldc, c3);
-    _mm256_storeu_ps(c + 4 * ldc, c4);
-    _mm256_storeu_ps(c + 5 * ldc, c5);
-    _mm256_storeu_ps(c + 6 * ldc, c6);
-    _mm256_storeu_ps(c + 7 * ldc, c7);
-}
-
-void
-indirectTileAvx2(Index taps, Index depth, const float *const *rows,
-                 Index ld, const float *b_panel, float *c, Index ldc)
-{
-    // gemmPanelAvx2's register tile, with each row's A operand read
-    // through its own pointer for every tap.
-    __m256 c0, c1, c2, c3, c4, c5, c6, c7;
-    c0 = c1 = c2 = c3 = c4 = c5 = c6 = c7 = _mm256_setzero_ps();
     const float *b = b_panel;
     for (Index t = 0; t < taps; ++t, rows += ld) {
         const float *a0 = rows[0];
@@ -120,32 +133,16 @@ indirectTileAvx2(Index taps, Index depth, const float *const *rows,
         }
         b += depth * 8;
     }
-    // 8x8 transpose: register i holds row i, column j goes out as one
-    // 8-row vector.
-    const __m256 t0 = _mm256_unpacklo_ps(c0, c1);
-    const __m256 t1 = _mm256_unpackhi_ps(c0, c1);
-    const __m256 t2 = _mm256_unpacklo_ps(c2, c3);
-    const __m256 t3 = _mm256_unpackhi_ps(c2, c3);
-    const __m256 t4 = _mm256_unpacklo_ps(c4, c5);
-    const __m256 t5 = _mm256_unpackhi_ps(c4, c5);
-    const __m256 t6 = _mm256_unpacklo_ps(c6, c7);
-    const __m256 t7 = _mm256_unpackhi_ps(c6, c7);
-    const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-    _mm256_storeu_ps(c + 0 * ldc, _mm256_permute2f128_ps(s0, s4, 0x20));
-    _mm256_storeu_ps(c + 1 * ldc, _mm256_permute2f128_ps(s1, s5, 0x20));
-    _mm256_storeu_ps(c + 2 * ldc, _mm256_permute2f128_ps(s2, s6, 0x20));
-    _mm256_storeu_ps(c + 3 * ldc, _mm256_permute2f128_ps(s3, s7, 0x20));
-    _mm256_storeu_ps(c + 4 * ldc, _mm256_permute2f128_ps(s0, s4, 0x31));
-    _mm256_storeu_ps(c + 5 * ldc, _mm256_permute2f128_ps(s1, s5, 0x31));
-    _mm256_storeu_ps(c + 6 * ldc, _mm256_permute2f128_ps(s2, s6, 0x31));
-    _mm256_storeu_ps(c + 7 * ldc, _mm256_permute2f128_ps(s3, s7, 0x31));
+    // Column j goes out as one 8-row vector.
+    transpose8x8(c0, c1, c2, c3, c4, c5, c6, c7);
+    _mm256_storeu_ps(c + 0 * ldc, c0);
+    _mm256_storeu_ps(c + 1 * ldc, c1);
+    _mm256_storeu_ps(c + 2 * ldc, c2);
+    _mm256_storeu_ps(c + 3 * ldc, c3);
+    _mm256_storeu_ps(c + 4 * ldc, c4);
+    _mm256_storeu_ps(c + 5 * ldc, c5);
+    _mm256_storeu_ps(c + 6 * ldc, c6);
+    _mm256_storeu_ps(c + 7 * ldc, c7);
 }
 
 void
@@ -177,14 +174,8 @@ avx2CompiledIn()
 // stub is an internal invariant violation, not a user error.
 
 void
-gemmPanelAvx2(Index, const float *, const float *, float *, Index, bool)
-{
-    panic("AVX2 kernel called but not compiled in");
-}
-
-void
 indirectTileAvx2(Index, Index, const float *const *, Index, const float *,
-                 float *, Index)
+                 float *, Index, bool)
 {
     panic("AVX2 kernel called but not compiled in");
 }

@@ -3,8 +3,8 @@
  *  address arithmetic wrong (stride 2/3, dilation 2, asymmetric
  *  padding, rectangular kernels, 1x1 and 7x7 filters), plus the edges
  *  of the host engine's 32-row work units and 8x8 tiles (ragged tiles,
- *  tiles that cross an image) and of the packed GEMM's 256-deep K
- *  panels. Sizes are small so the full matrix (shapes x algorithms x
+ *  tiles that cross an image) and a 360-deep K, one long chain per
+ *  tile. Sizes are small so the full matrix (shapes x algorithms x
  *  thread counts x kernel backends) stays fast. */
 
 #ifndef CFCONV_TESTS_CONV_AWKWARD_SHAPES_H
@@ -35,7 +35,7 @@ awkwardShapes()
         makeConv(2, 3, 13, 5, 3, 1, 1),
         makeConv(1, 3, 33, 7, 3, 2, 1), // gemmM 289 at stride 2
         makeConv(1, 5, 2, 6, 3, 1, 1),  // gemmM 4: under one 8-row tile
-        makeConv(1, 40, 6, 13, 3, 1, 1), // gemmK 360 > kPanelK
+        makeConv(1, 40, 6, 13, 3, 1, 1), // gemmK 360
         // One input row, pad 1: taps r = 0 and r = 2 are all halo in
         // every row of every work unit (gemmM 150).
         makeConvRect(1, 3, 1, 150, 4, 3, 3, 1, 1, 1, 1),

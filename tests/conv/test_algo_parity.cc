@@ -165,8 +165,11 @@ TEST(AlgoParity, ImplicitExecuteIsExplicitGemmBytes)
 {
     // Implicit lowering changes only the address generation in front of
     // an unchanged GEMM (Sec. III): every execute() returns the bytes of
-    // the materialized lowered matrix times the packed GEMM in the same
-    // column order, on every backend at 1 and 4 threads. Explicit im2col
+    // the materialized lowered matrix times gemm() in the same column
+    // order, on every backend at 1 and 4 threads. Both run the one
+    // pointer-table tile, so this pins the address generation: the
+    // independent byte reference is the generic tile's sequential loop
+    // (MicrokernelParity.GenericIsTheSequentialLoopBytes). Explicit im2col
     // is channel-last with its lowering hoisted into one workspace, so
     // it owes the channel-last bytes.
     forEachKernelBackend([](tensor::KernelBackend backend) {

@@ -9,10 +9,13 @@
 #include "im2col/reorder.h"
 #include "tensor/conv_ref.h"
 
+#include "../common/determinism.h"
+
 namespace cfconv::gpusim {
 namespace {
 
 using tensor::makeConv;
+using tensor::makeConvRect;
 using tensor::Tensor;
 
 /** Channel-first's plan for @p p, its taps in @p order. */
@@ -134,6 +137,53 @@ TEST(BlockKernel, StagesEveryPassOfEveryPlan)
                 << algo->name() << " on " << p.toString();
         }
     }
+}
+
+TEST(BlockKernel, ReturnsExecuteBytesOnItsOwnPlan)
+{
+    // On an algorithm's own plan the block kernel's K chunks, chained
+    // through accumulating GEMMs, replay execute()'s per-element chain,
+    // so the bytes match whatever the TB tile and chunk depth. (A
+    // reordered plan sums in another order; the tests above keep a
+    // tolerance for those.)
+    const ConvParams layers[] = {
+        makeConv(1, 40, 6, 13, 3, 1, 1),  // gemmK 360
+        makeConv(1, 3, 15, 8, 5, 2, 2),   // 5x5/2 stem, C_I 3
+        makeConv(2, 6, 8, 6, 3, 1, 1),    // batch 2, unit stride
+        makeConv(1, 5, 9, 4, 3, 2, 1),    // stride 2, gemmM 25
+        makeConv(2, 8, 7, 6, 1),          // pointwise
+        makeConvRect(1, 3, 8, 10, 4, 3, 5, 1, 2, 2, 1),
+    };
+    forEachKernelBackend([&](tensor::KernelBackend backend) {
+        for (const ConvParams &p : layers) {
+            Tensor input = tensor::makeInput(p);
+            Tensor filter = tensor::makeFilter(p);
+            input.fillRandom(179);
+            filter.fillRandom(181);
+            for (const conv::Algorithm *algo : conv::allAlgorithms()) {
+                const StatusOr<im2col::PassPlan> plan = algo->plan(p);
+                if (!plan.ok())
+                    continue;
+                const Tensor want = algo->execute(p, input, filter);
+                BlockKernelConfig cfg;
+                for (const Index tm : {7, 16, 33})
+                    for (const Index tn : {5, 8, 24})
+                        for (const Index kc : {1, 5, 16, 64}) {
+                            cfg.tileM = tm;
+                            cfg.tileN = tn;
+                            cfg.chunkK = kc;
+                            EXPECT_TRUE(sameBytes(
+                                want, convBlock(*algo, *plan, p, input,
+                                                filter, cfg)))
+                                << algo->name() << " ("
+                                << tensor::kernelBackendName(backend)
+                                << ") tile " << tm << "x" << tn
+                                << " chunkK " << kc << " on "
+                                << p.toString();
+                        }
+            }
+        }
+    });
 }
 
 TEST(BlockKernel, TileOrderDoesNotChangeResults)

@@ -97,7 +97,7 @@ TEST_F(ParallelDeterminism, GemmAccumulateBitExact)
 
 TEST_F(ParallelDeterminism, GemmBlockedBitExact)
 {
-    // k = 600 spans three kPanelK-deep K blocks.
+    // k = 600: each element is one 600-step chain in a single tile.
     tensor::Matrix a(100, 600), b(600, 60);
     a.fillRandom(6);
     b.fillRandom(7);

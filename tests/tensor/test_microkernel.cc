@@ -5,10 +5,11 @@
  * shapes, accumulate and overwrite modes, at 1 and N threads.
  *
  * Tolerance contract: within a backend, results are bit-exact at any
- * thread count and under any K-blocking. Across backends (and vs the naive loop) FMA contraction
- * and 8-wide accumulation reassociate the k-sum, so parity holds to
- * kUlpSlack * eps * k absolute (operands are drawn from [-1, 1), so
- * partial sums are bounded by k).
+ * thread count and under any K-blocking, and generic returns the naive
+ * loop's bytes. Across backends (and for avx2 against the naive loop)
+ * FMA contraction rounds each step once instead of twice, so parity
+ * holds to kUlpSlack * eps * k absolute (operands are drawn from
+ * [-1, 1), so partial sums are bounded by k).
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +102,41 @@ TEST(MicrokernelParity, AwkwardCrossSweep)
     });
 }
 
+TEST(MicrokernelParity, GenericIsTheSequentialLoopBytes)
+{
+    // The generic tile takes one multiply and one add per step in
+    // ascending p, from zero or from C: naiveGemm's loop exactly, so
+    // its bytes have a reference independent of the tile. (avx2 fuses
+    // each step into one FMA and keeps the tolerance above.)
+    forEachKernelBackend([](KernelBackend backend) {
+        if (backend != KernelBackend::Generic)
+            return;
+        for (const Index m : {1, 8, 9, 65})
+            for (const Index n : {1, 7, 17, 64})
+                for (const Index k : {1, 5, 131, 256, 257, 600}) {
+                    Matrix a(m, k), b(k, n);
+                    a.fillRandom(static_cast<std::uint64_t>(m + 3 * k));
+                    b.fillRandom(static_cast<std::uint64_t>(n + 5 * k));
+                    const size_t bytes = sizeof(float) * m * n;
+
+                    Matrix c(m, n);
+                    gemm(a, b, c);
+                    EXPECT_EQ(std::memcmp(c.data(), naiveGemm(a, b).data(),
+                                          bytes),
+                              0)
+                        << "overwrite " << m << "x" << n << "x" << k;
+
+                    Matrix acc(m, n);
+                    acc.fillRandom(static_cast<std::uint64_t>(m * n + k));
+                    const Matrix want = naiveGemm(a, b, &acc);
+                    microkernelGemm(m, n, k, a.data(), k, b.data(), n,
+                                    acc.data(), n, true);
+                    EXPECT_EQ(std::memcmp(acc.data(), want.data(), bytes), 0)
+                        << "accumulate " << m << "x" << n << "x" << k;
+                }
+    });
+}
+
 TEST(MicrokernelParallel, BitExactAcrossThreadCounts)
 {
     forEachKernelBackend([](KernelBackend backend) {
@@ -147,12 +183,12 @@ TEST(MicrokernelParallel, AccumulateBitExactAcrossThreadCounts)
 
 TEST(MicrokernelParity, KBlockingIsBitExactOnPackedBackends)
 {
-    // gemm() blocks K at kPanelK and each element's partial sum
-    // round-trips through C exactly, so the same GEMM split into
-    // tile_k-deep calls (the first overwriting, the rest accumulating)
-    // returns its bytes, whatever the depth and wherever the splits
-    // fall against kPanelK.
-    constexpr Index m = 23, n = 17, k = 2 * kPanelK + 88;
+    // Each element of gemm() is one chain over ascending p, and an
+    // accumulating call seeds its tile from C, whose fp32 partial sums
+    // round-trip exactly. So the same GEMM split into tile_k-deep calls
+    // (the first overwriting, the rest accumulating) returns its bytes,
+    // whatever the depth and wherever the splits fall.
+    constexpr Index m = 23, n = 17, k = 600;
     Matrix a(m, k), b(k, n);
     a.fillRandom(6);
     b.fillRandom(7);
@@ -160,7 +196,7 @@ TEST(MicrokernelParity, KBlockingIsBitExactOnPackedBackends)
         Matrix ref(m, n);
         gemm(a, b, ref);
         for (const Index tile_k :
-             {Index{1}, Index{5}, Index{64}, kPanelK, kPanelK + 1}) {
+             {Index{1}, Index{5}, Index{64}, Index{256}, Index{257}}) {
             Matrix c(m, n);
             for (Index p0 = 0; p0 < k; p0 += tile_k)
                 microkernelGemm(m, n, std::min(tile_k, k - p0),
