@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the functional kernels: reference
  * GEMM, explicit im2col lowering, the implicit channel-first engine,
- * and every conv::Algorithm::execute().
- * These time the host-side reference implementations (not the
- * simulators).
+ * and every conv::Algorithm::execute(), plus the banked DRAM fill
+ * model TPUSim prices its channel-first tile fills with.
+ * These time host-side code: the reference implementations and the
+ * fill model, not whole simulator runs.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +19,8 @@
 
 #include "bench_util.h"
 #include "conv/algorithm.h"
+#include "dram/access_pattern.h"
+#include "im2col/filter_decomp.h"
 #include "tensor/conv_ref.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col_explicit.h"
@@ -138,6 +141,49 @@ BENCHMARK(BM_AlgorithmExecute)->Apply([](benchmark::internal::Benchmark *b) {
                     .ok())
                 b->Args({a, static_cast<Index>(l)});
 });
+
+/** The layers BM_TileFill times, at batch 8: the ResNet-50 7x7/2 stem
+ *  (C_I 3: short rows, scattered bursts), VGG16 conv1_2 (C 64 at
+ *  224x224) and a 3x3 with C 64 at 56x56. */
+const std::vector<std::pair<const char *, tensor::ConvParams>> &
+fillLayers()
+{
+    static const std::vector<std::pair<const char *, tensor::ConvParams>>
+        layers = {
+            {"stem7x7/s2", makeConv(8, 3, 224, 64, 7, 2, 3)},
+            {"vgg16.conv1_2", makeConv(8, 64, 224, 64, 3, 1, 1)},
+            {"3x3/56x56", makeConv(8, 64, 56, 64, 3, 1, 1)},
+        };
+    return layers;
+}
+
+/** Host time of the banked DRAM fill model on one fillLayers() layer:
+ *  the HWCN fill stream of every tap, serviced by an HBM2 (700 GB/s)
+ *  DramModel. Bytes processed are the bytes the fills move. */
+void
+BM_TileFill(benchmark::State &state)
+{
+    const auto &[layer, p] =
+        fillLayers()[static_cast<size_t>(state.range(0))];
+    const std::vector<im2col::FilterTile> taps = im2col::decomposeFilter(p);
+    dram::DramModel model(dram::DramConfig::hbm700());
+    Bytes bytes = 0;
+    for (auto _ : state) {
+        Cycles cycles = 0;
+        bytes = 0;
+        for (const im2col::FilterTile &tap : taps) {
+            const auto stream =
+                dram::tileFillStream(p, tap, tensor::Layout::HWCN);
+            bytes += dram::streamBytes(stream);
+            cycles += model.service(stream);
+        }
+        benchmark::DoNotOptimize(cycles);
+    }
+    state.SetLabel(layer);
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_TileFill)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
 
 /** One timed GEMM data point of the per-backend sweep. */
 struct GemmPoint

@@ -1,7 +1,5 @@
 #include "dram/access_pattern.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace cfconv::dram {
@@ -37,24 +35,48 @@ elemAddr(const ConvParams &params, Layout layout, Index n, Index c,
 }
 
 /**
- * Append [addr, addr+bytes) to @p stream, merging with the tail. Gaps
- * smaller than a DRAM transaction (32 B) are fetched over rather than
- * skipped, as a real memory controller would: this is exactly the
- * bandwidth waste a strided CHW gather pays.
+ * Append one footprint row to @p stream: @p count positions @p stride
+ * bytes apart, @p bytes each, ascending and at or after the end of
+ * every position already in the stream. The result is what appending
+ * the positions one at a time would give when each merges with the
+ * stream's last request whenever the gap to it is at most a DRAM
+ * transaction (32 B): such gaps are fetched over rather than skipped,
+ * as a real memory controller would, which is exactly the bandwidth
+ * waste a strided CHW gather pays. A row whose gaps are that small is
+ * one burst; any other row is one strided run.
  */
 void
-appendCoalesced(std::vector<Request> &stream, Bytes addr, Bytes bytes)
+appendRow(std::vector<Request> &stream, Bytes addr, Bytes bytes,
+          Index count, Bytes stride)
 {
     constexpr Bytes transaction = 32;
+    const bool coalesces = stride - bytes <= transaction;
     if (!stream.empty()) {
-        Request &tail = stream.back();
-        const Bytes tail_end = tail.addr + tail.bytes;
-        if (addr >= tail.addr && addr <= tail_end + transaction) {
-            tail.bytes = std::max(tail_end, addr + bytes) - tail.addr;
-            return;
+        // The row's first position may extend the last request of
+        // the stream, which a strided run first gives up.
+        const Request tail = stream.back();
+        const Bytes last =
+            tail.addr + static_cast<Bytes>(tail.count - 1) * tail.stride;
+        if (addr <= last + tail.bytes + transaction) {
+            if (tail.count > 1) {
+                --stream.back().count;
+                stream.push_back({last, tail.bytes});
+            }
+            const Index merged = coalesces ? count : 1;
+            Request &into = stream.back();
+            into.bytes = addr + static_cast<Bytes>(merged - 1) * stride +
+                         bytes - into.addr;
+            addr += static_cast<Bytes>(merged) * stride;
+            count -= merged;
         }
     }
-    stream.push_back({addr, bytes});
+    if (count == 0)
+        return;
+    if (coalesces || count == 1)
+        stream.push_back(
+            {addr, static_cast<Bytes>(count - 1) * stride + bytes});
+    else
+        stream.push_back({addr, bytes, count, stride});
 }
 
 } // namespace
@@ -64,75 +86,45 @@ tileFillStream(const ConvParams &params, const FilterTile &tile,
                Layout layout)
 {
     const im2col::TileFootprint fp = im2col::tileFootprint(params, tile);
-    const Bytes elem = dataTypeSize(params.dataType);
     std::vector<Request> stream;
+    if (fp.positions() == 0)
+        return stream;
+    const Index cols = (fp.iwEnd - fp.iwBegin - 1) / fp.iwStep + 1;
+    const Bytes elem = dataTypeSize(params.dataType);
+    const auto row = [&](Index n, Index c, Index h, Bytes bytes) {
+        appendRow(stream, elemAddr(params, layout, n, c, h, fp.iwBegin),
+                  bytes, cols, static_cast<Bytes>(fp.iwStep) * bytes);
+    };
 
-    // Iterate the footprint in the layout's own storage order so
-    // contiguous runs coalesce into long bursts.
+    // Walk the footprint in the layout's own storage order, one
+    // request per footprint row, so contiguous runs coalesce into long
+    // bursts.
     switch (layout) {
       case Layout::HWCN:
         // (h, w) positions; each position holds C*N contiguous bytes.
         for (Index h = fp.ihBegin; h < fp.ihEnd; h += fp.ihStep)
-            for (Index w = fp.iwBegin; w < fp.iwEnd; w += fp.iwStep)
-                appendCoalesced(stream, elemAddr(params, layout, 0, 0, h, w),
-                                elem * static_cast<Bytes>(
-                                    params.inChannels * params.batch));
+            row(0, 0, h,
+                elem * static_cast<Bytes>(params.inChannels *
+                                          params.batch));
         break;
       case Layout::NHWC:
         for (Index n = 0; n < params.batch; ++n)
             for (Index h = fp.ihBegin; h < fp.ihEnd; h += fp.ihStep)
-                for (Index w = fp.iwBegin; w < fp.iwEnd; w += fp.iwStep)
-                    appendCoalesced(
-                        stream, elemAddr(params, layout, n, 0, h, w),
-                        elem * static_cast<Bytes>(params.inChannels));
+                row(n, 0, h,
+                    elem * static_cast<Bytes>(params.inChannels));
         break;
       case Layout::NCHW:
         for (Index n = 0; n < params.batch; ++n)
             for (Index c = 0; c < params.inChannels; ++c)
                 for (Index h = fp.ihBegin; h < fp.ihEnd; h += fp.ihStep)
-                    for (Index w = fp.iwBegin; w < fp.iwEnd;
-                         w += fp.iwStep)
-                        appendCoalesced(
-                            stream, elemAddr(params, layout, n, c, h, w),
-                            elem);
+                    row(n, c, h, elem);
         break;
       case Layout::CHWN:
         for (Index c = 0; c < params.inChannels; ++c)
             for (Index h = fp.ihBegin; h < fp.ihEnd; h += fp.ihStep)
-                for (Index w = fp.iwBegin; w < fp.iwEnd; w += fp.iwStep)
-                    appendCoalesced(
-                        stream, elemAddr(params, layout, 0, c, h, w),
-                        elem * static_cast<Bytes>(params.batch));
+                row(0, c, h, elem * static_cast<Bytes>(params.batch));
         break;
     }
-    return stream;
-}
-
-std::vector<Request>
-fullInputStream(const ConvParams &params, Layout layout)
-{
-    const Bytes elem = dataTypeSize(params.dataType);
-    std::vector<Request> stream;
-    // The whole IFMap is contiguous in every layout; what differs is how
-    // the stream interleaves with compute. Model it as row-sized bursts
-    // in storage order.
-    const Bytes total = params.inputBytes();
-    Bytes row = 0;
-    switch (layout) {
-      case Layout::HWCN:
-        row = elem * static_cast<Bytes>(params.inW * params.inChannels *
-                                        params.batch);
-        break;
-      case Layout::NHWC:
-        row = elem * static_cast<Bytes>(params.inW * params.inChannels);
-        break;
-      case Layout::NCHW:
-      case Layout::CHWN:
-        row = elem * static_cast<Bytes>(params.inW);
-        break;
-    }
-    for (Bytes addr = 0; addr < total; addr += row)
-        stream.push_back({addr, std::min(row, total - addr)});
     return stream;
 }
 
@@ -141,7 +133,7 @@ streamBytes(const std::vector<Request> &stream)
 {
     Bytes total = 0;
     for (const auto &r : stream)
-        total += r.bytes;
+        total += static_cast<Bytes>(r.count) * r.bytes;
     return total;
 }
 

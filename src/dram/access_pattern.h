@@ -24,22 +24,16 @@ using tensor::Layout;
 /**
  * Burst stream for loading the channel-first footprint of decomposed
  * tile @p tile from an IFMap stored in @p layout, for batch size
- * params.batch. Coalesces addresses that are contiguous in the layout.
+ * params.batch: one request per footprint row (the layout's innermost
+ * loop). Positions at most one 32-byte transaction apart coalesce
+ * into one burst, merging with the previous row's last request too;
+ * a row of positions further apart is one strided run.
  */
 std::vector<Request> tileFillStream(const ConvParams &params,
                                     const FilterTile &tile,
                                     Layout layout);
 
-/**
- * Burst stream for a channel-last style fill: the union of receptive
- * fields of the whole output tile, i.e. (virtually) the entire IFMap
- * region regardless of stride. This is what makes the channel-last
- * design stride-sensitive.
- */
-std::vector<Request> fullInputStream(const ConvParams &params,
-                                     Layout layout);
-
-/** Sum of request lengths in @p stream. */
+/** Bytes every request of every run in @p stream moves. */
 Bytes streamBytes(const std::vector<Request> &stream);
 
 } // namespace cfconv::dram

@@ -38,98 +38,310 @@ DramModel::DramModel(const DramConfig &config) : config_(config)
                     "DramModel: zero row or bus width");
 }
 
+namespace {
+
+/**
+ * One service() call's state: every bank and bus, the counters, and a
+ * cursor on the DRAM row the last access touched. The cursor steps to
+ * the next row by adding, so only a request that starts outside its
+ * row and the next pays the address-mapping divisions.
+ */
+class Walk
+{
+  public:
+    explicit Walk(const DramConfig &config);
+
+    /** Serve every request of @p run, in order. */
+    void serve(const Request &run);
+
+    Cycles finish = 0;
+    Index hits = 0;
+    Index accesses = 0;
+
+  private:
+    struct BankState
+    {
+        Index openRow = -1;
+        Cycles ready = 0;
+    };
+
+    /** Data-bus cycles of one access moving @p bytes. */
+    Cycles
+    burst(Bytes bytes) const
+    {
+        return std::max<Cycles>(
+            2, divCeil<Bytes>(bytes, config_.busBytesPerCycle));
+    }
+
+    /** Point the cursor at the row holding @p addr. */
+    void seek(Bytes addr);
+
+    /** Point the cursor at the next row. */
+    void step();
+
+    /** Derive the cursor's bank, bank row and channel from its row id
+     *  (mapRows_ * quot_ + rem_). */
+    void place();
+
+    /** One column access moving @p bytes of the cursor row. */
+    void access(Bytes bytes);
+
+    /** Serve one request of @p bytes at @p addr, piece by piece. */
+    void request(Bytes addr, Bytes bytes);
+
+    /** Skip the whole turns of the banks in the first @p bytes - 1
+     *  bytes from the cursor row on; @return the bytes skipped. */
+    Bytes skipTurns(Bytes bytes);
+
+    const DramConfig &config_;
+    const bool interleaved_;
+    const Index nBanks_;
+    /** Rows per mapping unit: a turn of every bank when interleaved,
+     *  one bank's region when bank-contiguous. */
+    const Bytes mapRows_;
+    const Cycles fullBurst_;
+    /**
+     * A long request runs bus-bound once it has turned the banks
+     * twice: a bank's next access waits on the channel's other
+     * banksPerChannel - 1 full bursts, which cover the miss latency.
+     */
+    const bool turnsSettle_;
+    std::vector<BankState> banks_;
+    std::vector<Cycles> busFree_;
+
+    Bytes rowStart_ = 0; ///< byte address of the cursor row
+    Bytes quot_ = 0, rem_ = 0;
+    Index bank_ = 0, row_ = 0, chan_ = 0;
+};
+
+Walk::Walk(const DramConfig &config)
+    : config_(config),
+      interleaved_(config.mapping == AddressMapping::RowInterleaved),
+      nBanks_(config.channels * config.banksPerChannel),
+      // Bank-contiguous splits the address space evenly across banks.
+      mapRows_(interleaved_
+                   ? static_cast<Bytes>(nBanks_)
+                   : std::max<Bytes>(1, (16ULL << 30) /
+                                            static_cast<Bytes>(nBanks_) /
+                                            config.rowBytes)),
+      fullBurst_(burst(config.rowBytes)),
+      turnsSettle_(interleaved_ &&
+                   static_cast<Cycles>(config.banksPerChannel - 1) *
+                           fullBurst_ >=
+                       (config.pagePolicy == PagePolicy::Open
+                            ? config.tPrecharge
+                            : 0) +
+                           config.tActivate + config.tCas),
+      banks_(static_cast<size_t>(nBanks_)),
+      busFree_(static_cast<size_t>(config.channels), 0)
+{
+    place();
+}
+
+void
+Walk::seek(Bytes addr)
+{
+    const Bytes row_id = addr / config_.rowBytes;
+    rowStart_ = row_id * config_.rowBytes;
+    quot_ = row_id / mapRows_;
+    rem_ = row_id % mapRows_;
+    place();
+}
+
+void
+Walk::place()
+{
+    // Interleaved rotates consecutive rows across banks (streams get
+    // bank parallelism); contiguous gives each bank a fixed region
+    // (streams serialize on one bank).
+    if (interleaved_) {
+        bank_ = static_cast<Index>(rem_);
+        row_ = static_cast<Index>(quot_);
+    } else {
+        bank_ = static_cast<Index>(
+            std::min<Bytes>(quot_, static_cast<Bytes>(nBanks_ - 1)));
+        row_ = static_cast<Index>(rem_);
+    }
+    chan_ = bank_ % config_.channels;
+}
+
+void
+Walk::step()
+{
+    rowStart_ += config_.rowBytes;
+    if (++rem_ == mapRows_) {
+        rem_ = 0;
+        ++quot_;
+        place();
+    } else if (interleaved_) {
+        // The bank count is a multiple of the channel count, so the
+        // channel wraps exactly when the bank does.
+        ++bank_;
+        if (++chan_ == config_.channels)
+            chan_ = 0;
+    } else {
+        ++row_;
+    }
+}
+
+void
+Walk::access(Bytes bytes)
+{
+    BankState &bank = banks_[static_cast<size_t>(bank_)];
+    // Activation and CAS proceed inside the bank and overlap with
+    // other banks' data transfers; only the data beats serialize on
+    // the channel bus.
+    Cycles data_ready = bank.ready;
+    if (config_.pagePolicy == PagePolicy::Closed) {
+        // Auto-precharged: every access activates, none pays an
+        // explicit precharge, and no row ever hits.
+        data_ready += config_.tActivate;
+    } else if (bank.openRow == row_) {
+        ++hits;
+    } else {
+        // Conflict: precharge the old row (if any), activate.
+        if (bank.openRow >= 0)
+            data_ready += config_.tPrecharge;
+        data_ready += config_.tActivate;
+        bank.openRow = row_;
+    }
+    data_ready += config_.tCas;
+    ++accesses;
+
+    Cycles &bus = busFree_[static_cast<size_t>(chan_)];
+    const Cycles done =
+        std::max(bus, data_ready) +
+        (bytes == config_.rowBytes ? fullBurst_ : burst(bytes));
+    bank.ready = done;
+    bus = done;
+    finish = std::max(finish, done);
+}
+
+void
+Walk::request(Bytes addr, Bytes bytes)
+{
+    // Unsigned wrap-around sends addresses below the row to seek too.
+    Bytes row_off = addr - rowStart_;
+    if (row_off >= config_.rowBytes) {
+        if (row_off < 2 * config_.rowBytes) {
+            step();
+            row_off -= config_.rowBytes;
+        } else {
+            seek(addr);
+            row_off = addr - rowStart_;
+        }
+    }
+    // Split the request at row boundaries; each piece is one column
+    // access to one bank.
+    for (Index pieces = 1;; ++pieces) {
+        const Bytes chunk = std::min(bytes, config_.rowBytes - row_off);
+        access(chunk);
+        bytes -= chunk;
+        if (bytes == 0)
+            return;
+        step();
+        row_off = 0;
+        if (turnsSettle_ && pieces == 2 * nBanks_)
+            bytes -= skipTurns(bytes);
+    }
+}
+
+Bytes
+Walk::skipTurns(Bytes bytes)
+{
+    // Two turns in, every channel's last banksPerChannel accesses were
+    // full-row misses sent back to back on its bus, and so is every
+    // further one: each whole turn moves every bank and bus by one
+    // channel's worth of full bursts and every open row by one. The
+    // request's last piece stays on the generic path.
+    const Bytes turn_bytes = mapRows_ * config_.rowBytes;
+    const Bytes turns = (bytes - 1) / turn_bytes;
+    if (turns == 0)
+        return 0;
+    const Cycles shift = static_cast<Cycles>(turns) *
+                         static_cast<Cycles>(config_.banksPerChannel) *
+                         fullBurst_;
+    for (BankState &bank : banks_) {
+        bank.ready += shift;
+        if (config_.pagePolicy == PagePolicy::Open)
+            bank.openRow += static_cast<Index>(turns);
+    }
+    for (Cycles &bus : busFree_) {
+        bus += shift;
+        finish = std::max(finish, bus);
+    }
+    accesses += static_cast<Index>(turns) * nBanks_;
+    rowStart_ += turns * turn_bytes;
+    quot_ += turns;
+    row_ = static_cast<Index>(quot_);
+    return turns * turn_bytes;
+}
+
+void
+Walk::serve(const Request &run)
+{
+    const Cycles in_row_burst = burst(run.bytes);
+    for (Index i = 0; i < run.count;) {
+        const Bytes addr = run.addr + static_cast<Bytes>(i) * run.stride;
+        request(addr, run.bytes);
+        if (++i == run.count)
+            return;
+        // The run's next requests that lie wholly inside the row the
+        // last one ended in go to the same bank while the channel is
+        // otherwise idle: each hits (or re-activates, closed page) and
+        // adds tCas plus its burst.
+        const Bytes next = addr + run.stride;
+        const Bytes row_end = rowStart_ + config_.rowBytes;
+        if (next + run.bytes > row_end)
+            continue;
+        const Index inside = std::min<Index>(
+            run.count - i,
+            static_cast<Index>((row_end - run.bytes - next) / run.stride) +
+                1);
+        const bool closed = config_.pagePolicy == PagePolicy::Closed;
+        BankState &bank = banks_[static_cast<size_t>(bank_)];
+        bank.ready += static_cast<Cycles>(inside) *
+                      ((closed ? config_.tActivate : 0) + config_.tCas +
+                       in_row_burst);
+        busFree_[static_cast<size_t>(chan_)] = bank.ready;
+        finish = std::max(finish, bank.ready);
+        if (!closed)
+            hits += inside;
+        accesses += inside;
+        i += inside;
+    }
+}
+
+} // namespace
+
 Cycles
 DramModel::service(const std::vector<Request> &requests)
 {
-    const Index n_banks = config_.channels * config_.banksPerChannel;
-    std::vector<BankState> banks(static_cast<size_t>(n_banks));
-    std::vector<Cycles> bus_free(static_cast<size_t>(config_.channels), 0);
-
-    Cycles finish = 0;
+    Walk walk(config_);
     Bytes total_bytes = 0;
-    Index hits = 0, accesses = 0;
-
-    for (const auto &req : requests) {
-        CFCONV_FATAL_IF(req.bytes == 0, "DramModel: zero-length request");
-        // Split the request at row boundaries; each piece is one column
-        // access to one bank.
-        Bytes addr = req.addr;
-        Bytes remaining = req.bytes;
-        total_bytes += req.bytes;
-        while (remaining > 0) {
-            const Bytes row_off = addr % config_.rowBytes;
-            const Bytes chunk =
-                std::min(remaining, config_.rowBytes - row_off);
-
-            // Address mapping: interleaved rotates consecutive rows
-            // across banks (streams get bank parallelism); contiguous
-            // gives each bank a fixed region (streams serialize on one
-            // bank).
-            const Bytes row_id = addr / config_.rowBytes;
-            Index bank_idx, global_row;
-            if (config_.mapping == AddressMapping::RowInterleaved) {
-                bank_idx = static_cast<Index>(
-                    row_id % static_cast<Bytes>(n_banks));
-                global_row = static_cast<Index>(
-                    row_id / static_cast<Bytes>(n_banks));
-            } else {
-                // Split the address space evenly across banks.
-                const Bytes per_bank = std::max<Bytes>(
-                    1, (16ULL << 30) / static_cast<Bytes>(n_banks) /
-                           config_.rowBytes);
-                bank_idx = static_cast<Index>(
-                    std::min<Bytes>(row_id / per_bank,
-                                    static_cast<Bytes>(n_banks - 1)));
-                global_row =
-                    static_cast<Index>(row_id % per_bank);
-            }
-            const Index chan = bank_idx % config_.channels;
-
-            BankState &bank = banks[static_cast<size_t>(bank_idx)];
-            // Activation and CAS proceed inside the bank and overlap
-            // with other banks' data transfers; only the data beats
-            // serialize on the channel bus.
-            Cycles data_ready = bank.ready;
-            if (config_.pagePolicy == PagePolicy::Closed) {
-                // Auto-precharged: every access activates, none pays
-                // an explicit precharge, and no row ever hits.
-                data_ready += config_.tActivate;
-            } else if (bank.openRow == global_row) {
-                ++hits;
-            } else {
-                // Conflict: precharge the old row (if any), activate.
-                if (bank.openRow >= 0)
-                    data_ready += config_.tPrecharge;
-                data_ready += config_.tActivate;
-                bank.openRow = global_row;
-            }
-            data_ready += config_.tCas;
-            ++accesses;
-
-            const Cycles burst = std::max<Cycles>(
-                2, divCeil<Bytes>(chunk, config_.busBytesPerCycle));
-            const Cycles data_start =
-                std::max(bus_free[static_cast<size_t>(chan)], data_ready);
-            const Cycles done = data_start + burst;
-            bank.ready = done;
-            bus_free[static_cast<size_t>(chan)] = done;
-            finish = std::max(finish, done);
-
-            addr += chunk;
-            remaining -= chunk;
-        }
+    for (const Request &run : requests) {
+        CFCONV_FATAL_IF(run.bytes == 0, "DramModel: zero-length request");
+        CFCONV_FATAL_IF(run.count < 1, "DramModel: run count %lld < 1",
+                        static_cast<long long>(run.count));
+        CFCONV_FATAL_IF(run.count > 1 && run.stride < run.bytes,
+                        "DramModel: run stride %llu < bytes %llu",
+                        static_cast<unsigned long long>(run.stride),
+                        static_cast<unsigned long long>(run.bytes));
+        total_bytes += static_cast<Bytes>(run.count) * run.bytes;
+        walk.serve(run);
     }
 
-    if (finish > 0) {
-        const double secs = cyclesToSeconds(finish);
+    if (walk.finish > 0) {
+        const double secs = cyclesToSeconds(walk.finish);
         lastGBps_ = static_cast<double>(total_bytes) / secs / 1e9;
     } else {
         lastGBps_ = 0.0;
     }
-    lastRowHitRate_ = accesses > 0
-        ? static_cast<double>(hits) / static_cast<double>(accesses)
+    lastRowHitRate_ = walk.accesses > 0
+        ? static_cast<double>(walk.hits) /
+              static_cast<double>(walk.accesses)
         : 0.0;
-    return finish;
+    return walk.finish;
 }
 
 void

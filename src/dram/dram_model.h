@@ -4,6 +4,12 @@
  * needs from off-chip memory: a bandwidth envelope plus row-buffer
  * locality, so that HWC-layout tile fills (long contiguous bursts) beat
  * CHW-layout fills (many short, scattered bursts) exactly as in Fig 7.
+ *
+ * The model prices every row piece of every request, but its host cost
+ * scales with the DRAM rows a stream touches, not with its requests or
+ * pieces: a strided run is one Request, requests that stay inside the
+ * row the run has open are priced in closed form, and a request long
+ * enough to run bus-bound skips its whole turns of the banks.
  */
 
 #ifndef CFCONV_DRAM_DRAM_MODEL_H
@@ -32,11 +38,18 @@ enum class AddressMapping {
     BankContiguous, ///< each bank owns a contiguous address region
 };
 
-/** One read/write burst request. */
+/**
+ * A run of @p count equal read/write burst requests: request i moves
+ * [addr + i * stride, addr + i * stride + bytes). A plain request is a
+ * run of one, whose stride is unused; a longer run needs
+ * stride >= bytes, so its requests ascend without overlapping.
+ */
 struct Request
 {
-    Bytes addr = 0;  ///< byte address
-    Bytes bytes = 0; ///< transfer length
+    Bytes addr = 0;   ///< byte address of the first request
+    Bytes bytes = 0;  ///< transfer length of each request
+    Index count = 1;  ///< requests in the run
+    Bytes stride = 0; ///< address step between requests (count > 1)
 };
 
 /** DRAM device/channel configuration. */
@@ -76,7 +89,8 @@ struct DramConfig
 void memoKeyAppend(std::string &key, const DramConfig &config);
 
 /**
- * Sequential-issue banked DRAM model. Requests are serviced in order;
+ * Banked DRAM model that serves requests strictly in order, each
+ * split at row boundaries into one column access per row piece;
  * row misses stall only their bank, data transfers serialize on the
  * channel bus, and distinct channels proceed independently.
  */
@@ -85,7 +99,12 @@ class DramModel
   public:
     explicit DramModel(const DramConfig &config);
 
-    /** Service @p requests starting at cycle 0; @return finish cycle. */
+    /**
+     * Service @p requests (every request of every run, in order)
+     * starting at cycle 0; @return finish cycle. A run with zero bytes,
+     * a count below one, or more than one request and a stride below
+     * its length is fatal.
+     */
     Cycles service(const std::vector<Request> &requests);
 
     /** Convert DRAM cycles to seconds. */
@@ -107,12 +126,6 @@ class DramModel
     const DramConfig &config() const { return config_; }
 
   private:
-    struct BankState
-    {
-        Index openRow = -1;
-        Cycles ready = 0;
-    };
-
     DramConfig config_;
     double lastGBps_ = 0.0;
     double lastRowHitRate_ = 0.0;
@@ -120,10 +133,8 @@ class DramModel
 
 /**
  * Closed-form fill latency in *accelerator-core* cycles for moving
- * @p bytes with a given efficiency: used by the tile-level schedulers
- * where running the full banked model per tile would be wasteful. The
- * efficiency factor comes from calibrating against DramModel on the
- * matching access pattern.
+ * @p bytes with a given efficiency. The efficiency factor comes from
+ * calibrating against DramModel on the matching access pattern.
  */
 Cycles transferCycles(Bytes bytes, double gbps, double core_ghz,
                       double efficiency);

@@ -33,7 +33,6 @@ layerCacheKey(const TpuConfig &config, const tensor::ConvParams &params,
     memoKeyAppendInt(key, static_cast<long long>(options.algorithm));
     memoKeyAppendInt(key, options.multiTileOverride);
     memoKeyAppendInt(key, static_cast<long long>(options.dramLayout));
-    memoKeyAppendInt(key, options.detailedDram ? 1 : 0);
     memoKeyAppendFloat(key, options.explicitTransformSeconds);
     memoKeyAppendInt(key, options.captureTrace ? 1 : 0);
     memoKeyAppendInt(key, options.spaceToDepthFirstLayer ? 1 : 0);

@@ -75,7 +75,10 @@ struct TpuConfig
  * Override @p base with keys from a configuration file. Recognized
  * keys: array, clock_ghz, word_elems, elem_bytes, onchip_mb,
  * dram_gbps, invoke_overhead_cycles, mxus. INVALID_ARGUMENT names an
- * unknown key, so typos surface, or a value that does not parse.
+ * unknown key, so typos surface, or a key and the value that does not
+ * parse or lies out of range: array, word_elems, elem_bytes, mxus and
+ * onchip_mb must be at least 1, clock_ghz and dram_gbps finite and
+ * above 0, and invoke_overhead_cycles at least 0.
  */
 StatusOr<TpuConfig> tpuConfigFrom(const Config &config,
                                   TpuConfig base = TpuConfig::tpuV2());

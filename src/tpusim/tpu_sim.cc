@@ -112,14 +112,8 @@ TpuSim::dramCycles(Bytes bytes, double efficiency) const
 Cycles
 TpuSim::tileFillCoreCycles(const ConvParams &params,
                            const im2col::FilterTile &tile,
-                           tensor::Layout layout, bool detailed) const
+                           tensor::Layout layout) const
 {
-    const Bytes bytes =
-        static_cast<Bytes>(im2col::tileFillElems(params, tile)) *
-        dataTypeSize(params.dataType);
-    if (!detailed)
-        return dramCycles(bytes, layoutEfficiency(layout));
-
     dram::DramModel model(config_.dram);
     const auto stream = dram::tileFillStream(params, tile, layout);
     if (stream.empty())
@@ -332,8 +326,7 @@ TpuSim::schedulePlan(const ConvParams &params, const im2col::PassPlan &plan,
             tap_cycles.push_back(
                 plan.feed == im2col::FeedLocality::Contiguous
                     ? dramCycles(bytes, 0.95)
-                    : tileFillCoreCycles(params, tap, options.dramLayout,
-                                         options.detailedDram));
+                    : tileFillCoreCycles(params, tap, options.dramLayout));
         }
         const auto scaled = [](auto full, double frac) {
             return static_cast<decltype(full)>(

@@ -34,8 +34,6 @@ struct TpuRunOptions
     Index multiTileOverride = 0;
     /** DRAM layout of the IFMap. */
     tensor::Layout dramLayout = tensor::Layout::HWCN;
-    /** Service fills through the banked DRAM model (vs closed form). */
-    bool detailedDram = true;
     /**
      * Seconds spent on the explicit transformation (Explicit algorithm
      * only); the paper estimates this from GPU measurements for Fig 2b.
@@ -126,11 +124,11 @@ class TpuSim
 
     Cycles dramCycles(Bytes bytes, double efficiency) const;
 
-    /** Core cycles to fill one decomposed tile's footprint from DRAM. */
+    /** Core cycles to fill one decomposed tile's footprint from DRAM,
+     *  through the banked DRAM model. */
     Cycles tileFillCoreCycles(const ConvParams &params,
                               const im2col::FilterTile &tile,
-                              tensor::Layout layout,
-                              bool detailed) const;
+                              tensor::Layout layout) const;
 
     /** GEMM rows per M tile: what one vector-memory lane holds,
      *  double buffered, in whole words. */

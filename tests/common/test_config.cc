@@ -133,5 +133,25 @@ TEST(TpuConfigFrom, UnknownKeysAreFatal)
                   "'array = big' is not an integer");
 }
 
+TEST(TpuConfigFrom, OutOfRangeValuesNameTheKey)
+{
+    // Each used to abort, divide by zero, wrap or report an infinite
+    // peak fraction; now INVALID_ARGUMENT names the key and the value.
+    for (const char *line :
+         {"array = 0", "word_elems = 0", "elem_bytes = 0", "mxus = 0",
+          "onchip_mb = 0", "onchip_mb = -1", "onchip_mb = 17592186044416",
+          "clock_ghz = 0", "clock_ghz = nan", "dram_gbps = 0",
+          "dram_gbps = -700", "dram_gbps = inf",
+          "invoke_overhead_cycles = -5"})
+        expectInvalid(
+            tpusim::tpuConfigFrom(parse(std::string(line) + "\n")).status(),
+            line);
+    // The edges of each range are accepted.
+    EXPECT_TRUE(tpusim::tpuConfigFrom(parse("array = 1\nmxus = 1\n"
+                                            "onchip_mb = 1\n"
+                                            "invoke_overhead_cycles = 0\n"))
+                    .ok());
+}
+
 } // namespace
 } // namespace cfconv

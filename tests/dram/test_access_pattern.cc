@@ -86,16 +86,6 @@ TEST(TileFillStream, StrideShrinksStreamVolume)
                 0.6);
 }
 
-TEST(FullInputStream, CoversWholeInputOnce)
-{
-    ConvParams p = makeConv(2, 4, 16, 4, 3, 1, 1);
-    p.dataType = DataType::Fp32;
-    for (Layout layout : {Layout::NCHW, Layout::NHWC, Layout::HWCN}) {
-        const auto stream = fullInputStream(p, layout);
-        EXPECT_EQ(streamBytes(stream), p.inputBytes());
-    }
-}
-
 TEST(StreamBytes, EmptyStreamIsZero)
 {
     EXPECT_EQ(streamBytes({}), 0u);

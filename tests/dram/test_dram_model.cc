@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.h"
 
 #include "dram/dram_model.h"
@@ -87,6 +89,26 @@ TEST(DramModel, ZeroLengthRequestIsFatal)
 {
     DramModel model(DramConfig::hbm700());
     EXPECT_THROW(model.service({{0, 0}}), FatalError);
+}
+
+TEST(DramModel, RejectsMalformedRuns)
+{
+    // A run needs at least one request, and a longer run a stride that
+    // keeps its requests apart; the message names the field.
+    DramModel model(DramConfig::hbm700());
+    const auto message = [&](const Request &run) -> std::string {
+        try {
+            model.service({run});
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    EXPECT_NE(message({0, 64, 0, 64}).find("count"), std::string::npos);
+    EXPECT_NE(message({0, 64, -3, 64}).find("count"), std::string::npos);
+    EXPECT_NE(message({0, 64, 2, 32}).find("stride"), std::string::npos);
+    // A run of one ignores its stride.
+    EXPECT_GT(model.service({{0, 64, 1, 0}}), 0u);
 }
 
 TEST(TransferCycles, ClosedFormScalesLinearly)

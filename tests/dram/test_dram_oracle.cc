@@ -1,0 +1,259 @@
+/** @file The run-length fill streams and the row-cursor DRAM walk
+ *  against the per-element reference of dram_oracle.h: the same
+ *  requests, and exactly the same cycles, bandwidth and hit rate. */
+
+#include <gtest/gtest.h>
+
+#include <ostream>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "dram/access_pattern.h"
+#include "dram/dram_model.h"
+#include "dram_oracle.h"
+#include "im2col/filter_decomp.h"
+#include "models/model_zoo.h"
+
+namespace cfconv::dram {
+namespace {
+
+using NamedConfig = std::pair<std::string, DramConfig>;
+
+/** Configs on both sides of the turn-skip condition
+ *  (banksPerChannel - 1) * fullBurst >= miss latency, both page
+ *  policies and both address mappings. */
+std::vector<NamedConfig>
+walkConfigs()
+{
+    const DramConfig hbm = DramConfig::hbm700();
+    DramConfig closed = hbm;
+    closed.pagePolicy = PagePolicy::Closed;
+    DramConfig contiguous = hbm;
+    contiguous.mapping = AddressMapping::BankContiguous;
+    DramConfig contiguous_closed = contiguous;
+    contiguous_closed.pagePolicy = PagePolicy::Closed;
+    DramConfig odd; // rows that are not a power of two
+    odd.channels = 3;
+    odd.banksPerChannel = 5;
+    odd.rowBytes = 1000;
+    odd.busBytesPerCycle = 24;
+    DramConfig unsettled; // 1 * 16-cycle burst < a 74-cycle miss
+    unsettled.channels = 2;
+    unsettled.banksPerChannel = 2;
+    unsettled.rowBytes = 512;
+    unsettled.tPrecharge = 30;
+    unsettled.tActivate = 30;
+    DramConfig settled = unsettled; // 11 * 16 >= 74
+    settled.banksPerChannel = 12;
+    DramConfig single;
+    single.channels = 1;
+    single.banksPerChannel = 1;
+    return {{"hbm700", hbm},
+            {"hbm900", DramConfig::hbm900()},
+            {"default", DramConfig{}},
+            {"closed", closed},
+            {"contiguous", contiguous},
+            {"contiguous-closed", contiguous_closed},
+            {"3x5-rows1000-bus24", odd},
+            {"2x2-slow-rows", unsettled},
+            {"2x12-slow-rows", settled},
+            {"1x1", single}};
+}
+
+/** A random stream of single requests and strided runs: sub-row,
+ *  row-crossing and multi-row runs, jumps back and forth, runs that
+ *  continue where the last one ended, requests up to 3 MB, and
+ *  requests that cross a 128 MB boundary (one bank's region under
+ *  hbm700's bank-contiguous mapping) up to 17.5 GB, past the last
+ *  bank's. */
+std::vector<Request>
+randomStream(Rng &rng, Bytes row)
+{
+    std::vector<Request> stream;
+    Bytes cursor = rng.below(1 << 20);
+    const Index runs = 1 + static_cast<Index>(rng.below(24));
+    for (Index i = 0; i < runs; ++i) {
+        Request r;
+        switch (rng.below(7)) {
+          case 0: // single request anywhere
+            r.addr = rng.below(64ULL << 20);
+            r.bytes = 1 + rng.below(4 * row);
+            break;
+          case 1: // sub-row run
+            r.bytes = 1 + rng.below(64);
+            r.count = 1 + static_cast<Index>(rng.below(48));
+            r.stride = r.bytes + rng.below(row / 2);
+            break;
+          case 2: // row-crossing run
+            r.bytes = row / 2 + rng.below(2 * row);
+            r.count = 1 + static_cast<Index>(rng.below(12));
+            r.stride = r.bytes + rng.below(row);
+            break;
+          case 3: // multi-row run
+            r.bytes = 1 + rng.below(5 * row);
+            r.count = 1 + static_cast<Index>(rng.below(8));
+            r.stride = r.bytes + rng.below(20 * row);
+            break;
+          case 4: // a long request
+            r.bytes = 1 + rng.below(3ULL << 20);
+            break;
+          case 5: // a long request across a 128 MB boundary
+            r.addr = ((1 + rng.below(140)) << 27) - 1 - rng.below(8 * row);
+            r.bytes = 1 + rng.below(1ULL << 20);
+            break;
+          default: // a run of equal bursts back to back
+            r.bytes = 1 + rng.below(2 * row);
+            r.count = 1 + static_cast<Index>(rng.below(16));
+            r.stride = r.bytes;
+            break;
+        }
+        if (r.addr == 0) {
+            // Continue near the last request, or jump back.
+            switch (rng.below(3)) {
+              case 0:
+                r.addr = cursor + rng.below(64);
+                break;
+              case 1:
+                r.addr = cursor > row ? cursor - rng.below(cursor) : 0;
+                break;
+              default:
+                r.addr = rng.below(64ULL << 20);
+                break;
+            }
+        }
+        cursor = r.addr + static_cast<Bytes>(r.count - 1) * r.stride +
+                 r.bytes;
+        stream.push_back(r);
+    }
+    return stream;
+}
+
+/** Every request of @p got equals its counterpart in @p want. */
+::testing::AssertionResult
+sameRequests(const std::vector<Request> &got,
+             const std::vector<Request> &want)
+{
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << got.size() << " requests, want " << want.size();
+    for (size_t i = 0; i < got.size(); ++i)
+        if (got[i].addr != want[i].addr || got[i].bytes != want[i].bytes ||
+            got[i].count != want[i].count)
+            return ::testing::AssertionFailure()
+                   << "request " << i << ": [" << got[i].addr << ", +"
+                   << got[i].bytes << "] x" << got[i].count << ", want ["
+                   << want[i].addr << ", +" << want[i].bytes << "]";
+    return ::testing::AssertionSuccess();
+}
+
+/** The model and the oracle report the same cycles, bandwidth and hit
+ *  rate for @p stream under @p config. */
+::testing::AssertionResult
+servicesAlike(const DramConfig &config, const std::vector<Request> &stream)
+{
+    DramModel model(config);
+    const Cycles cycles = model.service(stream);
+    const oracle::Serviced want =
+        oracle::service(config, oracle::expand(stream));
+    if (cycles == want.cycles && model.lastEffectiveGBps() == want.gbps &&
+        model.lastRowHitRate() == want.rowHitRate)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << cycles << " cycles, " << model.lastEffectiveGBps()
+           << " GB/s, hit rate " << model.lastRowHitRate() << "; want "
+           << want.cycles << ", " << want.gbps << ", " << want.rowHitRate;
+}
+
+TEST(DramModel, ServiceEqualsThePerPieceOracle)
+{
+    Rng rng(2024);
+    for (const auto &[name, config] : walkConfigs()) {
+        int failures = 0;
+        for (int s = 0; s < 1000 && failures < 3; ++s) {
+            const std::vector<Request> stream =
+                randomStream(rng, config.rowBytes);
+            const ::testing::AssertionResult alike =
+                servicesAlike(config, stream);
+            if (!alike) {
+                ++failures;
+                ADD_FAILURE() << name << ", stream " << s << ": "
+                              << alike.message();
+            }
+        }
+    }
+}
+
+/** One model of the eight-model zoo. */
+struct ZooModel
+{
+    const char *name;
+    models::ModelSpec (*build)(Index batch);
+};
+
+/** Print the name only, so test names do not vary between runs. */
+void
+PrintTo(const ZooModel &model, std::ostream *os)
+{
+    *os << model.name;
+}
+
+/** One zoo model per instance, so that no instance runs for long: the
+ *  per-element oracle walks every channel of every image. */
+class TileFillStream : public ::testing::TestWithParam<ZooModel>
+{};
+
+TEST_P(TileFillStream, ExpandsToThePerElementOracle)
+{
+    const std::vector<NamedConfig> configs = {
+        {"hbm700", DramConfig::hbm700()},
+        {"hbm900", DramConfig::hbm900()},
+        {"default", DramConfig{}}};
+    for (const Index batch : {1, 8}) {
+        std::set<std::string> seen;
+        for (const models::ConvLayerSpec &layer :
+             GetParam().build(batch).layers) {
+            const ConvParams &p = layer.params;
+            if (!seen.insert(p.toString()).second)
+                continue;
+            for (const im2col::FilterTile &tap :
+                 im2col::decomposeFilter(p)) {
+                for (const Layout layout : {Layout::HWCN, Layout::NHWC,
+                                            Layout::NCHW, Layout::CHWN}) {
+                    const std::vector<Request> runs =
+                        tileFillStream(p, tap, layout);
+                    const std::vector<Request> expanded =
+                        oracle::expand(runs);
+                    ASSERT_TRUE(sameRequests(
+                        expanded, oracle::tileFillStream(p, tap, layout)))
+                        << p.toString() << " tap <" << tap.r << ","
+                        << tap.s << "> " << tensor::layoutName(layout);
+                    ASSERT_EQ(streamBytes(runs), streamBytes(expanded));
+                    if (layout != Layout::HWCN)
+                        continue;
+                    for (const auto &[name, config] : configs)
+                        ASSERT_TRUE(servicesAlike(config, runs))
+                            << name << ", " << p.toString() << " tap <"
+                            << tap.r << "," << tap.s << ">";
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, TileFillStream,
+    ::testing::Values(ZooModel{"alexnet", &models::alexnet},
+                      ZooModel{"densenet121", &models::densenet121},
+                      ZooModel{"googlenet", &models::googlenet},
+                      ZooModel{"resnet50", &models::resnet50},
+                      ZooModel{"vgg16", &models::vgg16},
+                      ZooModel{"yolov2", &models::yolov2},
+                      ZooModel{"zfnet", &models::zfnet},
+                      ZooModel{"mobilenetv1", &models::mobilenetv1}),
+    [](const auto &info) { return std::string(info.param.name); });
+
+} // namespace
+} // namespace cfconv::dram

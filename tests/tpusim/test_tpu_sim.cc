@@ -4,6 +4,8 @@
 
 #include "common/logging.h"
 
+#include "dram/access_pattern.h"
+#include "im2col/filter_decomp.h"
 #include "tpusim/tpu_sim.h"
 
 namespace cfconv::tpusim {
@@ -130,17 +132,25 @@ TEST(TpuSim, ExplicitSlowerThanImplicit)
     EXPECT_GT(explicit_r.seconds, implicit_sec);
 }
 
-TEST(TpuSim, DetailedAndClosedFormDramAgreeRoughly)
+TEST(TpuSim, BankedHwcnFillsCalibrateTheClosedForm)
 {
-    TpuSim s = sim();
+    // TpuSim prices per-tap fills through the banked DRAM model and the
+    // union-gather fill in closed form at the HWC efficiency 0.85. On a
+    // stride-1, C_I 64 layer in HWCN the two must agree within 25%.
+    const TpuConfig config = TpuConfig::tpuV2();
     const ConvParams p = makeConv(8, 64, 56, 64, 3, 1, 1);
-    TpuRunOptions detailed;
-    detailed.detailedDram = true;
-    TpuRunOptions closed;
-    closed.detailedDram = false;
-    const double a = s.runConv(p, detailed).seconds;
-    const double b = s.runConv(p, closed).seconds;
-    EXPECT_NEAR(a / b, 1.0, 0.25);
+    dram::DramModel model(config.dram);
+    double banked_seconds = 0.0;
+    Bytes bytes = 0;
+    for (const im2col::FilterTile &tap : im2col::decomposeFilter(p)) {
+        banked_seconds += model.cyclesToSeconds(model.service(
+            dram::tileFillStream(p, tap, tensor::Layout::HWCN)));
+        bytes += static_cast<Bytes>(im2col::tileFillElems(p, tap)) *
+                 dataTypeSize(p.dataType);
+    }
+    const double closed_seconds =
+        static_cast<double>(bytes) / (config.dram.peakGBps() * 1e9 * 0.85);
+    EXPECT_NEAR(banked_seconds / closed_seconds, 1.0, 0.25);
 }
 
 TEST(TpuSim, PortUtilizationBelowHalfAtWord8)
