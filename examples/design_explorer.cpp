@@ -11,15 +11,18 @@
  *                        [json=FILE]
  *
  * A config file (see configs/) is applied first; command-line keys
- * override it.
+ * override it. array=, word= and gbps= set the config keys array,
+ * word_elems and dram_gbps and meet the same checks: a bad value, or
+ * an unknown model, prints a status naming its key and exits 2.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
-#include "common/logging.h"
+#include "common/config.h"
 #include "common/table.h"
 #include "models/model_zoo.h"
 #include "sim/model_runner.h"
@@ -30,7 +33,7 @@ using namespace cfconv;
 
 namespace {
 
-models::ModelSpec
+StatusOr<models::ModelSpec>
 pickModel(const std::string &name, Index batch)
 {
     auto zoo = models::allModels(batch);
@@ -42,16 +45,30 @@ pickModel(const std::string &name, Index batch)
         if (lower == name)
             return m;
     }
-    fatal("unknown model '%s' (try alexnet, vgg16, resnet, ...)",
-          name.c_str());
+    return invalidArgumentError(
+        "unknown model '%s' (try alexnet, vgg16, resnet, ...)",
+        name.c_str());
 }
 
-/** @p base with the keys of the config file at @p path applied. */
-StatusOr<tpusim::TpuConfig>
-configFromFile(const char *path, const tpusim::TpuConfig &base)
+/** Command-line prefixes and the config keys they set. */
+constexpr std::pair<const char *, const char *> kKeyArgs[] = {
+    {"array=", "array"}, {"word=", "word_elems"}, {"gbps=", "dram_gbps"}};
+
+/** Apply the keys of @p parsed to @p cfg; @return false, with the
+ *  status on stderr, when they do not parse or do not apply. */
+bool
+applyKeys(const StatusOr<Config> &parsed, tpusim::TpuConfig &cfg)
 {
-    CFCONV_ASSIGN_OR_RETURN(const Config file, Config::fromFile(path));
-    return tpusim::tpuConfigFrom(file, base);
+    const StatusOr<tpusim::TpuConfig> applied =
+        parsed.ok() ? tpusim::tpuConfigFrom(*parsed, cfg)
+                    : StatusOr<tpusim::TpuConfig>(parsed.status());
+    if (!applied.ok()) {
+        std::fprintf(stderr, "design_explorer: %s\n",
+                     applied.status().toString().c_str());
+        return false;
+    }
+    cfg = *applied;
+    return true;
 }
 
 } // namespace
@@ -60,30 +77,26 @@ int
 main(int argc, char **argv)
 {
     tpusim::TpuConfig cfg = tpusim::TpuConfig::tpuV2();
-    Index array = 0, word = 0;
-    double gbps = 0.0;
+    std::string key_args; // the command-line keys, in config syntax
     std::string model_name = "vgg16";
     std::string json_path;
     for (int i = 1; i < argc; ++i) {
-        if (std::sscanf(argv[i], "array=%lld", (long long *)&array) == 1)
-            continue;
-        if (std::sscanf(argv[i], "word=%lld", (long long *)&word) == 1)
-            continue;
-        if (std::sscanf(argv[i], "gbps=%lf", &gbps) == 1)
+        bool is_key = false;
+        for (const auto &[prefix, key] : kKeyArgs)
+            if (std::strncmp(argv[i], prefix, std::strlen(prefix)) == 0) {
+                key_args += std::string(key) + " = " +
+                            (argv[i] + std::strlen(prefix)) + "\n";
+                is_key = true;
+            }
+        if (is_key)
             continue;
         if (std::strncmp(argv[i], "model=", 6) == 0) {
             model_name = argv[i] + 6;
             continue;
         }
         if (std::strncmp(argv[i], "config=", 7) == 0) {
-            const StatusOr<tpusim::TpuConfig> from_file =
-                configFromFile(argv[i] + 7, cfg);
-            if (!from_file.ok()) {
-                std::fprintf(stderr, "design_explorer: %s\n",
-                             from_file.status().toString().c_str());
+            if (!applyKeys(Config::fromFile(argv[i] + 7), cfg))
                 return 2;
-            }
-            cfg = *from_file;
             continue;
         }
         if (std::strncmp(argv[i], "json=", 5) == 0 &&
@@ -99,16 +112,16 @@ main(int argc, char **argv)
     }
 
     // Command-line keys override the config file.
-    if (array > 0) {
-        cfg.array.rows = cfg.array.cols = array;
-        cfg.vectorMemories = array;
-    }
-    if (word > 0)
-        cfg.wordElems = word;
-    if (gbps > 0.0)
-        cfg.dram.clockGhz *= gbps / cfg.dram.peakGBps();
+    if (!applyKeys(Config::fromString(key_args), cfg))
+        return 2;
 
-    const models::ModelSpec model = pickModel(model_name, 8);
+    const StatusOr<models::ModelSpec> picked = pickModel(model_name, 8);
+    if (!picked.ok()) {
+        std::fprintf(stderr, "design_explorer: %s\n",
+                     picked.status().toString().c_str());
+        return 2;
+    }
+    const models::ModelSpec &model = *picked;
     const sim::TpuAccelerator accelerator("tpu-explorer", cfg);
     const sim::RunRecord r =
         sim::ModelRunner(accelerator).runModel(model);

@@ -79,10 +79,6 @@ class Walk
     /** Point the cursor at the next row. */
     void step();
 
-    /** Derive the cursor's bank, bank row and channel from its row id
-     *  (mapRows_ * quot_ + rem_). */
-    void place();
-
     /** One column access moving @p bytes of the cursor row. */
     void access(Bytes bytes);
 
@@ -94,11 +90,7 @@ class Walk
     Bytes skipTurns(Bytes bytes);
 
     const DramConfig &config_;
-    const bool interleaved_;
     const Index nBanks_;
-    /** Rows per mapping unit: a turn of every bank when interleaved,
-     *  one bank's region when bank-contiguous. */
-    const Bytes mapRows_;
     const Cycles fullBurst_;
     /**
      * A long request runs bus-bound once it has turned the banks
@@ -110,58 +102,30 @@ class Walk
     std::vector<Cycles> busFree_;
 
     Bytes rowStart_ = 0; ///< byte address of the cursor row
-    Bytes quot_ = 0, rem_ = 0;
+    /** The cursor row's bank, its row inside that bank, and the
+     *  bank's channel. */
     Index bank_ = 0, row_ = 0, chan_ = 0;
 };
 
 Walk::Walk(const DramConfig &config)
-    : config_(config),
-      interleaved_(config.mapping == AddressMapping::RowInterleaved),
-      nBanks_(config.channels * config.banksPerChannel),
-      // Bank-contiguous splits the address space evenly across banks.
-      mapRows_(interleaved_
-                   ? static_cast<Bytes>(nBanks_)
-                   : std::max<Bytes>(1, (16ULL << 30) /
-                                            static_cast<Bytes>(nBanks_) /
-                                            config.rowBytes)),
+    : config_(config), nBanks_(config.channels * config.banksPerChannel),
       fullBurst_(burst(config.rowBytes)),
-      turnsSettle_(interleaved_ &&
-                   static_cast<Cycles>(config.banksPerChannel - 1) *
-                           fullBurst_ >=
-                       (config.pagePolicy == PagePolicy::Open
-                            ? config.tPrecharge
-                            : 0) +
-                           config.tActivate + config.tCas),
+      turnsSettle_(static_cast<Cycles>(config.banksPerChannel - 1) *
+                       fullBurst_ >=
+                   config.tPrecharge + config.tActivate + config.tCas),
       banks_(static_cast<size_t>(nBanks_)),
       busFree_(static_cast<size_t>(config.channels), 0)
-{
-    place();
-}
+{}
 
 void
 Walk::seek(Bytes addr)
 {
+    // Consecutive rows rotate across the banks, so streams get bank
+    // parallelism.
     const Bytes row_id = addr / config_.rowBytes;
     rowStart_ = row_id * config_.rowBytes;
-    quot_ = row_id / mapRows_;
-    rem_ = row_id % mapRows_;
-    place();
-}
-
-void
-Walk::place()
-{
-    // Interleaved rotates consecutive rows across banks (streams get
-    // bank parallelism); contiguous gives each bank a fixed region
-    // (streams serialize on one bank).
-    if (interleaved_) {
-        bank_ = static_cast<Index>(rem_);
-        row_ = static_cast<Index>(quot_);
-    } else {
-        bank_ = static_cast<Index>(
-            std::min<Bytes>(quot_, static_cast<Bytes>(nBanks_ - 1)));
-        row_ = static_cast<Index>(rem_);
-    }
+    bank_ = static_cast<Index>(row_id % static_cast<Bytes>(nBanks_));
+    row_ = static_cast<Index>(row_id / static_cast<Bytes>(nBanks_));
     chan_ = bank_ % config_.channels;
 }
 
@@ -169,18 +133,14 @@ void
 Walk::step()
 {
     rowStart_ += config_.rowBytes;
-    if (++rem_ == mapRows_) {
-        rem_ = 0;
-        ++quot_;
-        place();
-    } else if (interleaved_) {
-        // The bank count is a multiple of the channel count, so the
-        // channel wraps exactly when the bank does.
-        ++bank_;
-        if (++chan_ == config_.channels)
-            chan_ = 0;
-    } else {
+    // The bank count is a multiple of the channel count, so the
+    // channel wraps exactly when the bank does.
+    if (++bank_ == nBanks_) {
+        bank_ = 0;
+        chan_ = 0;
         ++row_;
+    } else if (++chan_ == config_.channels) {
+        chan_ = 0;
     }
 }
 
@@ -192,11 +152,7 @@ Walk::access(Bytes bytes)
     // other banks' data transfers; only the data beats serialize on
     // the channel bus.
     Cycles data_ready = bank.ready;
-    if (config_.pagePolicy == PagePolicy::Closed) {
-        // Auto-precharged: every access activates, none pays an
-        // explicit precharge, and no row ever hits.
-        data_ready += config_.tActivate;
-    } else if (bank.openRow == row_) {
+    if (bank.openRow == row_) {
         ++hits;
     } else {
         // Conflict: precharge the old row (if any), activate.
@@ -254,7 +210,7 @@ Walk::skipTurns(Bytes bytes)
     // further one: each whole turn moves every bank and bus by one
     // channel's worth of full bursts and every open row by one. The
     // request's last piece stays on the generic path.
-    const Bytes turn_bytes = mapRows_ * config_.rowBytes;
+    const Bytes turn_bytes = static_cast<Bytes>(nBanks_) * config_.rowBytes;
     const Bytes turns = (bytes - 1) / turn_bytes;
     if (turns == 0)
         return 0;
@@ -263,8 +219,7 @@ Walk::skipTurns(Bytes bytes)
                          fullBurst_;
     for (BankState &bank : banks_) {
         bank.ready += shift;
-        if (config_.pagePolicy == PagePolicy::Open)
-            bank.openRow += static_cast<Index>(turns);
+        bank.openRow += static_cast<Index>(turns);
     }
     for (Cycles &bus : busFree_) {
         bus += shift;
@@ -272,8 +227,7 @@ Walk::skipTurns(Bytes bytes)
     }
     accesses += static_cast<Index>(turns) * nBanks_;
     rowStart_ += turns * turn_bytes;
-    quot_ += turns;
-    row_ = static_cast<Index>(quot_);
+    row_ += static_cast<Index>(turns);
     return turns * turn_bytes;
 }
 
@@ -288,8 +242,7 @@ Walk::serve(const Request &run)
             return;
         // The run's next requests that lie wholly inside the row the
         // last one ended in go to the same bank while the channel is
-        // otherwise idle: each hits (or re-activates, closed page) and
-        // adds tCas plus its burst.
+        // otherwise idle: each hits and adds tCas plus its burst.
         const Bytes next = addr + run.stride;
         const Bytes row_end = rowStart_ + config_.rowBytes;
         if (next + run.bytes > row_end)
@@ -298,15 +251,12 @@ Walk::serve(const Request &run)
             run.count - i,
             static_cast<Index>((row_end - run.bytes - next) / run.stride) +
                 1);
-        const bool closed = config_.pagePolicy == PagePolicy::Closed;
         BankState &bank = banks_[static_cast<size_t>(bank_)];
-        bank.ready += static_cast<Cycles>(inside) *
-                      ((closed ? config_.tActivate : 0) + config_.tCas +
-                       in_row_burst);
+        bank.ready +=
+            static_cast<Cycles>(inside) * (config_.tCas + in_row_burst);
         busFree_[static_cast<size_t>(chan_)] = bank.ready;
         finish = std::max(finish, bank.ready);
-        if (!closed)
-            hits += inside;
+        hits += inside;
         accesses += inside;
         i += inside;
     }
@@ -355,8 +305,6 @@ memoKeyAppend(std::string &key, const DramConfig &config)
     memoKeyAppendInt(key, static_cast<long long>(config.tActivate));
     memoKeyAppendInt(key, static_cast<long long>(config.tCas));
     memoKeyAppendFloat(key, config.clockGhz);
-    memoKeyAppendInt(key, static_cast<long long>(config.pagePolicy));
-    memoKeyAppendInt(key, static_cast<long long>(config.mapping));
 }
 
 Cycles

@@ -4,6 +4,8 @@
  * needs from off-chip memory: a bandwidth envelope plus row-buffer
  * locality, so that HWC-layout tile fills (long contiguous bursts) beat
  * CHW-layout fills (many short, scattered bursts) exactly as in Fig 7.
+ * It has one policy, the one an HBM stack streams with: rows stay open
+ * until a conflict, and consecutive rows rotate across the banks.
  *
  * The model prices every row piece of every request, but its host cost
  * scales with the DRAM rows a stream touches, not with its requests or
@@ -22,21 +24,6 @@
 #include "common/types.h"
 
 namespace cfconv::dram {
-
-/** Row-buffer management policy. */
-enum class PagePolicy {
-    Open,   ///< rows stay open; hits are cheap, conflicts pay
-            ///< precharge + activate
-    Closed, ///< auto-precharge after every access; every access pays
-            ///< activate but never precharge
-};
-
-/** Physical address -> (channel, bank, row) mapping. */
-enum class AddressMapping {
-    RowInterleaved, ///< consecutive rows rotate across banks (streams
-                    ///< get bank parallelism)
-    BankContiguous, ///< each bank owns a contiguous address region
-};
 
 /**
  * A run of @p count equal read/write burst requests: request i moves
@@ -63,11 +50,6 @@ struct DramConfig
     Cycles tActivate = 14;     ///< open a row
     Cycles tCas = 14;          ///< column access latency (first beat)
     double clockGhz = 1.37;    ///< DRAM command clock
-    PagePolicy pagePolicy = PagePolicy::Open;
-    AddressMapping mapping = AddressMapping::RowInterleaved;
-
-    /** Worst-case row-switch penalty (precharge + activate). */
-    Cycles rowMissPenalty() const { return tPrecharge + tActivate; }
 
     /** Peak bandwidth in GB/s across all channels. */
     double
@@ -90,9 +72,12 @@ void memoKeyAppend(std::string &key, const DramConfig &config);
 
 /**
  * Banked DRAM model that serves requests strictly in order, each
- * split at row boundaries into one column access per row piece;
- * row misses stall only their bank, data transfers serialize on the
- * channel bus, and distinct channels proceed independently.
+ * split at row boundaries into one column access per row piece. Row i
+ * lives in bank i mod (channels x banksPerChannel), whose channel is
+ * that bank mod channels. An open row hits; a conflict pays precharge
+ * and activate. Row misses stall only their bank, data transfers
+ * serialize on the channel bus, and distinct channels proceed
+ * independently.
  */
 class DramModel
 {

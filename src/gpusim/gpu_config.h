@@ -1,9 +1,10 @@
 /**
  * @file
  * V100-like GPU configuration for the tensor-core simulator: 80 SMs with
- * 8 TCs each (512 FP16 MACs/SM/cycle), ~900 GB/s HBM2, 96 KB shared
- * memory per SM. Stands in for the real V100 + cuDNN measurements of
- * Secs. II/V/VII-B.
+ * 8 TCs each (512 FP16 MACs/SM/cycle) and ~900 GB/s HBM2. Stands in for
+ * the real V100 + cuDNN measurements of Secs. II/V/VII-B. The 96 KB of
+ * shared memory per thread block is the functional block kernel's
+ * staging limit (gpusim/block_kernel.h).
  */
 
 #ifndef CFCONV_GPUSIM_GPU_CONFIG_H
@@ -38,7 +39,6 @@ struct GpuConfig
      * rather than bouncing every byte off DRAM.
      */
     double transformGBps = 2500.0;
-    Bytes sharedMemPerSm = 96 * 1024;
     Bytes transactionBytes = 32;    ///< DRAM sector granularity
     double kernelOverheadSec = 3.0e-6; ///< launch + epilogue per kernel
     /** Vendor kernels amortize launch work slightly better. */

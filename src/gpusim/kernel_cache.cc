@@ -18,7 +18,6 @@ appendConfig(std::string &key, const GpuConfig &config)
     memoKeyAppendFloat(key, config.l2Util);
     memoKeyAppendFloat(key, config.clStrideWasteCoeff);
     memoKeyAppendFloat(key, config.transformGBps);
-    memoKeyAppendInt(key, static_cast<long long>(config.sharedMemPerSm));
     memoKeyAppendInt(key,
                      static_cast<long long>(config.transactionBytes));
     memoKeyAppendFloat(key, config.kernelOverheadSec);

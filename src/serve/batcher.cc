@@ -44,8 +44,7 @@ BatchQueue::BatchQueue(Index num_classes, const BatchPolicy &batch,
 }
 
 bool
-BatchQueue::offer(const Request &request,
-                  double estimated_delay_seconds)
+BatchQueue::offer(const Request &request)
 {
     const auto idx = static_cast<size_t>(request.classIdx);
     CFCONV_FATAL_IF(idx >= queues_.size(),
@@ -59,10 +58,7 @@ BatchQueue::offer(const Request &request,
         admission_.maxQueuePerClass > 0 &&
         static_cast<Index>(queues_[idx].size()) >=
             admission_.maxQueuePerClass;
-    const bool late =
-        admission_.maxEstimatedDelaySeconds > 0.0 &&
-        estimated_delay_seconds > admission_.maxEstimatedDelaySeconds;
-    if (full || late) {
+    if (full) {
         ++shed_[idx];
         return false;
     }

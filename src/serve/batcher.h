@@ -6,11 +6,10 @@
  * a batch launches when it is full (maxBatch) or when its oldest
  * request has waited maxWait — the two knobs of the classic
  * max-size / max-wait policy the Pareto sweep explores. Admission
- * control sheds requests at arrival when a class queue is full or the
- * estimated queueing delay already blows the budget: under overload,
- * shedding early is what keeps the served requests inside the SLO
- * (goodput) instead of letting every request time out (throughput
- * without goodput).
+ * control sheds requests at arrival when a class queue is full: under
+ * overload, shedding early is what keeps the served requests inside
+ * the SLO (goodput) instead of letting every request time out
+ * (throughput without goodput).
  *
  * Purely mechanical and single-threaded: all state transitions happen
  * at simulated timestamps handed in by the event loop, so the whole
@@ -38,14 +37,12 @@ struct BatchPolicy
     double maxWaitSeconds = 2e-3;
 };
 
-/** Load-shedding policy applied at arrival. Both limits 0 = admit
- *  everything (pure FIFO, unbounded queues). */
+/** Load-shedding policy applied at arrival. */
 struct AdmissionPolicy
 {
-    /** Shed when the class queue already holds this many requests. */
+    /** Shed when the class queue already holds this many requests;
+     *  0 = admit everything (pure FIFO, unbounded queues). */
     Index maxQueuePerClass = 0;
-    /** Shed when the caller's estimated queueing delay exceeds this. */
-    double maxEstimatedDelaySeconds = 0.0;
 };
 
 /** One queued request (arrival kept for latency accounting). */
@@ -79,12 +76,8 @@ class BatchQueue
                std::vector<Index> priorities = {},
                std::vector<double> slo_seconds = {});
 
-    /**
-     * Admit or shed @p request. @p estimated_delay_seconds is the
-     * caller's current drain estimate for this class (ignored unless
-     * the policy bounds it). @return false when shed.
-     */
-    bool offer(const Request &request, double estimated_delay_seconds);
+    /** Admit or shed @p request; @return false when shed. */
+    bool offer(const Request &request);
 
     /**
      * The class allowed to launch at @p now — non-empty and either

@@ -37,21 +37,9 @@ struct PendingBatch
     std::vector<QueuedRequest> batch;
 };
 
-/** The primary copy of a launched batch: the chips it spans and what
- *  it costs them. */
-struct Service
-{
-    double span = 0.0;   ///< seconds every shard stays busy
-    Bytes dram = 0;
-    size_t shards = 1;   ///< idle chips the batch is sliced across
-    bool fallback = false; ///< priced on a cheaper fallback variant
-    Flops perRequestFlops = 0;
-};
-
-/** How one chip's share of a batch shows on its trace track. */
+/** How one copy of a batch shows on its chip's trace track. */
 struct CopyTag
 {
-    double shards = 1.0;
     bool hedge = false;
     bool fallback = false;
     bool canary = false;
@@ -115,8 +103,7 @@ class ServingRun
         const std::vector<size_t> &chipOrder, const TrafficSpec &traffic)
         : config_(config), costs_(costs), mix_(costs.mix()),
           chipAccel_(chipAccel), fallbacks_(fallbacks), chipOrder_(chipOrder),
-          numChips_(config.chips.size()),
-          serviceEstimate_(mix_.size(), -1.0), bouncedChip_(mix_.size(), -1),
+          numChips_(config.chips.size()), bouncedChip_(mix_.size(), -1),
           queue_(static_cast<Index>(mix_.size()), config.batch,
                  config.admission, classPriorities(mix_),
                  classSlos(mix_, config.sloSeconds)),
@@ -241,29 +228,7 @@ class ServingRun
             const Request &req = arrivals_[next_++];
             auto &cstats = result_.classes[static_cast<size_t>(req.classIdx)];
             ++cstats.offered;
-            double estimate = 0.0;
-            if (config_.admission.maxEstimatedDelaySeconds > 0.0) {
-                // A coarse per-class service estimate: one full batch on
-                // the fastest chip, priced on first use.
-                double &perBatch =
-                    serviceEstimate_[static_cast<size_t>(req.classIdx)];
-                if (perBatch < 0.0)
-                    perBatch = costs_
-                                   .cost(*chipAccel_[chipOrder_.front()],
-                                         req.classIdx,
-                                         quantizeBatch(config_.batch.maxBatch),
-                                         &resilience_)
-                                   .seconds;
-                double chipFree = kInf;
-                for (size_t chip = 0; chip < numChips_; ++chip)
-                    chipFree = std::min(chipFree, chipReadyAt(chip));
-                const Index backlog = queue_.depth(req.classIdx) + 1;
-                estimate = std::max(0.0, chipFree - now) +
-                           static_cast<double>(
-                               divCeil(backlog, config_.batch.maxBatch)) *
-                               perBatch;
-            }
-            if (queue_.offer(req, estimate))
+            if (queue_.offer(req))
                 ++cstats.admitted;
             else
                 ++cstats.shed;
@@ -431,15 +396,13 @@ class ServingRun
     // Service cost of the primary copy on idle_.front(). At the ladder's
     // algorithm-fallback step the cost model picks the cheapest of the
     // chip's own variant and the configured fallbacks (re-programming the
-    // chip with a cheaper lowering). A shardable batch spans up to
-    // maxShards idle chips, each pricing its slice; the group frees
-    // together — the sync barrier of a real multi-chip launch.
-    Service
-    price(Index cls, Index padded, bool shardable)
+    // chip with a cheaper lowering); *fallback says whether one won.
+    const BatchCost &
+    price(Index cls, Index padded, bool *fallback)
     {
         const sim::Accelerator *own = chipAccel_[idle_.front()];
         const BatchCost *solo = &costs_.cost(*own, cls, padded, &resilience_);
-        bool fallback = false;
+        *fallback = false;
         if (ladder_.step() >=
             static_cast<Index>(DegradeStep::AlgorithmFallback)) {
             for (const sim::Accelerator *alt : fallbacks_) {
@@ -449,30 +412,13 @@ class ServingRun
                     costs_.cost(*alt, cls, padded, &resilience_);
                 if (cost.seconds < solo->seconds) {
                     solo = &cost;
-                    fallback = true;
+                    *fallback = true;
                 }
             }
-            if (fallback)
+            if (*fallback)
                 ++result_.fallbackBatches;
         }
-        Service service{solo->seconds, solo->dramBytes, 1, fallback,
-                        solo->perRequestFlops};
-        if (shardable)
-            service.shards = std::min(
-                idle_.size(), static_cast<size_t>(config_.maxShards));
-        if (service.shards > 1) {
-            const Index slice = quantizeBatch(std::max<Index>(
-                1, divCeil(padded, static_cast<Index>(service.shards))));
-            service.span = 0.0;
-            service.dram = 0;
-            for (size_t s = 0; s < service.shards; ++s) {
-                const BatchCost &part = costs_.cost(*chipAccel_[idle_[s]], cls,
-                                                    slice, &resilience_);
-                service.span = std::max(service.span, part.seconds);
-                service.dram += part.dramBytes;
-            }
-        }
-        return service;
+        return *solo;
     }
 
     // One copy of a batch runs on @p chip from @p now for @p seconds: the
@@ -492,7 +438,6 @@ class ServingRun
             return;
         trace::Args args = {{"batch", static_cast<double>(n)},
                             {"padded", static_cast<double>(padded)},
-                            {"shards", tag.shards},
                             {"chip", static_cast<double>(chip)}};
         if (tag.hedge)
             args.emplace_back("hedge", 1.0);
@@ -527,9 +472,10 @@ class ServingRun
 
         // The primary is priced only when it is up: pricing a downed chip
         // would add cost-model evaluations a real dispatcher never makes.
-        Service service;
+        const BatchCost *primaryCost = nullptr;
+        bool fallback = false;
         if (primaryUp)
-            service = price(cls, padded, !hedged);
+            primaryCost = &price(cls, padded, &fallback);
         else
             chipDown(primary, now);
         const BatchCost *hedgeCost = nullptr;
@@ -556,18 +502,19 @@ class ServingRun
             ++resilience_.failovers;
         bounced = -1;
 
-        // Book every serving copy: the hedge's first, then the primary's
-        // shards, so each track keeps its event order.
+        // Book every serving copy: the hedge's first, then the primary's,
+        // so each track keeps its event order.
         double finish = kInf;
         Bytes dram = 0;
         if (hedgeUp) {
             occupy(hedge, now, hedgeCost->seconds, cls, n, padded,
-                   CopyTag{1.0, true, false, false});
+                   CopyTag{true, false, false});
             finish = now + hedgeCost->seconds;
             dram += hedgeCost->dramBytes;
         }
         if (hedged) {
-            if (hedgeUp && (!primaryUp || hedgeCost->seconds < service.span)) {
+            if (hedgeUp &&
+                (!primaryUp || hedgeCost->seconds < primaryCost->seconds)) {
                 ++result_.hedgeWins;
                 trace::simInstant(tracks_[hedge], "hedge_win",
                                   toTraceTicks(now));
@@ -578,17 +525,15 @@ class ServingRun
             }
         }
         if (primaryUp) {
-            for (size_t s = 0; s < service.shards; ++s)
-                occupy(idle_[s], now, service.span, cls, n, padded,
-                       CopyTag{static_cast<double>(service.shards), false,
-                               service.fallback, canary});
-            finish = std::min(finish, now + service.span);
-            dram += service.dram;
+            occupy(primary, now, primaryCost->seconds, cls, n, padded,
+                   CopyTag{false, fallback, canary});
+            finish = std::min(finish, now + primaryCost->seconds);
+            dram += primaryCost->dramBytes;
         }
         makespan_ = std::max(makespan_, finish);
         result_.classes[static_cast<size_t>(cls)].dramBytes += dram;
         completeRequests(cls, batch, now, finish,
-                         primaryUp ? service.perRequestFlops
+                         primaryUp ? primaryCost->perRequestFlops
                                    : hedgeCost->perRequestFlops);
     }
 
@@ -705,8 +650,6 @@ class ServingRun
 
     Index minTier_ = std::numeric_limits<Index>::max();
     Index maxTier_ = 0;
-    /** Admission service estimate per class (-1 until first asked). */
-    std::vector<double> serviceEstimate_;
     /** Chip that chaos just bounced a class's batch off: the next
      *  launch served by a different chip counts as a failover. */
     std::vector<Index> bouncedChip_;
@@ -718,13 +661,13 @@ class ServingRun
     DegradationLadder ladder_;
     std::vector<PendingBatch> pending_;
     /** Busy-serving horizon per chip; outage windows and breaker
-     *  cooldowns live in health_, so dispatch, sharding and hedging
-     *  skip a downed chip the instant its outage starts. */
+     *  cooldowns live in health_, so dispatch and hedging skip a
+     *  downed chip the instant its outage starts. */
     std::vector<double> availableAt_;
     std::vector<trace::SimTrack> tracks_;
     trace::SimTrack degradeTrack_;
     /** Idle dispatchable chips in preference order (dispatch scratch):
-     *  the primary first, then shard and hedge candidates. */
+     *  the primary first, then the hedge candidate. */
     std::vector<size_t> idle_;
 
     ServingResult result_;
@@ -774,7 +717,6 @@ validateServingConfig(const ServingConfig &config)
     const std::pair<bool, const char *> rules[] = {
         {config.chips.empty(), "chips must be non-empty (chips=0)"},
         {config.sloSeconds <= 0.0, "sloSeconds must be > 0"},
-        {config.maxShards < 1, "maxShards must be >= 1"},
         {config.chipOutageDetectionSeconds < 0.0,
          "chipOutageDetectionSeconds must be >= 0"},
         {breaker.enabled && breaker.failureThreshold < 1,

@@ -9,11 +9,12 @@
  * launch path: chaos rolls for its primary chip (and for a hedge chip
  * when the batch is a straggler), then each chip that serves it is
  * booked the same way. Breakers and the degradation ladder are the
- * serve/health policy objects; a batch may also span maxShards idle
- * chips. Where the rest of the repo answers "how fast is one layer /
- * one model", this layer answers the production questions: throughput
- * versus tail latency, goodput under overload, and tail behaviour
- * while chips fail (fault injector armed, serve.chip_down site).
+ * serve/health policy objects. Admission sheds an arrival only when
+ * its class queue is full. Where the rest of the repo answers "how
+ * fast is one layer / one model", this layer answers the production
+ * questions: throughput versus tail latency, goodput under overload,
+ * and tail behaviour while chips fail (fault injector armed,
+ * serve.chip_down site).
  *
  * Determinism contract: the event loop is strictly serial over
  * simulated time; every arrival, launch, shed, completion, and chaos
@@ -59,11 +60,6 @@ struct ServingConfig
     /** Latency SLO: a request finishing within this of its arrival
      *  counts toward goodput. */
     double sloSeconds = 50e-3;
-
-    /** Most chips one batch may span (>= 2 enables sharding): the
-     *  batch is sliced data-parallel across the idle chips, each
-     *  priced at its slice's bucket, and the group frees together. */
-    Index maxShards = 1;
 
     /**
      * How long a batch dispatched onto a failing chip stalls before

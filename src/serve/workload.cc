@@ -9,6 +9,18 @@ namespace cfconv::serve {
 
 namespace {
 
+/** Bursty: burst-state rate multiplier over the long-run mean. */
+constexpr double kBurstMultiplier = 8.0;
+/** Bursty: long-run fraction of time spent in the burst state.
+ *  kBurstFraction * kBurstMultiplier < 1 keeps the quiet rate
+ *  positive. */
+constexpr double kBurstFraction = 0.1;
+/** Bursty: mean dwell of one burst (exponential). The quiet dwell
+ *  follows from kBurstFraction. */
+constexpr double kMeanBurstSeconds = 20e-3;
+static_assert(kBurstMultiplier > 1.0 &&
+              kBurstFraction * kBurstMultiplier < 1.0);
+
 /** Exponential variate with mean 1/@p rate. 1 - uniform() keeps the
  *  argument of log strictly positive. */
 double
@@ -59,17 +71,6 @@ validate(const TrafficSpec &spec)
                     "generateArrivals: ratePerSecond must be > 0");
     CFCONV_FATAL_IF(spec.horizonSeconds <= 0.0,
                     "generateArrivals: horizonSeconds must be > 0");
-    if (spec.kind == ArrivalKind::Bursty) {
-        CFCONV_FATAL_IF(spec.burstMultiplier <= 1.0,
-                        "generateArrivals: burstMultiplier must be > 1");
-        CFCONV_FATAL_IF(
-            spec.burstFraction <= 0.0 ||
-                spec.burstFraction * spec.burstMultiplier >= 1.0,
-            "generateArrivals: need 0 < burstFraction * "
-            "burstMultiplier < 1 (quiet rate must stay positive)");
-        CFCONV_FATAL_IF(spec.meanBurstSeconds <= 0.0,
-                        "generateArrivals: meanBurstSeconds must be > 0");
-    }
     if (spec.kind == ArrivalKind::Diurnal) {
         CFCONV_FATAL_IF(spec.diurnalDepth < 0.0 ||
                             spec.diurnalDepth >= 1.0,
@@ -145,13 +146,11 @@ generateArrivals(const TrafficSpec &spec)
         // the quiet rate is solved so the long-run mean stays at
         // ratePerSecond given the stationary burst fraction f:
         //   f * burst + (1 - f) * quiet = rate.
-        const double f = spec.burstFraction;
-        const double burst_rate =
-            spec.ratePerSecond * spec.burstMultiplier;
+        const double f = kBurstFraction;
+        const double burst_rate = spec.ratePerSecond * kBurstMultiplier;
         const double quiet_rate = spec.ratePerSecond *
-                                  (1.0 - f * spec.burstMultiplier) /
-                                  (1.0 - f);
-        const double mean_burst = spec.meanBurstSeconds;
+                                  (1.0 - f * kBurstMultiplier) / (1.0 - f);
+        const double mean_burst = kMeanBurstSeconds;
         const double mean_quiet = mean_burst * (1.0 - f) / f;
         bool in_burst = rng.uniform() < f; // stationary start
         double t = 0.0;

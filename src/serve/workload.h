@@ -4,8 +4,10 @@
  * deterministic arrival-time streams over a mixed model zoo. Three
  * generator families cover the shapes production serving actually
  * sees — memoryless load (Poisson), flash crowds (a two-state
- * Markov-modulated Poisson process), and slow daily swings (a
- * sinusoidally modulated rate, generated by thinning). Every stream
+ * Markov-modulated Poisson process whose bursts run at 8x the mean
+ * rate for 10% of the time, 20 ms each on average), and slow daily
+ * swings (a sinusoidally modulated rate, generated by thinning). The
+ * burst shape is fixed; only the mean rate varies. Every stream
  * is a pure function of its TrafficSpec: generation is strictly
  * sequential over one SplitMix64 sequence, so the same spec yields
  * the same byte-for-byte request list at any thread count — the
@@ -64,16 +66,6 @@ struct TrafficSpec
      */
     std::vector<double> classWeights;
 
-    /** Bursty: burst-state rate multiplier over the long-run mean. */
-    double burstMultiplier = 8.0;
-    /** Bursty: long-run fraction of time spent in the burst state.
-     *  burstFraction * burstMultiplier must stay < 1 so the quiet
-     *  state keeps a positive rate. */
-    double burstFraction = 0.1;
-    /** Bursty: mean dwell of one burst (exponential). The quiet dwell
-     *  follows from burstFraction. */
-    double meanBurstSeconds = 20e-3;
-
     /** Diurnal: modulation period of the rate sinusoid. */
     double diurnalPeriodSeconds = 1.0;
     /** Diurnal: modulation depth in [0, 1): rate(t) swings between
@@ -85,7 +77,7 @@ struct TrafficSpec
  * Generate the full arrival list of @p spec, sorted by arrival time,
  * ids dense from 0. Deterministic for a given spec (see file
  * comment). Fatal on nonsensical specs (non-positive rate/horizon,
- * burstFraction * burstMultiplier >= 1, diurnalDepth outside [0, 1)).
+ * diurnalDepth outside [0, 1)).
  */
 std::vector<Request> generateArrivals(const TrafficSpec &spec);
 

@@ -15,10 +15,7 @@ passCycles(const SystolicConfig &config, Index m, Index k, Index n)
                     "passCycles: tile (%lldx%lld) exceeds array",
                     static_cast<long long>(k),
                     static_cast<long long>(n));
-    Cycles cycles = static_cast<Cycles>(m + k + n - 1);
-    if (!config.weightLoadOverlapped)
-        cycles += static_cast<Cycles>(k);
-    return cycles;
+    return static_cast<Cycles>(m + k + n - 1);
 }
 
 PassTiming

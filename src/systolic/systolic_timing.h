@@ -12,16 +12,12 @@
 
 namespace cfconv::systolic {
 
-/** Timing parameters of the systolic GEMM engine. */
+/** Timing parameters of the systolic GEMM engine. Weight loading for
+ *  pass i+1 always overlaps pass i's compute (the TPU's weight FIFO). */
 struct SystolicConfig
 {
     Index rows = 128;
     Index cols = 128;
-    /**
-     * True when weight loading for pass i+1 overlaps pass i's compute
-     * (TPU-style weight FIFO); false exposes the load latency.
-     */
-    bool weightLoadOverlapped = true;
 };
 
 /** Cycle/work accounting for one or more weight-stationary passes. */
@@ -34,8 +30,7 @@ struct PassTiming
 
 /**
  * Cycles for a single pass streaming @p m rows through a loaded
- * (k x n) weight block: m + k + n - 1 (stream + pipeline fill/drain),
- * plus the weight load (k cycles) when not overlapped.
+ * (k x n) weight block: m + k + n - 1 (stream + pipeline fill/drain).
  */
 Cycles passCycles(const SystolicConfig &config, Index m, Index k,
                   Index n);

@@ -9,10 +9,8 @@ appendConfig(std::string &key, const TpuConfig &config)
 {
     memoKeyAppendInt(key, config.array.rows);
     memoKeyAppendInt(key, config.array.cols);
-    memoKeyAppendInt(key, config.array.weightLoadOverlapped ? 1 : 0);
     memoKeyAppendInt(key, config.mxus);
     memoKeyAppendFloat(key, config.clockGhz);
-    memoKeyAppendInt(key, config.vectorMemories);
     memoKeyAppendInt(key, config.wordElems);
     memoKeyAppendInt(key, static_cast<long long>(config.elemBytes));
     memoKeyAppendInt(key, static_cast<long long>(config.onChipBytes));

@@ -49,9 +49,7 @@ TpuConfig::tpuV2()
     TpuConfig c;
     c.array.rows = 128;
     c.array.cols = 128;
-    c.array.weightLoadOverlapped = true;
     c.clockGhz = 0.7;
-    c.vectorMemories = 128;
     c.wordElems = 8;
     c.elemBytes = 4;
     c.onChipBytes = 32ULL * 1024 * 1024;
@@ -77,7 +75,6 @@ tpuConfigFrom(const Config &config, TpuConfig base)
         const long long array,
         intInRange(config, "array", c.array.rows, 1));
     c.array.rows = c.array.cols = static_cast<Index>(array);
-    c.vectorMemories = c.array.rows;
     CFCONV_ASSIGN_OR_RETURN(c.clockGhz,
                             positiveDouble(config, "clock_ghz", c.clockGhz));
     CFCONV_ASSIGN_OR_RETURN(

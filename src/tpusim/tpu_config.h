@@ -16,7 +16,9 @@
 
 namespace cfconv::tpusim {
 
-/** Full configuration of one simulated TPU core. */
+/** Full configuration of one simulated TPU core. Each PE row reads
+ *  its own single-port vector memory, so there are array.rows of them
+ *  (Sec. IV, Table II). */
 struct TpuConfig
 {
     systolic::SystolicConfig array{};      ///< 128 x 128 by default
@@ -28,7 +30,6 @@ struct TpuConfig
      */
     Index mxus = 1;
     double clockGhz = 0.7;                 ///< core clock
-    Index vectorMemories = 128;            ///< one per PE row
     Index wordElems = 8;                   ///< elements per SRAM word
     Bytes elemBytes = 4;                   ///< vector-memory element width
     Bytes onChipBytes = 32ULL * 1024 * 1024; ///< unified SRAM capacity
@@ -36,11 +37,11 @@ struct TpuConfig
     Cycles invokeOverheadCycles = 1400;
     dram::DramConfig dram = dram::DramConfig::hbm700();
 
-    /** Capacity of one vector memory. */
+    /** Capacity of one vector memory: one per PE row. */
     Bytes
     perArrayBytes() const
     {
-        return onChipBytes / static_cast<Bytes>(vectorMemories);
+        return onChipBytes / static_cast<Bytes>(array.rows);
     }
 
     /** Peak MAC throughput in TFLOPS (2 flops per MAC). */

@@ -91,14 +91,7 @@ emitSimTimeline(const std::string &label, const TpuConfig &config,
 
 } // namespace
 
-TpuSim::TpuSim(const TpuConfig &config) : config_(config)
-{
-    CFCONV_FATAL_IF(config.vectorMemories != config.array.rows,
-                    "TpuSim: expect one vector memory per PE row "
-                    "(%lld vs %lld)",
-                    static_cast<long long>(config.vectorMemories),
-                    static_cast<long long>(config.array.rows));
-}
+TpuSim::TpuSim(const TpuConfig &config) : config_(config) {}
 
 Cycles
 TpuSim::dramCycles(Bytes bytes, double efficiency) const
@@ -143,7 +136,7 @@ TpuSim::scheduleUnits(const std::vector<Unit> &units,
         const Cycles next_fill =
             i + 1 < units.size() ? units[i + 1].fill : 0;
         const Cycles port_floor = static_cast<Cycles>(
-            divCeil<Index>(units[i].portOps, config_.vectorMemories));
+            divCeil<Index>(units[i].portOps, config_.array.rows));
         const Cycles compute = std::max<Cycles>(
             static_cast<Cycles>(
                 static_cast<double>(units[i].compute) / mxus + 0.5),
@@ -164,7 +157,7 @@ TpuSim::scheduleUnits(const std::vector<Unit> &units,
     r.portUtilization =
         static_cast<double>(port_ops) /
         (static_cast<double>(total) *
-         static_cast<double>(config_.vectorMemories));
+         static_cast<double>(config_.array.rows));
     return r;
 }
 
@@ -211,10 +204,15 @@ TpuSim::runConvUncached(const ConvParams &params,
         params.strideH % 2 == 0 && params.strideW % 2 == 0 &&
         params.dilationH == 1 && params.dilationW == 1) {
         // Shallow stem: remap through space-to-depth so the systolic
-        // rows are four times better occupied.
+        // rows are four times better occupied. The rewritten layer's
+        // padded taps are not useful work: throughput counts the
+        // original layer's FLOPs.
         TpuRunOptions inner = options;
         inner.spaceToDepthFirstLayer = false;
-        return runConv(tensor::spaceToDepthParams(params, 2), inner);
+        TpuLayerResult r =
+            runConv(tensor::spaceToDepthParams(params, 2), inner);
+        r.tflops = static_cast<double>(params.flops()) / r.seconds / 1e12;
+        return r;
     }
     const StatusOr<im2col::PassPlan> plan =
         conv::findAlgorithm(options.algorithm)->plan(params);

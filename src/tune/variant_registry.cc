@@ -144,7 +144,6 @@ void
 setArray(tpusim::TpuConfig &c, Index array)
 {
     c.array.rows = c.array.cols = array;
-    c.vectorMemories = array;
 }
 
 } // namespace

@@ -6,7 +6,9 @@
 #include <string>
 
 #include "common/config.h"
+#include "tensor/conv_params.h"
 #include "tpusim/tpu_config.h"
+#include "tpusim/tpu_sim.h"
 
 namespace cfconv {
 namespace {
@@ -107,11 +109,17 @@ TEST(TpuConfigFrom, AppliesOverrides)
         "dram_gbps = 900\n");
     const tpusim::TpuConfig cfg = tpusim::tpuConfigFrom(c).value();
     EXPECT_EQ(cfg.array.rows, 256);
-    EXPECT_EQ(cfg.vectorMemories, 256);
     EXPECT_DOUBLE_EQ(cfg.clockGhz, 0.94);
     EXPECT_NEAR(cfg.dram.peakGBps(), 900.0, 1.0);
     // Untouched fields keep their TPU-v2 defaults.
     EXPECT_EQ(cfg.wordElems, 8);
+    // One vector memory per PE row: 256 of them split the unchanged
+    // 32 MB, and a layer's port utilization counts all 256.
+    EXPECT_EQ(cfg.perArrayBytes(), (32ULL << 20) / 256);
+    const tpusim::TpuLayerResult r = tpusim::TpuSim(cfg).runConv(
+        tensor::makeConv(8, 128, 56, 256, 3, 1, 1));
+    EXPECT_EQ(r.portUtilization, static_cast<double>(r.vecMemOps) /
+                                     (static_cast<double>(r.cycles) * 256));
 }
 
 TEST(TpuConfigFrom, EmptyConfigIsIdentity)

@@ -553,8 +553,11 @@ TEST(AlgoParity, VariantRecordDigestIsPinned)
     // field, 0x97747d7c59a66032, held across that change), and when
     // TPU utilization became tflops over a peak that counts every MXU
     // (0xe0c4a6bcc306cec4 before, when two-MXU variants reported up to
-    // twice their true utilization).
-    constexpr std::uint64_t kPinned = 0xb4bc7d6f7054bb84ULL;
+    // twice their true utilization), and when the space-to-depth stem
+    // started counting the original layer's FLOPs in its throughput
+    // (0xb4bc7d6f7054bb84 before; only tpu-v2-s2d's three C_I = 3 stems
+    // moved: tflops, utilization and pjPerMac).
+    constexpr std::uint64_t kPinned = 0x13c47b02007f519bULL;
     EXPECT_EQ(digest, kPinned) << std::hex << "digest 0x" << digest;
 }
 

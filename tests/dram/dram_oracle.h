@@ -1,7 +1,7 @@
 /** @file The per-element DRAM reference the fill-model tests compare
  *  against: a tile fill built one pixel position at a time, merged into
  *  the stream's tail by appendCoalesced, and a banked walk that prices
- *  every row piece of every request with its own address mapping. The
+ *  every row piece of every request with its own bank lookup. The
  *  library's run-length streams and row-cursor walk must reproduce it
  *  request for request and cycle for cycle. */
 
@@ -158,40 +158,21 @@ service(const DramConfig &config, const std::vector<Request> &requests)
             const Bytes chunk =
                 std::min(remaining, config.rowBytes - row_off);
 
-            // Address mapping: interleaved rotates consecutive rows
-            // across banks (streams get bank parallelism); contiguous
-            // gives each bank a fixed region (streams serialize on one
-            // bank).
+            // Consecutive rows rotate across banks (streams get bank
+            // parallelism).
             const Bytes row_id = addr / config.rowBytes;
-            Index bank_idx, global_row;
-            if (config.mapping == AddressMapping::RowInterleaved) {
-                bank_idx = static_cast<Index>(
-                    row_id % static_cast<Bytes>(n_banks));
-                global_row = static_cast<Index>(
-                    row_id / static_cast<Bytes>(n_banks));
-            } else {
-                // Split the address space evenly across banks.
-                const Bytes per_bank = std::max<Bytes>(
-                    1, (16ULL << 30) / static_cast<Bytes>(n_banks) /
-                           config.rowBytes);
-                bank_idx = static_cast<Index>(
-                    std::min<Bytes>(row_id / per_bank,
-                                    static_cast<Bytes>(n_banks - 1)));
-                global_row =
-                    static_cast<Index>(row_id % per_bank);
-            }
+            const auto bank_idx =
+                static_cast<Index>(row_id % static_cast<Bytes>(n_banks));
+            const auto global_row =
+                static_cast<Index>(row_id / static_cast<Bytes>(n_banks));
             const Index chan = bank_idx % config.channels;
 
             BankState &bank = banks[static_cast<size_t>(bank_idx)];
             // Activation and CAS proceed inside the bank and overlap
             // with other banks' data transfers; only the data beats
-            // serialize on the channel bus.
+            // serialize on the channel bus. Rows stay open.
             Cycles data_ready = bank.ready;
-            if (config.pagePolicy == PagePolicy::Closed) {
-                // Auto-precharged: every access activates, none pays
-                // an explicit precharge, and no row ever hits.
-                data_ready += config.tActivate;
-            } else if (bank.openRow == global_row) {
+            if (bank.openRow == global_row) {
                 ++hits;
             } else {
                 // Conflict: precharge the old row (if any), activate.

@@ -85,6 +85,48 @@ TEST(DramModel, RowCrossingRequestSplits)
     EXPECT_LT(model.lastRowHitRate(), 1.0);
 }
 
+// Hand-computed cycle pins for the three paths of the walk, on hbm700:
+// 8 channels x 16 banks of 1 KB rows, 64 B per bus cycle (a full row
+// bursts in 16 cycles, 64 B in the 2-cycle minimum), tPrecharge 16,
+// tActivate 14, tCas 14.
+
+TEST(DramModel, RowConflictPaysPrechargeActivateAndCas)
+{
+    // Rows 0 and 128 both live in bank 0. The first access activates
+    // (14 + 14 + 2 = 30); each later one closes the other row first
+    // (+16 + 14 + 14 + 2 = 46).
+    const DramConfig cfg = DramConfig::hbm700();
+    const Bytes other_row = 128 * cfg.rowBytes;
+    DramModel model(cfg);
+    EXPECT_EQ(model.service({{0, 64}, {other_row, 64}, {0, 64},
+                             {other_row, 64}}),
+              30u + 3 * 46);
+    EXPECT_EQ(model.lastRowHitRate(), 0.0);
+}
+
+TEST(DramModel, RunInsideAnOpenRowAddsCasAndBurstPerRequest)
+{
+    // Eight 64 B requests 128 B apart fill one 1 KB row: the first
+    // opens it (30 cycles), the other seven hit and add 14 + 2 each.
+    DramModel model(DramConfig::hbm700());
+    EXPECT_EQ(model.service({{0, 64, 8, 128}}), 30u + 7 * 16);
+    EXPECT_EQ(model.lastRowHitRate(), 7.0 / 8.0);
+}
+
+TEST(DramModel, LongRequestRunsBusBoundTurnAfterTurn)
+{
+    // Five turns of the 128 banks in one request. Turn 1: each channel
+    // activates its 16 banks at once (28 cycles) and bursts them back
+    // to back, ending at 28 + 16 * 16 = 284. From turn 2 on every row
+    // conflict (44 cycles) hides behind the channel's other 15 bursts,
+    // so each turn adds 16 bursts: 284 + 4 * 256.
+    const DramConfig cfg = DramConfig::hbm700();
+    DramModel model(cfg);
+    const Bytes turn = 128 * cfg.rowBytes;
+    EXPECT_EQ(model.service({{0, 5 * turn}}), 284u + 4 * 256);
+    EXPECT_EQ(model.lastRowHitRate(), 0.0);
+}
+
 TEST(DramModel, ZeroLengthRequestIsFatal)
 {
     DramModel model(DramConfig::hbm700());

@@ -23,18 +23,10 @@ namespace {
 using NamedConfig = std::pair<std::string, DramConfig>;
 
 /** Configs on both sides of the turn-skip condition
- *  (banksPerChannel - 1) * fullBurst >= miss latency, both page
- *  policies and both address mappings. */
+ *  (banksPerChannel - 1) * fullBurst >= miss latency. */
 std::vector<NamedConfig>
 walkConfigs()
 {
-    const DramConfig hbm = DramConfig::hbm700();
-    DramConfig closed = hbm;
-    closed.pagePolicy = PagePolicy::Closed;
-    DramConfig contiguous = hbm;
-    contiguous.mapping = AddressMapping::BankContiguous;
-    DramConfig contiguous_closed = contiguous;
-    contiguous_closed.pagePolicy = PagePolicy::Closed;
     DramConfig odd; // rows that are not a power of two
     odd.channels = 3;
     odd.banksPerChannel = 5;
@@ -51,12 +43,9 @@ walkConfigs()
     DramConfig single;
     single.channels = 1;
     single.banksPerChannel = 1;
-    return {{"hbm700", hbm},
+    return {{"hbm700", DramConfig::hbm700()},
             {"hbm900", DramConfig::hbm900()},
             {"default", DramConfig{}},
-            {"closed", closed},
-            {"contiguous", contiguous},
-            {"contiguous-closed", contiguous_closed},
             {"3x5-rows1000-bus24", odd},
             {"2x2-slow-rows", unsettled},
             {"2x12-slow-rows", settled},
@@ -66,9 +55,7 @@ walkConfigs()
 /** A random stream of single requests and strided runs: sub-row,
  *  row-crossing and multi-row runs, jumps back and forth, runs that
  *  continue where the last one ended, requests up to 3 MB, and
- *  requests that cross a 128 MB boundary (one bank's region under
- *  hbm700's bank-contiguous mapping) up to 17.5 GB, past the last
- *  bank's. */
+ *  requests that cross a 128 MB boundary up to 17.5 GB. */
 std::vector<Request>
 randomStream(Rng &rng, Bytes row)
 {

@@ -111,7 +111,7 @@ TEST(Arrivals, BurstyMatchesLongRunRateAndActuallyBursts)
                 0.25 * expect);
 
     // Burstiness: the peak 10 ms window should far exceed the mean
-    // 10 ms load (burstMultiplier is 8 by default).
+    // 10 ms load (bursts run at 8x the mean rate).
     const double window = 10e-3;
     const double meanPerWindow =
         spec.ratePerSecond * window; // ~10 requests

@@ -36,10 +36,10 @@ TEST(BatchQueue, LaunchesWhenFull)
 {
     BatchQueue queue(1, BatchPolicy{4, 1.0}, {});
     for (Index i = 0; i < 3; ++i) {
-        EXPECT_TRUE(queue.offer(at(i, 0.0), 0.0));
+        EXPECT_TRUE(queue.offer(at(i, 0.0)));
         EXPECT_EQ(queue.launchableClass(0.0), -1) << i;
     }
-    EXPECT_TRUE(queue.offer(at(3, 0.0), 0.0));
+    EXPECT_TRUE(queue.offer(at(3, 0.0)));
     EXPECT_EQ(queue.launchableClass(0.0), 0);
     const auto batch = queue.pop(0, 4);
     ASSERT_EQ(batch.size(), 4u);
@@ -50,7 +50,7 @@ TEST(BatchQueue, LaunchesWhenFull)
 TEST(BatchQueue, LaunchesPartialBatchAtMaxWait)
 {
     BatchQueue queue(1, BatchPolicy{8, 2e-3}, {});
-    EXPECT_TRUE(queue.offer(at(0, 1.0), 0.0));
+    EXPECT_TRUE(queue.offer(at(0, 1.0)));
     EXPECT_EQ(queue.launchableClass(1.0), -1);
     EXPECT_EQ(queue.launchableClass(1.0 + 1e-3), -1);
     EXPECT_DOUBLE_EQ(queue.nextDeadline(), 1.0 + 2e-3);
@@ -60,7 +60,7 @@ TEST(BatchQueue, LaunchesPartialBatchAtMaxWait)
 TEST(BatchQueue, ZeroWaitMeansImmediateLaunch)
 {
     BatchQueue queue(1, BatchPolicy{8, 0.0}, {});
-    EXPECT_TRUE(queue.offer(at(0, 0.5), 0.0));
+    EXPECT_TRUE(queue.offer(at(0, 0.5)));
     EXPECT_EQ(queue.launchableClass(0.5), 0);
 }
 
@@ -68,10 +68,10 @@ TEST(BatchQueue, TiesBreakByOldestArrivalThenClassIndex)
 {
     BatchQueue queue(3, BatchPolicy{1, 10.0}, {});
     // maxBatch=1: every queued request is launchable immediately.
-    EXPECT_TRUE(queue.offer(at(0, 2.0, 2), 0.0));
-    EXPECT_TRUE(queue.offer(at(1, 1.0, 1), 0.0));
+    EXPECT_TRUE(queue.offer(at(0, 2.0, 2)));
+    EXPECT_TRUE(queue.offer(at(1, 1.0, 1)));
     EXPECT_EQ(queue.launchableClass(2.0), 1); // older arrival wins
-    EXPECT_TRUE(queue.offer(at(2, 1.0, 0), 0.0));
+    EXPECT_TRUE(queue.offer(at(2, 1.0, 0)));
     EXPECT_EQ(queue.launchableClass(2.0), 0); // equal age: low index
 }
 
@@ -80,28 +80,18 @@ TEST(BatchQueue, ShedsOnFullQueue)
     AdmissionPolicy admission;
     admission.maxQueuePerClass = 2;
     BatchQueue queue(1, BatchPolicy{8, 1.0}, admission);
-    EXPECT_TRUE(queue.offer(at(0, 0.0), 0.0));
-    EXPECT_TRUE(queue.offer(at(1, 0.0), 0.0));
-    EXPECT_FALSE(queue.offer(at(2, 0.0), 0.0));
+    EXPECT_TRUE(queue.offer(at(0, 0.0)));
+    EXPECT_TRUE(queue.offer(at(1, 0.0)));
+    EXPECT_FALSE(queue.offer(at(2, 0.0)));
     EXPECT_EQ(queue.shedCount(0), 1);
     EXPECT_EQ(queue.depth(0), 2);
-}
-
-TEST(BatchQueue, ShedsOnEstimatedDelay)
-{
-    AdmissionPolicy admission;
-    admission.maxEstimatedDelaySeconds = 10e-3;
-    BatchQueue queue(1, BatchPolicy{8, 1.0}, admission);
-    EXPECT_TRUE(queue.offer(at(0, 0.0), 5e-3));
-    EXPECT_FALSE(queue.offer(at(1, 0.0), 20e-3));
-    EXPECT_EQ(queue.shedCount(0), 1);
 }
 
 TEST(BatchQueue, UnboundedPolicyAdmitsEverything)
 {
     BatchQueue queue(1, BatchPolicy{2, 1.0}, {});
     for (Index i = 0; i < 100; ++i)
-        EXPECT_TRUE(queue.offer(at(i, 0.0), 1e9));
+        EXPECT_TRUE(queue.offer(at(i, 0.0)));
     EXPECT_EQ(queue.depth(0), 100);
     EXPECT_EQ(queue.shedCount(0), 0);
 }
@@ -110,7 +100,7 @@ TEST(BatchQueue, RequeueFrontPreservesFifoOrder)
 {
     BatchQueue queue(1, BatchPolicy{2, 1.0}, {});
     for (Index i = 0; i < 4; ++i)
-        EXPECT_TRUE(queue.offer(at(i, static_cast<double>(i)), 0.0));
+        EXPECT_TRUE(queue.offer(at(i, static_cast<double>(i))));
     auto batch = queue.pop(0, 2);
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_EQ(batch[0].id, 0);
@@ -136,8 +126,8 @@ TEST(BatchQueue, PriorityTierBeatsOlderArrival)
     // the more important tier 0, so it launches ahead of the older
     // tier-1 arrival.
     BatchQueue queue(2, BatchPolicy{1, 10.0}, {}, {1, 0}, {});
-    EXPECT_TRUE(queue.offer(at(0, 1.0, 0), 0.0));
-    EXPECT_TRUE(queue.offer(at(1, 2.0, 1), 0.0));
+    EXPECT_TRUE(queue.offer(at(0, 1.0, 0)));
+    EXPECT_TRUE(queue.offer(at(1, 2.0, 1)));
     EXPECT_EQ(queue.launchableClass(2.0), 1);
     queue.pop(1, 1);
     EXPECT_EQ(queue.launchableClass(2.0), 0);
@@ -149,8 +139,8 @@ TEST(BatchQueue, EarliestDeadlineBreaksTiesWithinATier)
     // earlier deadline (1.05 + 0.01 < 1.00 + 0.10) and goes first.
     BatchQueue queue(2, BatchPolicy{1, 10.0}, {}, {0, 0},
                      {0.10, 0.01});
-    EXPECT_TRUE(queue.offer(at(0, 1.00, 0), 0.0));
-    EXPECT_TRUE(queue.offer(at(1, 1.05, 1), 0.0));
+    EXPECT_TRUE(queue.offer(at(0, 1.00, 0)));
+    EXPECT_TRUE(queue.offer(at(1, 1.05, 1)));
     EXPECT_EQ(queue.launchableClass(1.05), 1);
 }
 
@@ -158,21 +148,21 @@ TEST(BatchQueue, BrownoutShedsOnlyTheFlooredTiersAtArrival)
 {
     BatchQueue queue(2, BatchPolicy{4, 1.0}, {}, {0, 2}, {});
     queue.setBrownoutMinPriority(2);
-    EXPECT_TRUE(queue.offer(at(0, 0.0, 0), 0.0));
-    EXPECT_FALSE(queue.offer(at(1, 0.0, 1), 0.0));
+    EXPECT_TRUE(queue.offer(at(0, 0.0, 0)));
+    EXPECT_FALSE(queue.offer(at(1, 0.0, 1)));
     EXPECT_EQ(queue.shedCount(1), 1);
     EXPECT_EQ(queue.brownoutShedCount(1), 1);
     EXPECT_EQ(queue.brownoutShedCount(0), 0);
     // Lifting the floor re-admits the class.
     queue.setBrownoutMinPriority(std::numeric_limits<Index>::max());
-    EXPECT_TRUE(queue.offer(at(2, 0.1, 1), 0.0));
+    EXPECT_TRUE(queue.offer(at(2, 0.1, 1)));
 }
 
 TEST(BatchQueue, MaxBatchOverrideShrinksTheFullTestAndClamps)
 {
     BatchQueue queue(1, BatchPolicy{8, 10.0}, {});
     for (Index i = 0; i < 4; ++i)
-        EXPECT_TRUE(queue.offer(at(i, 0.0), 0.0));
+        EXPECT_TRUE(queue.offer(at(i, 0.0)));
     EXPECT_EQ(queue.launchableClass(0.0), -1); // 4 < 8: not full
     queue.setMaxBatchOverride(4);
     EXPECT_EQ(queue.effectiveMaxBatch(), 4);

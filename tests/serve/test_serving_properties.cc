@@ -199,8 +199,7 @@ sweepCase(int index)
     c.config.chipOutageDetectionSeconds = rng.below(2) == 0 ? 2e-3 : 10e-3;
 
     // The three policies take every on/off combination three times
-    // over 24 cases; sharding covers half of them, fallbacks two
-    // thirds.
+    // over 24 cases; fallbacks cover two thirds of them.
     c.config.breaker.enabled = (index & 1) != 0;
     c.config.breaker.failureThreshold = 2;
     c.config.breaker.openSeconds = 20e-3;
@@ -212,7 +211,6 @@ sweepCase(int index)
     c.config.hedge.enabled = (index & 4) != 0;
     c.config.hedge.latencyPercentile = rng.below(2) == 0 ? 0.5 : 0.95;
     c.config.hedge.minSamples = 4;
-    c.config.maxShards = index % 2 == index / 12 ? 3 : 1;
     if (index % 3 != 1)
         c.config.fallbackVariants = {"tpu-v3ish"};
 

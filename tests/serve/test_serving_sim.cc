@@ -177,28 +177,6 @@ TEST(ServingSim, AdmissionControlBoundsTheQueueAndKeepsGoodput)
     EXPECT_GE(shed.goodputRps, unbounded.goodputRps);
 }
 
-TEST(ServingSim, DataParallelShardingCutsLatency)
-{
-    TrafficSpec traffic;
-    traffic.ratePerSecond = 200; // light: chips usually idle
-    traffic.horizonSeconds = 0.1;
-    traffic.seed = 29;
-
-    ServingConfig config;
-    config.chips.assign(4, ChipSpec{"tpu-v2"});
-    config.batch.maxBatch = 32;
-    config.batch.maxWaitSeconds = 5e-3;
-    ServingSimulator solo(config, tinyMix());
-    const ServingResult unsharded = solo.run(traffic);
-
-    config.maxShards = 4;
-    ServingSimulator sharded(config, tinyMix());
-    const ServingResult split = sharded.run(traffic);
-
-    EXPECT_EQ(split.completed, split.offered);
-    EXPECT_LT(split.p99, unsharded.p99);
-}
-
 TEST(ServingSim, ChaosChipDownRetriesEverythingToCompletion)
 {
     auto &injector = fault::FaultInjector::instance();
@@ -567,54 +545,6 @@ TEST(ServingSim, HedgePercentileIsNotSnappedToTheMedian)
     const Index atP90 = p90.run(traffic).hedgedBatches;
     EXPECT_GT(atMedian, 0);
     EXPECT_NE(atP90, atMedian);
-}
-
-TEST(ServingSim, AdmissionEstimateChargesItsOwnEvaluation)
-{
-    // Every bucket but 64 is priced before the run, so the only fresh
-    // cost-model evaluation in the run is the admission controller's
-    // batch-64 service estimate: the run's chaos tally must be that
-    // entry's, whatever the fault seed.
-    auto alexnet = makeModelClass("alexnet");
-    ASSERT_TRUE(alexnet.ok());
-    const ModelMix mix = {alexnet.value()};
-    ServingConfig config;
-    config.chips.assign(2, ChipSpec{"tpu-v2"});
-    config.batch.maxBatch = 64;
-    config.batch.maxWaitSeconds = 0.0;
-    config.admission.maxEstimatedDelaySeconds = 1e9;
-    TrafficSpec traffic;
-    traffic.ratePerSecond = 50;
-    traffic.horizonSeconds = 0.2;
-    traffic.seed = 3;
-    const auto accelerator = sim::makeAccelerator("tpu-v2");
-
-    auto &injector = fault::FaultInjector::instance();
-    for (int seed = 1; seed <= 12; ++seed) {
-        SCOPED_TRACE(seed);
-        ASSERT_TRUE(injector
-                        .configure("seed=" + std::to_string(seed) +
-                                   "; accel.step_timeout@tpu-v2=0.1;"
-                                   " max_attempts=3; failover=gpu-v100")
-                        .ok());
-        ServingSimulator sim(config, mix);
-        for (Index batch : {1, 2, 4, 8, 12, 16, 24, 32, 48})
-            sim.costModel().cost(*accelerator, 0, batch);
-        const Index warm = sim.costModel().evaluations();
-        const sim::ResilienceInfo tally = sim.run(traffic).record.resilience;
-        const sim::ResilienceInfo &estimate =
-            sim.costModel().cost(*accelerator, 0, 64).resilience;
-        injector.disarm();
-
-        EXPECT_EQ(sim.costModel().evaluations(), warm + 1);
-        EXPECT_EQ(tally.faultsSeen, estimate.faultsSeen);
-        EXPECT_EQ(tally.retries, estimate.retries);
-        EXPECT_EQ(tally.failovers, estimate.failovers);
-        EXPECT_EQ(tally.layersFailedOver, estimate.layersFailedOver);
-        EXPECT_EQ(tally.layersResumed, estimate.layersResumed);
-        EXPECT_EQ(tally.backoffSeconds, estimate.backoffSeconds);
-        EXPECT_EQ(tally.finalBackend, estimate.finalBackend);
-    }
 }
 
 TEST(ServingSim, FaultFreeResilienceConfigRecordsNoChaos)

@@ -1,6 +1,7 @@
 /** @file The paper's invariants as properties of every registered
- *  variant, not goldens of the stock four: a record's FLOPs and
- *  utilization agree with its layer and its peak; no layer beats its
+ *  variant, not goldens of the stock four: a record's FLOPs, TFLOPS
+ *  and utilization agree with its layer, its time and its peak; each
+ *  PE row reads one single-port vector memory; no layer beats its
  *  memory roofline; weights and pointer tables always cross DRAM, and
  *  a streamed layer moves at least its compulsory traffic while a
  *  resident TPU layer moves nothing else (Sec. IV-B); the implicit
@@ -27,6 +28,7 @@
 #include "dram/dram_model.h"
 #include "im2col/filter_decomp.h"
 #include "sim/accelerator.h"
+#include "tpusim/tpu_sim.h"
 #include "tune/variant_registry.h"
 
 #include "../common/model_layers.h"
@@ -122,6 +124,57 @@ TEST(VariantInvariants, UtilizationIsTflopsOverPeak)
         EXPECT_DOUBLE_EQ(record.utilization, record.tflops / peak)
             << spec.name << " on " << record.geometry;
     });
+}
+
+TEST(VariantInvariants, TflopsIsFlopsOverSeconds)
+{
+    // Throughput is the layer's own FLOPs over its time, also where the
+    // simulator runs a rewritten layer (the space-to-depth stem).
+    forEachModelRecord([](const VariantSpec &spec,
+                          const models::ConvLayerSpec &,
+                          const LayerRecord &record) {
+        EXPECT_EQ(record.tflops,
+                  static_cast<double>(record.flops) / record.seconds / 1e12)
+            << spec.name << " on " << record.geometry;
+    });
+}
+
+TEST(VariantInvariants, EveryPeRowReadsOneSinglePortVectorMemory)
+{
+    // Sec. IV, Table II: each PE row has its own single-port vector
+    // memory, so a layer never makes more than one word access per
+    // memory per cycle, and its port utilization counts array.rows
+    // memories. Explicit im2col's utilization covers its GEMM alone:
+    // the transform adds cycles but no port operations.
+    const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
+    int checked = 0;
+    for (const VariantSpec *spec : allVariants()) {
+        if (spec->backend != Backend::Tpu)
+            continue;
+        const tpusim::TpuSim sim(spec->tpuConfig);
+        const auto memories =
+            static_cast<double>(spec->tpuConfig.array.rows);
+        for (const models::ConvLayerSpec &layer : layers) {
+            if (layer.groups != 1 ||
+                !conv::findAlgorithm(spec->tpuOptions.algorithm)
+                     ->supports(layer.params, 1)
+                     .ok())
+                continue;
+            const tpusim::TpuLayerResult r =
+                sim.runConv(layer.params, spec->tpuOptions);
+            const double capacity =
+                static_cast<double>(r.cycles) * memories;
+            EXPECT_LE(static_cast<double>(r.vecMemOps), capacity)
+                << spec->name << " on " << layer.params.toString();
+            if (spec->tpuOptions.algorithm != AlgorithmId::ExplicitIm2col) {
+                EXPECT_EQ(r.portUtilization,
+                          static_cast<double>(r.vecMemOps) / capacity)
+                    << spec->name << " on " << layer.params.toString();
+            }
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 0);
 }
 
 TEST(VariantInvariants, NoLayerBeatsItsMemoryRoofline)

@@ -32,16 +32,6 @@ TEST(PassCycles, MatchesFunctionalArray)
     }
 }
 
-TEST(PassCycles, ExposedWeightLoadAddsK)
-{
-    SystolicConfig cfg;
-    cfg.rows = cfg.cols = 8;
-    cfg.weightLoadOverlapped = true;
-    const Cycles overlapped = passCycles(cfg, 100, 8, 8);
-    cfg.weightLoadOverlapped = false;
-    EXPECT_EQ(passCycles(cfg, 100, 8, 8), overlapped + 8);
-}
-
 TEST(PassCycles, RejectsOversizedTiles)
 {
     SystolicConfig cfg;

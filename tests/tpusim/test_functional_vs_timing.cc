@@ -142,7 +142,6 @@ TEST(FunctionalTiming, PortOpsMatchTpuSimOnEveryAlgorithm)
 
         TpuConfig config = TpuConfig::tpuV2();
         config.array.rows = config.array.cols = 8;
-        config.vectorMemories = 8;
         config.wordElems = layer.word;
         const TpuSim sim(config);
         FunctionalTpuCore core(8, 8, layer.word);

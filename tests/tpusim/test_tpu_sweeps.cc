@@ -94,7 +94,6 @@ TEST(TpuSweeps, BiggerArraysNeverSlower)
     for (Index size : {64L, 128L, 256L}) {
         TpuConfig cfg = TpuConfig::tpuV2();
         cfg.array.rows = cfg.array.cols = size;
-        cfg.vectorMemories = size;
         const double secs = TpuSim(cfg).runConv(p).seconds;
         EXPECT_LE(secs, prev * 1.02) << "array " << size;
         prev = secs;
@@ -109,7 +108,6 @@ TEST(TpuSweeps, UtilizationFallsWithArraySize)
     for (Index size : {128L, 256L, 512L}) {
         TpuConfig cfg = TpuConfig::tpuV2();
         cfg.array.rows = cfg.array.cols = size;
-        cfg.vectorMemories = size;
         const double util = TpuSim(cfg).runConv(p).tflops / cfg.peakTflops();
         EXPECT_LT(util, prev) << "array " << size;
         prev = util;
