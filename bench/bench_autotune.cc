@@ -12,7 +12,7 @@
  * empty ReportMeta; wall-clock histograms never enter it).
  *
  * Arguments beyond the uniform bench set: `db=FILE` overrides the
- * database path, `mode=exhaustive|greedy` picks the search mode.
+ * database path.
  */
 
 #include <algorithm>
@@ -94,22 +94,12 @@ main(int argc, char **argv)
 {
     // Peel the bench-specific arguments, forward the uniform rest.
     std::string dbPath = "TUNED_configs.json";
-    tune::SearchMode mode = tune::SearchMode::Exhaustive;
     std::vector<char *> rest = {argv[0]};
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "db=", 3) == 0 && argv[i][3] != '\0') {
+        if (std::strncmp(argv[i], "db=", 3) == 0 && argv[i][3] != '\0')
             dbPath = argv[i] + 3;
-        } else if (std::strncmp(argv[i], "mode=", 5) == 0) {
-            auto parsed = tune::parseSearchMode(argv[i] + 5);
-            if (!parsed.ok()) {
-                std::fprintf(stderr, "%s\n",
-                             parsed.status().toString().c_str());
-                return 2;
-            }
-            mode = parsed.value();
-        } else {
+        else
             rest.push_back(argv[i]);
-        }
     }
     bench::BenchArgs args = bench::parseBenchArgs(
         static_cast<int>(rest.size()), rest.data());
@@ -150,7 +140,6 @@ main(int argc, char **argv)
             return 1;
         }
         tune::TuneOptions options;
-        options.mode = mode;
         options.baseline = campaign.baseline;
         options.db = &db;
         auto tuned = tuner.value()->tuneModel(model, options);
@@ -162,8 +151,7 @@ main(int argc, char **argv)
         const tune::ModelTuneResult &result = tuned.value();
 
         Table t("ResNet-50 per-layer tuning, " + campaign.baseline
-                + " baseline (" + std::string(tune::searchModeName(mode))
-                + ")");
+                + " baseline");
         t.setHeader({"layer", "variant", "base ms", "tuned ms",
                      "speedup", "evals", "src"});
         for (const auto &layer : result.layers) {
@@ -178,11 +166,10 @@ main(int argc, char **argv)
         t.print();
 
         std::printf(
-            "TUNE family=%s model=%s mode=%s baseline=%s "
+            "TUNE family=%s model=%s baseline=%s "
             "evaluations=%lld db_hits=%lld speedup=%.4f\n",
             tune::backendFamilyName(campaign.space.family),
-            result.model.c_str(), tune::searchModeName(mode),
-            result.baseline.c_str(),
+            result.model.c_str(), result.baseline.c_str(),
             static_cast<long long>(result.evaluations),
             static_cast<long long>(result.dbHits), result.speedup());
         bench::summaryLine(campaign.id, "tuned speedup vs baseline",

@@ -10,13 +10,17 @@
 #     matrix in BENCH_algos.json) must match the baseline EXACTLY: the
 #     simulators are deterministic, so any drift is a real behavior
 #     change — rebaseline deliberately with --update.
-#   - Wall-clock quantities (per shape+backend GFLOP/s from
-#     BENCH_gemm.json) regress only beyond a noise band: fail when
-#     current < baseline * CFCONV_PERF_TOL (default 0.40 — CI machines
-#     are noisy; the gate is for the 13.6x-class cliffs, not 5% jitter).
+#   - Wall-clock quantities (per shape+backend+thread-count GFLOP/s
+#     from the GEMM backend sweep) regress only beyond a noise band:
+#     fail when current < baseline * CFCONV_PERF_TOL (default 0.40 —
+#     CI machines are noisy; the gate is for the 13.6x-class cliffs,
+#     not 5% jitter). The compared points are measured afresh at
+#     threads=1 on every run, whatever thread count last wrote
+#     BENCH_gemm.json.
 #
 # Usage:
-#   check_perf.sh             compare (regenerates BENCH files if absent)
+#   check_perf.sh             compare (regenerates the simulated BENCH files
+#                             if absent; always re-measures the GEMM points)
 #   check_perf.sh --update    regenerate the baselines from a fresh run
 #   check_perf.sh --selftest  prove the gate fails on a perturbed baseline
 set -euo pipefail
@@ -37,21 +41,33 @@ if ! command -v python3 >/dev/null 2>&1; then
     exit 0
 fi
 
-regen_bench_files() {
-    if [ ! -x "$BUILD_DIR/bench/bench_models_report" ]; then
+require_build() {
+    if [ ! -x "$BUILD_DIR/bench/$1" ]; then
         echo "check_perf: $BUILD_DIR not built; run cmake first" >&2
         exit 1
     fi
+}
+
+# gemm_points <dir>: run the GEMM backend sweep at threads=1, which
+# writes BENCH_gemm.json in <dir>. The google-benchmark registrations
+# are skipped; only the sweep is needed.
+gemm_points() {
+    require_build bench_micro_kernels
+    local bin
+    bin="$(cd "$BUILD_DIR/bench" && pwd)/bench_micro_kernels"
+    (cd "$1" && "$bin" threads=1 --benchmark_filter=NOTHING_MATCHES \
+        >/dev/null)
+}
+
+regen_bench_files() {
+    require_build bench_models_report
     "$BUILD_DIR"/bench/bench_models_report json=BENCH_models.json \
         >/dev/null
     "$BUILD_DIR"/bench/bench_serving json=BENCH_serving.json \
         >/dev/null
     "$BUILD_DIR"/bench/bench_fig4_stride json=BENCH_algos.json \
         >/dev/null
-    # Skip the google-benchmark registrations; only the GEMM backend
-    # sweep (which writes BENCH_gemm.json in the cwd) is needed.
-    "$BUILD_DIR"/bench/bench_micro_kernels \
-        --benchmark_filter=NOTHING_MATCHES >/dev/null
+    gemm_points .
 }
 
 # extract <models.json> <gemm.json> <serving.json> <algos.json>
@@ -82,7 +98,7 @@ for path in (models_path, serving_path, algos_path):
 with open(gemm_path) as f:
     points = json.load(f)
 for pt in points:
-    key = f"{pt['m']}x{pt['n']}x{pt['k']}|{pt['backend']}"
+    key = f"{pt['m']}x{pt['n']}x{pt['k']}|{pt['backend']}|t{pt['threads']}"
     baseline["wallclock"][key] = {"gflops": pt["gflops"]}
 with open(out_path, "w") as f:
     json.dump(baseline, f, indent=2, sort_keys=True)
@@ -149,11 +165,11 @@ selftest | --selftest)
     # past the noise band, then require the comparison to reject both.
     workdir="$(mktemp -d)"
     trap 'rm -rf "$workdir"' EXIT
-    [ -s BENCH_models.json ] && [ -s BENCH_gemm.json ] \
-        && [ -s BENCH_serving.json ] && [ -s BENCH_algos.json ] \
-        || regen_bench_files
-    extract BENCH_models.json BENCH_gemm.json BENCH_serving.json \
-        BENCH_algos.json "$workdir/current.json"
+    [ -s BENCH_models.json ] && [ -s BENCH_serving.json ] \
+        && [ -s BENCH_algos.json ] || regen_bench_files
+    gemm_points "$workdir"
+    extract BENCH_models.json "$workdir/BENCH_gemm.json" \
+        BENCH_serving.json BENCH_algos.json "$workdir/current.json"
     python3 - "$BASELINE_DIR/perf_baseline.json" \
         "$workdir/perturbed.json" <<'EOF'
 import json
@@ -181,13 +197,13 @@ check | --check)
         echo "check_perf: no baseline; run check_perf.sh --update" >&2
         exit 1
     fi
-    [ -s BENCH_models.json ] && [ -s BENCH_gemm.json ] \
-        && [ -s BENCH_serving.json ] && [ -s BENCH_algos.json ] \
-        || regen_bench_files
+    [ -s BENCH_models.json ] && [ -s BENCH_serving.json ] \
+        && [ -s BENCH_algos.json ] || regen_bench_files
     workdir="$(mktemp -d)"
     trap 'rm -rf "$workdir"' EXIT
-    extract BENCH_models.json BENCH_gemm.json BENCH_serving.json \
-        BENCH_algos.json "$workdir/current.json"
+    gemm_points "$workdir"
+    extract BENCH_models.json "$workdir/BENCH_gemm.json" \
+        BENCH_serving.json BENCH_algos.json "$workdir/current.json"
     compare "$BASELINE_DIR/perf_baseline.json" \
         "$workdir/current.json" "$TOL"
     echo "PERF OK"

@@ -129,10 +129,10 @@ echo "  rejected=$rejected unknown-algorithm entries, report reproduced"
 
 echo "==== check_tune: torn tuned-db recovery ===="
 torn="$workdir/torn.json"
-"$BENCH" "db=$torn" mode=greedy "json=$workdir/torn1.json" \
+"$BENCH" "db=$torn" "json=$workdir/torn1.json" \
     > "$workdir/torn1.out"
 grep -q '(fresh)' "$workdir/torn1.out" || {
-    echo "check_tune: first greedy run did not start fresh" >&2
+    echo "check_tune: first torn-db run did not start fresh" >&2
     exit 1
 }
 grep -q '#cfconv-sum:fnv1a:' "$torn" || {
@@ -145,13 +145,13 @@ trailer="$(grep '#cfconv-sum:fnv1a:' "$torn")"
 head -c "$(($(wc -c < "$torn") / 2))" "$torn" > "$torn.part"
 printf '\n%s\n' "$trailer" >> "$torn.part"
 mv "$torn.part" "$torn"
-"$BENCH" "db=$torn" mode=greedy "json=$workdir/torn2.json" \
+"$BENCH" "db=$torn" "json=$workdir/torn2.json" \
     > "$workdir/torn2.out"
 grep -q '(recovered)' "$workdir/torn2.out" || {
     echo "check_tune: torn db was not recovered" >&2
     exit 1
 }
-"$BENCH" "db=$torn" mode=greedy "json=$workdir/torn3.json" \
+"$BENCH" "db=$torn" "json=$workdir/torn3.json" \
     > "$workdir/torn3.out"
 if grep -Eq '\((recovered|fresh)\)' "$workdir/torn3.out"; then
     echo "check_tune: re-saved db did not load cleanly" >&2

@@ -20,8 +20,7 @@
  * disabled path costs one branch and allocates nothing. Events are
  * appended to per-thread buffers (one uncontended mutex each, taken
  * only while enabled) and flushed to the output file once, at stop()
- * or process exit. Compile with -DCFCONV_DISABLE_TRACING to remove the
- * macro call sites entirely.
+ * or process exit.
  *
  * Activation: trace::start(path) (the bench `trace=FILE` argument) or
  * the CFCONV_TRACE=FILE environment variable, which arms the recorder
@@ -214,8 +213,6 @@ void resetForTest();
 #define CFCONV_TRACE_CAT2(a, b) a##b
 #define CFCONV_TRACE_CAT(a, b) CFCONV_TRACE_CAT2(a, b)
 
-#ifndef CFCONV_DISABLE_TRACING
-
 /** Scoped wall-clock span with a static name. */
 #define TRACE_SCOPE(category, name)                                        \
     ::cfconv::trace::Scope CFCONV_TRACE_CAT(cfconv_trace_scope_,           \
@@ -244,14 +241,5 @@ void resetForTest();
             ::cfconv::trace::counter(category, name,                       \
                                      static_cast<double>(value));          \
     } while (0)
-
-#else // CFCONV_DISABLE_TRACING
-
-#define TRACE_SCOPE(category, name) ((void)0)
-#define TRACE_SCOPE_DYN(category, name_expr) ((void)0)
-#define TRACE_INSTANT(category, name) ((void)0)
-#define TRACE_COUNTER(category, name, value) ((void)0)
-
-#endif // CFCONV_DISABLE_TRACING
 
 #endif // CFCONV_COMMON_TRACE_H

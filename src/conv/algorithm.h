@@ -4,11 +4,11 @@
  * lowering scheme implements so that all algorithms can be compared on
  * equal footing across both simulators (ROADMAP "Algorithm zoo").
  *
- * An Algorithm bundles six things:
+ * An Algorithm bundles five things:
  *   - identity (stable id + canonical name),
  *   - an applicability predicate (stride/dilation/groups restrictions),
- *   - the lowered-matrix geometry (GEMM dims, workspace, duplication),
- *   - a DRAM traffic model (unique bytes each operand class moves),
+ *   - a DRAM traffic model (unique bytes each operand class moves,
+ *     the lowered workspace and the pointer table included),
  *   - a pass plan (im2col::PassPlan: tap order, depth, feed locality,
  *     metadata) that the TPU and GPU simulators each schedule with one
  *     generic loop,
@@ -67,29 +67,6 @@ enum class AlgorithmId {
 inline constexpr int kAlgorithmCount = 5;
 
 /**
- * Lowered-matrix geometry of one algorithm on one layer: the logical
- * GEMM it performs plus the memory-shape consequences of how the
- * lowered operand is (or is not) materialized.
- */
-struct LoweredGeometry
-{
-    Index m = 0; ///< GEMM rows (N * H_O * W_O)
-    Index k = 0; ///< GEMM depth as the algorithm schedules it
-    Index n = 0; ///< GEMM columns (C_O)
-
-    /** Extra DRAM workspace the algorithm materializes (bytes). Zero
-     *  for every implicit scheme; loweredBytes() for explicit. */
-    Bytes workspaceBytes = 0;
-
-    /** Side-table metadata (indirection-buffer pointers) in bytes. */
-    Bytes metadataBytes = 0;
-
-    /** Input-duplication factor of the lowered operand relative to the
-     *  IFMap (Table 1): 1.0 when nothing is duplicated. */
-    double duplication = 1.0;
-};
-
-/**
  * Unique DRAM bytes each operand class moves for one layer, before any
  * backend-specific efficiency or caching effects. The simulators price
  * the pass plan for cycle counts; this is the backend-neutral summary
@@ -129,9 +106,6 @@ class Algorithm
      *  and tuned-config-DB entries. */
     virtual const char *name() const = 0;
 
-    /** One-line human description for listings. */
-    virtual const char *description() const = 0;
-
     /**
      * Applicability predicate: OK when this algorithm can run @p params
      * with @p groups, INVALID_ARGUMENT (naming algorithm and offending
@@ -140,9 +114,6 @@ class Algorithm
      * execute() calls it first).
      */
     virtual Status supports(const ConvParams &params, Index groups) const;
-
-    /** Lowered-matrix geometry on @p params. */
-    virtual LoweredGeometry geometry(const ConvParams &params) const = 0;
 
     /** Backend-neutral unique-DRAM-traffic model on @p params. */
     virtual Traffic traffic(const ConvParams &params) const = 0;

@@ -32,18 +32,6 @@ using tensor::ColumnOrder;
 /** Pointer-size of one indirection-buffer entry (64-bit host). */
 constexpr Bytes kPointerBytes = 8;
 
-/** Shared geometry for the implicit schemes: full logical GEMM, no
- *  workspace, no duplication. */
-LoweredGeometry
-implicitGeometry(const ConvParams &params)
-{
-    LoweredGeometry g;
-    g.m = params.gemmM();
-    g.k = params.gemmK();
-    g.n = params.gemmN();
-    return g;
-}
-
 /** Shared traffic skeleton: unique input union + filter + output. */
 Traffic
 implicitTraffic(const ConvParams &params)
@@ -88,19 +76,6 @@ class ChannelFirstAlgorithm final : public Algorithm
     AlgorithmId id() const override { return AlgorithmId::ChannelFirst; }
     const char *name() const override { return "channel-first"; }
 
-    const char *
-    description() const override
-    {
-        return "implicit im2col, H_F->W_F->C_I order, decomposed 1x1 "
-               "tiles (the paper's algorithm)";
-    }
-
-    LoweredGeometry
-    geometry(const ConvParams &params) const override
-    {
-        return implicitGeometry(params);
-    }
-
     Traffic
     traffic(const ConvParams &params) const override
     {
@@ -132,19 +107,6 @@ class ChannelLastAlgorithm final : public Algorithm
   public:
     AlgorithmId id() const override { return AlgorithmId::ChannelLast; }
     const char *name() const override { return "channel-last"; }
-
-    const char *
-    description() const override
-    {
-        return "implicit im2col, C_I->H_F->W_F order (conventional "
-               "sliding-window columns)";
-    }
-
-    LoweredGeometry
-    geometry(const ConvParams &params) const override
-    {
-        return implicitGeometry(params);
-    }
 
     Traffic
     traffic(const ConvParams &params) const override
@@ -194,26 +156,6 @@ class ExplicitIm2colAlgorithm final : public Algorithm
     }
 
     const char *name() const override { return "explicit-im2col"; }
-
-    const char *
-    description() const override
-    {
-        return "materialized lowered matrix + GEMM (the baseline whose "
-               "duplication motivates the paper)";
-    }
-
-    LoweredGeometry
-    geometry(const ConvParams &params) const override
-    {
-        LoweredGeometry g = implicitGeometry(params);
-        g.workspaceBytes = params.loweredBytes();
-        const Index in_elems = params.inputElems();
-        g.duplication =
-            in_elems > 0 ? static_cast<double>(params.loweredElems()) /
-                               static_cast<double>(in_elems)
-                         : 1.0;
-        return g;
-    }
 
     Traffic
     traffic(const ConvParams &params) const override
@@ -271,21 +213,6 @@ class IndirectAlgorithm final : public Algorithm
   public:
     AlgorithmId id() const override { return AlgorithmId::Indirect; }
     const char *name() const override { return "indirect"; }
-
-    const char *
-    description() const override
-    {
-        return "indirection-buffer pointer GEMM (Dukhan) — no lowered "
-               "duplication, streams M*HF*WF pointers";
-    }
-
-    LoweredGeometry
-    geometry(const ConvParams &params) const override
-    {
-        LoweredGeometry g = implicitGeometry(params);
-        g.metadataBytes = buildPlan(params).metadataBytes(params.gemmM());
-        return g;
-    }
 
     Traffic
     traffic(const ConvParams &params) const override
@@ -360,13 +287,6 @@ class SmmAlgorithm final : public Algorithm
     AlgorithmId id() const override { return AlgorithmId::Smm; }
     const char *name() const override { return "smm"; }
 
-    const char *
-    description() const override
-    {
-        return "scalar-matrix-multiply per filter tap with zero packing "
-               "(SMM-Conv); unit stride/dilation only";
-    }
-
     Status
     supports(const ConvParams &params, Index groups) const override
     {
@@ -383,12 +303,6 @@ class SmmAlgorithm final : public Algorithm
                 static_cast<long long>(params.dilationH),
                 static_cast<long long>(params.dilationW));
         return okStatus();
-    }
-
-    LoweredGeometry
-    geometry(const ConvParams &params) const override
-    {
-        return implicitGeometry(params);
     }
 
     Traffic

@@ -89,6 +89,16 @@ emitSimTimeline(const std::string &label, const TpuConfig &config,
     }
 }
 
+/** Busy fraction of @p config's single-port vector memories, one per
+ *  PE row, over @p cycles. */
+double
+portUtilization(const TpuConfig &config, Index port_ops, Cycles cycles)
+{
+    return static_cast<double>(port_ops) /
+           (static_cast<double>(cycles) *
+            static_cast<double>(config.array.rows));
+}
+
 } // namespace
 
 TpuSim::TpuSim(const TpuConfig &config) : config_(config) {}
@@ -154,10 +164,7 @@ TpuSim::scheduleUnits(const std::vector<Unit> &units,
     r.exposedFillCycles = total - r.computeCycles;
     r.seconds = config_.cyclesToSeconds(total);
     r.tflops = static_cast<double>(total_flops) / r.seconds / 1e12;
-    r.portUtilization =
-        static_cast<double>(port_ops) /
-        (static_cast<double>(total) *
-         static_cast<double>(config_.array.rows));
+    r.portUtilization = portUtilization(config_, port_ops, total);
     return r;
 }
 
@@ -408,8 +415,15 @@ TpuSim::runMaterialized(const ConvParams &params,
     if (transform <= 0.0)
         transform =
             config_.cyclesToSeconds(dramCycles(plan.transformBytes, 0.7));
+    // Nothing overlaps the transform: its cycles are exposed fill, and
+    // the vector-memory ports idle through them.
+    const auto transform_cycles =
+        static_cast<Cycles>(transform * config_.clockGhz * 1e9);
     r.seconds += transform;
-    r.cycles += static_cast<Cycles>(transform * config_.clockGhz * 1e9);
+    r.cycles += transform_cycles;
+    r.fillCycles += transform_cycles;
+    r.exposedFillCycles += transform_cycles;
+    r.portUtilization = portUtilization(config_, r.vecMemOps, r.cycles);
     r.tflops =
         static_cast<double>(params.flops()) / r.seconds / 1e12;
     r.dramBytes += plan.transformBytes;
@@ -447,6 +461,7 @@ TpuSim::runGroupedConv(const ConvParams &base, Index groups,
     r.dramBytes *= static_cast<Bytes>(reps);
     r.computeCycles *= static_cast<Cycles>(reps);
     r.fillCycles *= static_cast<Cycles>(reps);
+    r.exposedFillCycles *= static_cast<Cycles>(reps);
     r.vecMemOps *= reps;
 
     // Useful work is the grouped FLOP count; the block-diagonal zeros

@@ -1,5 +1,6 @@
 #include "tune/autotuner.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -9,71 +10,11 @@
 
 namespace cfconv::tune {
 
-const char *
-searchModeName(SearchMode mode)
-{
-    return mode == SearchMode::Exhaustive ? "exhaustive" : "greedy";
-}
-
-StatusOr<SearchMode>
-parseSearchMode(const std::string &name)
-{
-    if (name == "exhaustive")
-        return SearchMode::Exhaustive;
-    if (name == "greedy")
-        return SearchMode::Greedy;
-    return invalidArgumentError(
-        "unknown search mode '%s' (known: exhaustive, greedy)",
-        name.c_str());
-}
-
-size_t
-KnobSpace::flatIndex(const std::vector<Index> &point) const
-{
-    size_t flat = 0;
-    for (size_t i = 0; i < axes.size(); ++i)
-        flat = flat * axes[i].levels.size()
-            + static_cast<size_t>(point[i]);
-    return flat;
-}
-
-std::vector<Index>
-KnobSpace::pointOf(size_t flat) const
-{
-    std::vector<Index> point(axes.size(), 0);
-    for (size_t i = axes.size(); i-- > 0;) {
-        const size_t n = axes[i].levels.size();
-        point[i] = static_cast<Index>(flat % n);
-        flat /= n;
-    }
-    return point;
-}
-
-const std::string &
-KnobSpace::variantAt(const std::vector<Index> &point) const
-{
-    return variants[flatIndex(point)];
-}
-
-StatusOr<std::vector<Index>>
-KnobSpace::pointOfVariant(const std::string &name) const
-{
-    for (size_t flat = 0; flat < variants.size(); ++flat)
-        if (variants[flat] == name)
-            return pointOf(flat);
-    return notFoundError(
-        "variant '%s' is not a point of this knob space",
-        name.c_str());
-}
-
 KnobSpace
 tpuKnobSpace()
 {
     KnobSpace space;
     space.family = Backend::Tpu;
-    space.axes = {{"array", {"64", "128", "256"}},
-                  {"word", {"4", "8", "16"}},
-                  {"algo", {"chfirst", "indirect", "smm"}}};
     space.variants = {
         // array 64
         "tpu-v2-a64-w4", "tpu-v2-a64-w4-indirect", "tpu-v2-a64-w4-smm",
@@ -100,10 +41,6 @@ gpuKnobSpace()
 {
     KnobSpace space;
     space.family = Backend::Gpu;
-    space.axes = {{"kernel",
-                   {"chfirst", "chlast", "explicit", "indirect",
-                    "smm"}},
-                  {"effort", {"stock", "vendor"}}};
     space.variants = {
         "gpu-v100",          "gpu-v100-tuned",
         "gpu-v100-chlast",   "gpu-v100-cudnn",
@@ -135,18 +72,22 @@ evalKey(const std::string &variant, const tensor::ConvParams &params,
     return key;
 }
 
+/** Position of @p name in @p space's list; points() when absent. */
+size_t
+indexOf(const KnobSpace &space, const std::string &name)
+{
+    return static_cast<size_t>(
+        std::find(space.variants.begin(), space.variants.end(), name)
+        - space.variants.begin());
+}
+
 } // namespace
 
 StatusOr<std::unique_ptr<Autotuner>>
 Autotuner::create(KnobSpace space, const VariantRegistry &registry)
 {
-    size_t expected = space.axes.empty() ? 0 : 1;
-    for (const auto &axis : space.axes)
-        expected *= axis.levels.size();
-    if (expected == 0 || space.variants.size() != expected)
-        return invalidArgumentError(
-            "knob space: %zu variants for %zu grid points",
-            space.variants.size(), expected);
+    if (space.variants.empty())
+        return invalidArgumentError("knob space lists no variants");
     std::unique_ptr<Autotuner> tuner(new Autotuner(std::move(space)));
     tuner->candidates_.reserve(tuner->space_.points());
     for (const std::string &name : tuner->space_.variants) {
@@ -174,26 +115,26 @@ Autotuner::cacheStats()
 }
 
 double
-Autotuner::evaluate(size_t flat, const tensor::ConvParams &params,
+Autotuner::evaluate(size_t index, const tensor::ConvParams &params,
                     Index groups,
                     std::atomic<Index> &evaluations) const
 {
     // Candidates whose algorithm rejects the layer (e.g. SMM-Conv on a
     // strided layer) score +infinity: never chosen, never simulated,
     // never cached. The check is cheap and deterministic, so every
-    // thread count sees the same effective grid.
-    if (const conv::Algorithm *algo = candidates_[flat]->algorithm())
+    // thread count sees the same effective space.
+    if (const conv::Algorithm *algo = candidates_[index]->algorithm())
         if (!algo->supports(params, groups).ok())
             return std::numeric_limits<double>::infinity();
     MemoCache<double> &cache = tuneCache();
     const std::string key =
-        evalKey(space_.variants[flat], params, groups);
+        evalKey(space_.variants[index], params, groups);
     double seconds = 0.0;
     if (cache.enabled() && cache.lookup(key, &seconds))
         return seconds;
     sim::RunOptions options;
     options.groups = groups;
-    seconds = candidates_[flat]->runLayer(params, options).seconds;
+    seconds = candidates_[index]->runLayer(params, options).seconds;
     ++evaluations;
     if (cache.enabled())
         cache.insert(key, seconds);
@@ -201,9 +142,8 @@ Autotuner::evaluate(size_t flat, const tensor::ConvParams &params,
 }
 
 size_t
-Autotuner::searchExhaustive(const tensor::ConvParams &params,
-                            Index groups,
-                            std::atomic<Index> &evaluations) const
+Autotuner::search(const tensor::ConvParams &params, Index groups,
+                  std::atomic<Index> &evaluations) const
 {
     std::vector<double> seconds(space_.points(), 0.0);
     parallel::parallelFor(
@@ -215,7 +155,7 @@ Autotuner::searchExhaustive(const tensor::ConvParams &params,
                              evaluations);
         });
     // Ascending scan with strict improvement: ties resolve to the
-    // lowest flat index regardless of thread count.
+    // first listed variant regardless of thread count.
     size_t best = 0;
     for (size_t i = 1; i < seconds.size(); ++i)
         if (seconds[i] < seconds[best])
@@ -223,71 +163,15 @@ Autotuner::searchExhaustive(const tensor::ConvParams &params,
     return best;
 }
 
-size_t
-Autotuner::searchGreedy(size_t start, const tensor::ConvParams &params,
-                        Index groups,
-                        std::atomic<Index> &evaluations) const
-{
-    size_t current = start;
-    std::atomic<Index> &evals = evaluations;
-    double currentSeconds = evaluate(current, params, groups, evals);
-    while (true) {
-        // Candidate moves: one step along each axis in each direction.
-        std::vector<size_t> moves;
-        const std::vector<Index> point = space_.pointOf(current);
-        for (size_t axis = 0; axis < space_.axes.size(); ++axis) {
-            for (const int delta : {-1, +1}) {
-                const Index level = point[axis] + delta;
-                if (level < 0
-                    || level >= static_cast<Index>(
-                           space_.axes[axis].levels.size()))
-                    continue;
-                std::vector<Index> next = point;
-                next[axis] = level;
-                moves.push_back(space_.flatIndex(next));
-            }
-        }
-        std::vector<double> seconds(moves.size(), 0.0);
-        parallel::parallelFor(
-            0, static_cast<Index>(moves.size()), 1,
-            [&](Index begin, Index end) {
-                for (Index i = begin; i < end; ++i)
-                    seconds[static_cast<size_t>(i)] =
-                        evaluate(moves[static_cast<size_t>(i)], params,
-                                 groups, evals);
-            });
-        // Steepest descent with plateau walking: a move is acceptable
-        // when strictly faster, or equally fast at a lower flat index
-        // (time ties are common — e.g. the word axis on DRAM-bound
-        // layers — and walking them keeps greedy's tie-break
-        // consistent with exhaustive's lowest-flat-index rule). Every
-        // move strictly decreases (seconds, flat index)
-        // lexicographically, so the walk terminates.
-        size_t bestMove = moves.size();
-        for (size_t i = 0; i < moves.size(); ++i) {
-            const bool acceptable = seconds[i] < currentSeconds
-                || (seconds[i] == currentSeconds && moves[i] < current);
-            const bool better = acceptable
-                && (bestMove == moves.size()
-                    || seconds[i] < seconds[bestMove]
-                    || (seconds[i] == seconds[bestMove]
-                        && moves[i] < moves[bestMove]));
-            if (better)
-                bestMove = i;
-        }
-        if (bestMove == moves.size())
-            return current;
-        current = moves[bestMove];
-        currentSeconds = seconds[bestMove];
-    }
-}
-
 StatusOr<LayerTuneChoice>
 Autotuner::tuneLayer(const models::ConvLayerSpec &layer,
                      const TuneOptions &options)
 {
-    CFCONV_ASSIGN_OR_RETURN(const std::vector<Index> basePoint,
-                            space_.pointOfVariant(options.baseline));
+    const size_t base = indexOf(space_, options.baseline);
+    if (base == space_.points())
+        return notFoundError(
+            "baseline '%s' is not a variant of this knob space",
+            options.baseline.c_str());
     sim::RunOptions runOptions;
     runOptions.groups = layer.groups;
     CFCONV_RETURN_IF_ERROR(
@@ -301,7 +185,6 @@ Autotuner::tuneLayer(const models::ConvLayerSpec &layer,
     choice.count = layer.count;
 
     const char *family = backendFamilyName(space_.family);
-    const size_t base = space_.flatIndex(basePoint);
     // DB entries are keyed per (family, algorithm, geometry): the
     // algorithm context is the baseline accelerator's lowering, so
     // searches anchored to different algorithms stay distinct.
@@ -314,7 +197,7 @@ Autotuner::tuneLayer(const models::ConvLayerSpec &layer,
         // Honor the entry only when it answers this exact question:
         // same baseline, and a winner this space can instantiate.
         if (hit != nullptr && hit->baseline == options.baseline
-            && space_.pointOfVariant(hit->variant).ok()) {
+            && indexOf(space_, hit->variant) != space_.points()) {
             choice.variant = hit->variant;
             choice.tunedSeconds = hit->tunedSeconds;
             choice.baselineSeconds = hit->baselineSeconds;
@@ -324,9 +207,7 @@ Autotuner::tuneLayer(const models::ConvLayerSpec &layer,
     }
 
     std::atomic<Index> evaluations{0};
-    const size_t best = options.mode == SearchMode::Exhaustive
-        ? searchExhaustive(layer.params, layer.groups, evaluations)
-        : searchGreedy(base, layer.params, layer.groups, evaluations);
+    const size_t best = search(layer.params, layer.groups, evaluations);
     choice.variant = space_.variants[best];
     choice.tunedSeconds =
         evaluate(best, layer.params, layer.groups, evaluations);
@@ -345,7 +226,6 @@ Autotuner::tuneLayer(const models::ConvLayerSpec &layer,
         entry.tunedSeconds = choice.tunedSeconds;
         entry.baselineSeconds = choice.baselineSeconds;
         entry.evaluations = choice.evaluations;
-        entry.mode = searchModeName(options.mode);
         options.db->upsert(std::move(entry));
     }
     return choice;
@@ -358,7 +238,6 @@ Autotuner::tuneModel(const models::ModelSpec &model,
     ModelTuneResult result;
     result.model = model.name;
     result.baseline = options.baseline;
-    result.mode = options.mode;
     for (const models::ConvLayerSpec &layer : model.layers) {
         CFCONV_ASSIGN_OR_RETURN(LayerTuneChoice choice,
                                 tuneLayer(layer, options));

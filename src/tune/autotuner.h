@@ -3,16 +3,14 @@
  * Design-space autotuner over the variant zoo. The paper's Sec. VI/VII
  * message is that the best (array size, buffer word, kernel choice)
  * shifts per layer shape; this component makes that actionable: given
- * a layer (or a whole model-zoo network), search a small structured
- * knob space — each point a *named registered variant*, so every tuned
- * choice is reproducible by name — and report the winner against a
- * named baseline. Exhaustive mode visits every grid point; greedy mode
- * hill-climbs axis neighbors from the baseline point (cheaper on big
- * grids, exact on unimodal ones), walking time-tied plateaus toward
- * lower flat indices so its tie-break matches exhaustive's. Candidate simulations run in
- * parallel via common/parallel and are memoized process-wide via
- * common/memo_cache, and an optional TunedConfigDb turns repeat runs
- * into pure lookups (zero search evaluations).
+ * a layer (or a whole model-zoo network), simulate it on every variant
+ * of a small search space — each a *named registered variant*, so
+ * every tuned choice is reproducible by name — and report the fastest
+ * against a named baseline, the first listed variant winning a tie.
+ * Candidate simulations run in parallel via common/parallel and are
+ * memoized process-wide via common/memo_cache, and an optional
+ * TunedConfigDb turns repeat runs into pure lookups (zero search
+ * evaluations).
  */
 
 #ifndef CFCONV_TUNE_AUTOTUNER_H
@@ -32,61 +30,35 @@
 
 namespace cfconv::tune {
 
-/** How the tuner walks the knob space. */
-enum class SearchMode { Exhaustive, Greedy };
-
-/** Stable lowercase mode name: "exhaustive" / "greedy". */
-const char *searchModeName(SearchMode mode);
-
-/** Parse a mode name; INVALID_ARGUMENT listing the valid spellings. */
-StatusOr<SearchMode> parseSearchMode(const std::string &name);
-
 /**
- * A structured grid over registered variants: named axes with level
- * labels, plus a row-major table mapping each grid point to the
- * variant name that realizes it. Points are coordinate vectors (one
- * index per axis); the flat index is the row-major linearization.
+ * A search space over registered variants: a backend family and the
+ * variants the tuner simulates, in the order that breaks time ties
+ * (the first listed wins).
  */
 struct KnobSpace
 {
-    struct Axis
-    {
-        std::string name;                ///< e.g. "array", "word"
-        std::vector<std::string> levels; ///< e.g. {"64","128","256"}
-    };
-
     Backend family = Backend::Tpu;
-    std::vector<Axis> axes;
-    /** Variant name per flat grid point, row-major over the axes.
-     *  Size must equal the product of the axis level counts. */
     std::vector<std::string> variants;
 
     size_t points() const { return variants.size(); }
-    size_t flatIndex(const std::vector<Index> &point) const;
-    std::vector<Index> pointOf(size_t flat) const;
-    const std::string &variantAt(const std::vector<Index> &point) const;
-    /** Grid point of a variant name; NOT_FOUND when the name is not a
-     *  point of this space. */
-    StatusOr<std::vector<Index>>
-    pointOfVariant(const std::string &name) const;
 };
 
-/** The built-in TPU grid: array size {64,128,256} x vector-memory
- *  word {4,8,16} x algorithm {chfirst,indirect,smm}; "tpu-v2" is the
- *  (128, 8, chfirst) point. */
+/** The built-in TPU space: array size {64,128,256} x vector-memory
+ *  word {4,8,16} x algorithm {chfirst,indirect,smm}, listed in that
+ *  nesting order; "tpu-v2" is the (128, 8, chfirst) variant. */
 KnobSpace tpuKnobSpace();
 
-/** The built-in GPU grid: kernel {channel-first, channel-last,
- *  explicit-im2col, indirect, smm} x tuning effort {stock, vendor};
- *  "gpu-v100" is the (channel-first, stock) point. */
+/** The built-in GPU space: kernel {channel-first, channel-last,
+ *  explicit-im2col, indirect, smm} x tuning effort {stock, vendor},
+ *  listed in that nesting order; "gpu-v100" is the (channel-first,
+ *  stock) variant. */
 KnobSpace gpuKnobSpace();
 
 /** One tuner invocation's knobs. */
 struct TuneOptions
 {
-    SearchMode mode = SearchMode::Exhaustive;
-    /** Named baseline variant; must be a point of the search space.
-     *  Greedy starts here, and every win is reported relative to it. */
+    /** Named baseline variant; must be one of the space's variants.
+     *  Every win is reported relative to it. */
     std::string baseline;
     /** Optional persistent database: consulted before searching (a hit
      *  is returned with zero evaluations) and updated with every fresh
@@ -121,7 +93,6 @@ struct ModelTuneResult
 {
     std::string model;
     std::string baseline;
-    SearchMode mode = SearchMode::Exhaustive;
     std::vector<LayerTuneChoice> layers;
     double baselineSeconds = 0.0; ///< sum incl. layer repetitions
     double tunedSeconds = 0.0;    ///< sum incl. layer repetitions
@@ -136,7 +107,7 @@ struct ModelTuneResult
 };
 
 /**
- * The searcher. Construction (via create) resolves every grid point
+ * The searcher. Construction (via create) resolves every variant
  * against the registry once and instantiates the accelerators, so the
  * per-layer search loop is allocation-light and any zoo mismatch is a
  * construction-time Status, not a mid-search fatal.
@@ -144,18 +115,18 @@ struct ModelTuneResult
 class Autotuner
 {
   public:
-    /** Validate @p space against @p registry (every grid point must
-     *  name a registered variant of the space's family) and build the
-     *  candidate accelerators. */
+    /** Validate @p space against @p registry (every variant must be
+     *  registered, of the space's family) and build the candidate
+     *  accelerators. */
     static StatusOr<std::unique_ptr<Autotuner>>
     create(KnobSpace space,
            const VariantRegistry &registry = VariantRegistry::instance());
 
     const KnobSpace &space() const { return space_; }
 
-    /** Tune one layer. INVALID_ARGUMENT for a bad baseline or layer
-     *  geometry; otherwise always yields a choice (worst case the
-     *  baseline itself). */
+    /** Tune one layer. NOT_FOUND for a baseline outside the space,
+     *  INVALID_ARGUMENT for a bad layer geometry; otherwise always
+     *  yields a choice (worst case the baseline itself). */
     StatusOr<LayerTuneChoice>
     tuneLayer(const models::ConvLayerSpec &layer,
               const TuneOptions &options);
@@ -171,20 +142,18 @@ class Autotuner
     explicit Autotuner(KnobSpace space);
 
     /** Memoized candidate evaluation: seconds of one instance of
-     *  (params, groups) on grid point @p flat. Thread-safe; bumps
-     *  @p evaluations on a fresh simulation. Candidates whose
+     *  (params, groups) on the space's variant @p index. Thread-safe;
+     *  bumps @p evaluations on a fresh simulation. Candidates whose
      *  algorithm rejects the layer score +infinity without being
      *  simulated, counted, or cached. */
-    double evaluate(size_t flat, const tensor::ConvParams &params,
+    double evaluate(size_t index, const tensor::ConvParams &params,
                     Index groups,
                     std::atomic<Index> &evaluations) const;
 
-    size_t searchExhaustive(const tensor::ConvParams &params,
-                            Index groups,
-                            std::atomic<Index> &evaluations) const;
-    size_t searchGreedy(size_t start, const tensor::ConvParams &params,
-                        Index groups,
-                        std::atomic<Index> &evaluations) const;
+    /** Index of the fastest variant on (params, groups); the first
+     *  listed wins a tie, at any thread count. */
+    size_t search(const tensor::ConvParams &params, Index groups,
+                  std::atomic<Index> &evaluations) const;
 
     KnobSpace space_;
     std::vector<std::unique_ptr<sim::Accelerator>> candidates_;

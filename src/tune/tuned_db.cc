@@ -67,7 +67,6 @@ TunedConfigDb::toJson() const
         w.field("tuned_seconds", e.tunedSeconds);
         w.field("baseline_seconds", e.baselineSeconds);
         w.field("evaluations", static_cast<long long>(e.evaluations));
-        w.field("mode", e.mode);
         w.endObject();
     }
     w.endArray();
@@ -152,7 +151,6 @@ TunedConfigDb::loadFile(const std::string &path,
         e.baselineSeconds = item.numberOr("baseline_seconds", 0.0);
         e.evaluations =
             static_cast<Index>(item.numberOr("evaluations", 0));
-        e.mode = item.stringOr("mode", "");
         if (const char *problem = entryProblem(e, registry)) {
             ++stats.rejected;
             std::fprintf(

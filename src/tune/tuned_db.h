@@ -53,8 +53,6 @@ struct TunedEntry
     /** Candidate evaluations the original search spent (cache misses
      *  only; 0 never occurs for a fresh search). */
     Index evaluations = 0;
-    /** Search mode that produced the entry: "exhaustive" / "greedy". */
-    std::string mode;
 };
 
 /** What a loadFile() call accepted and what it refused. */
@@ -79,7 +77,9 @@ class TunedConfigDb
   public:
     /** Bumped when the JSON layout changes incompatibly; the loader
      *  refuses other versions rather than guessing. v2 added the
-     *  per-entry "algorithm" key component (the algorithm zoo). */
+     *  per-entry "algorithm" key component (the algorithm zoo). The
+     *  loader ignores keys it does not read, such as the "mode" that
+     *  older v2 files carry. */
     static constexpr long long kSchemaVersion = 2;
     static constexpr const char *kSchemaName = "cfconv.tuned_db";
 

@@ -556,8 +556,12 @@ TEST(AlgoParity, VariantRecordDigestIsPinned)
     // twice their true utilization), and when the space-to-depth stem
     // started counting the original layer's FLOPs in its throughput
     // (0xb4bc7d6f7054bb84 before; only tpu-v2-s2d's three C_I = 3 stems
-    // moved: tflops, utilization and pjPerMac).
-    constexpr std::uint64_t kPinned = 0x13c47b02007f519bULL;
+    // moved: tflops, utilization and pjPerMac), and when explicit
+    // im2col's transform started counting as exposed fill with idle
+    // ports and grouped layers scaled their exposed fill with the
+    // repetitions (0x13c47b02007f519b before; only the TPU
+    // portUtilization and exposedFillFrac extras moved).
+    constexpr std::uint64_t kPinned = 0xbca0a25929aaaa49ULL;
     EXPECT_EQ(digest, kPinned) << std::hex << "digest 0x" << digest;
 }
 

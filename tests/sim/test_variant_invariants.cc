@@ -144,8 +144,9 @@ TEST(VariantInvariants, EveryPeRowReadsOneSinglePortVectorMemory)
     // Sec. IV, Table II: each PE row has its own single-port vector
     // memory, so a layer never makes more than one word access per
     // memory per cycle, and its port utilization counts array.rows
-    // memories. Explicit im2col's utilization covers its GEMM alone:
-    // the transform adds cycles but no port operations.
+    // memories over all of its cycles. Every cycle the engines are not
+    // busy is exposed fill: explicit im2col's transform, which nothing
+    // overlaps, and every repetition of a grouped layer included.
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
     int checked = 0;
     for (const VariantSpec *spec : allVariants()) {
@@ -155,22 +156,23 @@ TEST(VariantInvariants, EveryPeRowReadsOneSinglePortVectorMemory)
         const auto memories =
             static_cast<double>(spec->tpuConfig.array.rows);
         for (const models::ConvLayerSpec &layer : layers) {
-            if (layer.groups != 1 ||
-                !conv::findAlgorithm(spec->tpuOptions.algorithm)
-                     ->supports(layer.params, 1)
+            if (!conv::findAlgorithm(spec->tpuOptions.algorithm)
+                     ->supports(layer.params, layer.groups)
                      .ok())
                 continue;
-            const tpusim::TpuLayerResult r =
-                sim.runConv(layer.params, spec->tpuOptions);
+            const tpusim::TpuLayerResult r = sim.runGroupedConv(
+                layer.params, layer.groups, spec->tpuOptions);
             const double capacity =
                 static_cast<double>(r.cycles) * memories;
             EXPECT_LE(static_cast<double>(r.vecMemOps), capacity)
                 << spec->name << " on " << layer.params.toString();
-            if (spec->tpuOptions.algorithm != AlgorithmId::ExplicitIm2col) {
-                EXPECT_EQ(r.portUtilization,
-                          static_cast<double>(r.vecMemOps) / capacity)
-                    << spec->name << " on " << layer.params.toString();
-            }
+            EXPECT_EQ(r.portUtilization,
+                      static_cast<double>(r.vecMemOps) / capacity)
+                << spec->name << " on " << layer.params.toString()
+                << " groups " << layer.groups;
+            EXPECT_EQ(r.exposedFillCycles, r.cycles - r.computeCycles)
+                << spec->name << " on " << layer.params.toString()
+                << " groups " << layer.groups;
             ++checked;
         }
     }

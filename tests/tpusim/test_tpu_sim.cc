@@ -132,6 +132,45 @@ TEST(TpuSim, ExplicitSlowerThanImplicit)
     EXPECT_GT(explicit_r.seconds, implicit_sec);
 }
 
+TEST(TpuSim, ExplicitTransformIsExposedFillWithIdlePorts)
+{
+    // Explicit im2col runs its transform, then the GEMM over the
+    // lowered matrix. Nothing overlaps the transform: every cycle it
+    // adds is exposed fill, and the vector-memory ports idle through it.
+    TpuSim s = sim();
+    const ConvParams p = makeConv(8, 3, 224, 64, 7, 2, 3);
+    TpuRunOptions ex;
+    ex.algorithm = conv::AlgorithmId::ExplicitIm2col;
+    const TpuLayerResult r = s.runConv(p, ex);
+    const TpuLayerResult gemm = s.runGemm(p.gemmM(), p.gemmK(), p.gemmN());
+    const Cycles transform = r.cycles - gemm.cycles;
+    EXPECT_GT(transform, 0u);
+    EXPECT_EQ(r.computeCycles, gemm.computeCycles);
+    EXPECT_EQ(r.vecMemOps, gemm.vecMemOps);
+    EXPECT_EQ(r.exposedFillCycles, gemm.exposedFillCycles + transform);
+    EXPECT_EQ(r.exposedFillCycles, r.cycles - r.computeCycles);
+    EXPECT_EQ(r.portUtilization,
+              static_cast<double>(r.vecMemOps) /
+                  (static_cast<double>(r.cycles) * 128.0));
+    EXPECT_LT(r.portUtilization, gemm.portUtilization);
+}
+
+TEST(TpuSim, GroupedRepetitionsScaleTheExposedFill)
+{
+    // MobileNet-v1's last depthwise layer: 1024 one-channel groups pack
+    // 128 to a pass on the 128x128 array, so the packed layer runs 8
+    // times and every repetition exposes the same fill.
+    TpuSim s = sim();
+    const TpuLayerResult grouped =
+        s.runGroupedConv(makeConv(8, 1024, 7, 1024, 3, 1, 1), 1024);
+    const TpuLayerResult once = s.runConv(makeConv(8, 128, 7, 128, 3, 1, 1));
+    EXPECT_EQ(grouped.cycles, 8 * once.cycles);
+    EXPECT_EQ(grouped.computeCycles, 8 * once.computeCycles);
+    EXPECT_EQ(grouped.exposedFillCycles, 8 * once.exposedFillCycles);
+    EXPECT_EQ(grouped.exposedFillCycles,
+              grouped.cycles - grouped.computeCycles);
+}
+
 TEST(TpuSim, BankedHwcnFillsCalibrateTheClosedForm)
 {
     // TpuSim prices per-tap fills through the banked DRAM model and the

@@ -1,8 +1,12 @@
-/** @file Tests for the design-space autotuner (tune/autotuner):
- *  knob-space indexing, exhaustive/greedy agreement, thread-count
+/** @file Tests for the design-space autotuner (tune/autotuner): the
+ *  built-in spaces, the search's winner and tie-break, thread-count
  *  determinism, database fast-path, and model aggregation. */
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "models/model_zoo.h"
@@ -26,26 +30,22 @@ layerOf(const char *name, tensor::ConvParams params, Index count = 1,
     return layer;
 }
 
-TEST(KnobSpace, FlatIndexAndPointRoundTrip)
+TEST(KnobSpace, BuiltinSpacesListEachVariantOnceWithTheirStockBaseline)
 {
-    const KnobSpace space = tpuKnobSpace();
-    ASSERT_EQ(space.axes.size(), 3u);
-    size_t expected = 1;
-    for (const auto &axis : space.axes)
-        expected *= axis.levels.size();
-    ASSERT_EQ(space.points(), expected);
-    for (size_t flat = 0; flat < space.points(); ++flat) {
-        const auto point = space.pointOf(flat);
-        EXPECT_EQ(space.flatIndex(point), flat);
-        EXPECT_EQ(space.variantAt(point), space.variants[flat]);
+    const std::pair<KnobSpace, std::string> spaces[] = {
+        {tpuKnobSpace(), "tpu-v2"},
+        {gpuKnobSpace(), "gpu-v100"},
+    };
+    for (const auto &[space, stock] : spaces) {
+        const std::set<std::string> distinct(space.variants.begin(),
+                                             space.variants.end());
+        EXPECT_EQ(distinct.size(), space.points()) << stock;
+        EXPECT_EQ(distinct.count(stock), 1u) << stock;
     }
-    // The canonical anchor points sit where the doc comment says.
-    const auto v2 = space.pointOfVariant("tpu-v2");
-    ASSERT_TRUE(v2.ok());
-    EXPECT_EQ(space.variantAt(v2.value()), "tpu-v2");
-    EXPECT_FALSE(space.pointOfVariant("gpu-v100").ok());
-    EXPECT_EQ(space.pointOfVariant("no-such-variant").status().code(),
-              StatusCode::kNotFound);
+    // array {64,128,256} x word {4,8,16} x algorithm {3}; kernel {5} x
+    // effort {stock, vendor}.
+    EXPECT_EQ(tpuKnobSpace().points(), 27u);
+    EXPECT_EQ(gpuKnobSpace().points(), 10u);
 }
 
 TEST(KnobSpace, BuiltinGridsNameOnlyRegisteredVariants)
@@ -59,22 +59,16 @@ TEST(KnobSpace, BuiltinGridsNameOnlyRegisteredVariants)
         }
 }
 
-TEST(SearchMode, NamesParseAndRoundTrip)
-{
-    EXPECT_STREQ(searchModeName(SearchMode::Exhaustive), "exhaustive");
-    EXPECT_STREQ(searchModeName(SearchMode::Greedy), "greedy");
-    EXPECT_EQ(parseSearchMode("exhaustive").value(),
-              SearchMode::Exhaustive);
-    EXPECT_EQ(parseSearchMode("greedy").value(), SearchMode::Greedy);
-    EXPECT_EQ(parseSearchMode("fancy").status().code(),
-              StatusCode::kInvalidArgument);
-}
-
 TEST(Autotuner, CreateRejectsUnregisteredGridPoints)
 {
     KnobSpace space = tpuKnobSpace();
     space.variants[0] = "tpu-v9-imaginary";
     EXPECT_FALSE(Autotuner::create(space).ok());
+    // A space of the other family's variants, or of none, is refused.
+    space = gpuKnobSpace();
+    space.family = Backend::Tpu;
+    EXPECT_FALSE(Autotuner::create(space).ok());
+    EXPECT_FALSE(Autotuner::create(KnobSpace{}).ok());
 }
 
 TEST(Autotuner, ExhaustiveFindsTheGridMinimum)
@@ -125,33 +119,35 @@ TEST(Autotuner, ChoiceIsIndependentOfThreadCount)
     EXPECT_DOUBLE_EQ(serial.baselineSeconds, threaded.baselineSeconds);
 }
 
-TEST(Autotuner, GreedyAgreesWithExhaustiveOnBuiltinGrids)
+TEST(Autotuner, TiesGoToTheFirstListedVariant)
 {
-    // The built-in grids are small and well-behaved; greedy must land
-    // on the same winner exhaustive does for representative shapes.
-    const std::vector<models::ConvLayerSpec> layers = {
-        layerOf("stem", makeConv(8, 3, 224, 64, 7, 2, 3)),
-        layerOf("mid", makeConv(8, 128, 28, 128, 3, 1, 1)),
-        layerOf("late1x1", makeConv(8, 512, 7, 2048, 1, 1, 0)),
-    };
-    const std::vector<std::pair<KnobSpace, std::string>> setups = {
-        {tpuKnobSpace(), "tpu-v2"},
-        {gpuKnobSpace(), "gpu-v100"},
-    };
-    for (const auto &[space, baseline] : setups) {
+    // The word size does not move the C_I = 3 stem: the three 64x64
+    // arrays tie at the minimum. The built-in space lists word 4 first;
+    // any other order picks whichever of the three it lists first.
+    const auto layer = layerOf("stem", makeConv(8, 3, 224, 64, 7, 2, 3));
+    const std::vector<std::string> tied = {
+        "tpu-v2-a64-w16", "tpu-v2-64x64", "tpu-v2-a64-w4"};
+    const double seconds =
+        sim::makeAccelerator(tied[0])->runLayer(layer.params).seconds;
+    for (const std::string &name : tied)
+        ASSERT_EQ(sim::makeAccelerator(name)->runLayer(layer.params).seconds,
+                  seconds)
+            << name;
+
+    TuneOptions options;
+    options.baseline = "tpu-v2";
+    auto builtin = Autotuner::create(tpuKnobSpace()).value();
+    EXPECT_EQ(builtin->tuneLayer(layer, options).value().variant,
+              "tpu-v2-a64-w4");
+    for (size_t first = 0; first < tied.size(); ++first) {
+        KnobSpace space;
+        space.variants = {"tpu-v2"};
+        for (size_t i = 0; i < tied.size(); ++i)
+            space.variants.push_back(tied[(first + i) % tied.size()]);
         auto tuner = Autotuner::create(space).value();
-        for (const auto &layer : layers) {
-            TuneOptions exhaustive;
-            exhaustive.baseline = baseline;
-            TuneOptions greedy = exhaustive;
-            greedy.mode = SearchMode::Greedy;
-            const auto a = tuner->tuneLayer(layer, exhaustive).value();
-            const auto b = tuner->tuneLayer(layer, greedy).value();
-            EXPECT_EQ(a.variant, b.variant)
-                << baseline << " " << layer.name;
-            EXPECT_DOUBLE_EQ(a.tunedSeconds, b.tunedSeconds)
-                << baseline << " " << layer.name;
-        }
+        const auto choice = tuner->tuneLayer(layer, options).value();
+        EXPECT_EQ(choice.variant, tied[first]);
+        EXPECT_EQ(choice.tunedSeconds, seconds);
     }
 }
 
@@ -198,9 +194,9 @@ TEST(Autotuner, DatabaseHitRequiresTheSameBaseline)
 
 TEST(Autotuner, UnsupportedAlgorithmsNeverWin)
 {
-    // SMM-Conv rejects strided layers; on a stride-2 shape the
-    // exhaustive search must skip every smm grid point (scored
-    // +infinity, never simulated) and still land on a finite winner.
+    // SMM-Conv rejects strided layers; on a stride-2 shape the search
+    // must skip every smm variant (scored +infinity, never simulated)
+    // and still land on a finite winner.
     auto tuner = Autotuner::create(tpuKnobSpace()).value();
     TuneOptions options;
     options.baseline = "tpu-v2";
@@ -237,7 +233,7 @@ TEST(Autotuner, RejectsBaselinesOutsideTheSpace)
 {
     auto tuner = Autotuner::create(tpuKnobSpace()).value();
     TuneOptions options;
-    options.baseline = "gpu-v100"; // registered, but not a grid point
+    options.baseline = "gpu-v100"; // registered, but not in the space
     const auto layer = layerOf("x", makeConv(1, 8, 8, 8, 3, 1, 1));
     EXPECT_FALSE(tuner->tuneLayer(layer, options).ok());
 }

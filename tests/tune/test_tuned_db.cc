@@ -37,7 +37,6 @@ sampleEntry(const std::string &geometry = "n8_ci64_hw56_co64_k3_s1_p1",
     entry.tunedSeconds = 1.25e-4;
     entry.baselineSeconds = 2.5e-4;
     entry.evaluations = 9;
-    entry.mode = "exhaustive";
     return entry;
 }
 
@@ -92,10 +91,9 @@ TEST(TunedConfigDb, SaveAndLoadRoundTrips)
     TunedConfigDb db;
     db.upsert(sampleEntry("layer1"));
     db.upsert(sampleEntry("layer2", 4));
-    TunedEntry greedy = sampleEntry("layer3");
-    greedy.mode = "greedy";
-    greedy.evaluations = 5;
-    db.upsert(greedy);
+    TunedEntry cheap = sampleEntry("layer3");
+    cheap.evaluations = 5;
+    db.upsert(cheap);
     ASSERT_TRUE(db.saveFile(path));
 
     TunedConfigDb loaded;
@@ -117,7 +115,6 @@ TEST(TunedConfigDb, SaveAndLoadRoundTrips)
         EXPECT_DOUBLE_EQ(got->tunedSeconds, want.tunedSeconds);
         EXPECT_DOUBLE_EQ(got->baselineSeconds, want.baselineSeconds);
         EXPECT_EQ(got->evaluations, want.evaluations);
-        EXPECT_EQ(got->mode, want.mode);
     }
     // A loaded database persists byte-identically.
     EXPECT_EQ(loaded.toJson(), db.toJson());
@@ -188,6 +185,41 @@ TEST(TunedConfigDb, LoaderRefusesForeignSchemas)
 
     // A structurally failed load leaves the database untouched.
     EXPECT_EQ(db.size(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(TunedConfigDb, EntriesThatCarryAModeLoadAndResaveWithoutIt)
+{
+    // Files written while the tuner had a second search mode carry a
+    // per-entry "mode"; they stay schema v2, so the loader takes them
+    // as they are and the next save drops the key.
+    const std::string path = tempPath("legacy_mode");
+    {
+        std::ofstream out(path);
+        out << R"({"schema": "cfconv.tuned_db", "version": 2,)"
+               R"( "entries": [{"family": "tpu",)"
+               R"( "algorithm": "channel-first",)"
+               R"( "geometry": "n8_ci64_hw56_co64_k3_s1_p1",)"
+               R"( "groups": 1, "variant": "tpu-v2-a256-w4",)"
+               R"( "baseline": "tpu-v2", "tuned_seconds": 0.000125,)"
+               R"( "baseline_seconds": 0.00025, "evaluations": 9,)"
+               R"( "mode": "greedy"}]})";
+    }
+    TunedConfigDb db;
+    const auto stats = db.loadFile(path, VariantRegistry::instance());
+    ASSERT_TRUE(stats.ok()) << stats.status().toString();
+    EXPECT_EQ(stats.value().loaded, 1);
+    EXPECT_EQ(stats.value().rejected, 0);
+    TunedConfigDb fresh;
+    fresh.upsert(sampleEntry());
+    EXPECT_EQ(db.toJson(), fresh.toJson());
+
+    ASSERT_TRUE(db.saveFile(path));
+    std::ifstream in(path, std::ios::binary);
+    const std::string raw((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_EQ(raw.find("\"mode\""), std::string::npos) << raw;
+    EXPECT_NE(raw.find("\"evaluations\": 9"), std::string::npos) << raw;
     std::remove(path.c_str());
 }
 
