@@ -26,9 +26,9 @@
 #include "models/model_zoo.h"
 #include "sim/model_runner.h"
 #include "sim/report.h"
+#include "sim/variants.h"
 #include "tune/autotuner.h"
 #include "tune/tuned_db.h"
-#include "tune/variant_registry.h"
 
 using namespace cfconv;
 
@@ -112,10 +112,9 @@ main(int argc, char **argv)
         "Per-layer design-space autotuning of ResNet-50 (batch 8) "
         "over the named variant zoo, vs the stock baselines");
 
-    const auto &registry = tune::VariantRegistry::instance();
     tune::TunedConfigDb db;
     {
-        const tune::DbLoadStats loaded = db.loadOrRecover(dbPath, registry);
+        const tune::DbLoadStats loaded = db.loadOrRecover(dbPath);
         const char *note = loaded.fresh ? " (fresh)"
                            : loaded.recovered ? " (recovered)"
                                               : "";
@@ -133,7 +132,7 @@ main(int argc, char **argv)
 
     std::vector<sim::RunRecord> records;
     for (const Campaign &campaign : campaigns) {
-        auto tuner = tune::Autotuner::create(campaign.space, registry);
+        auto tuner = tune::Autotuner::create(campaign.space);
         if (!tuner.ok()) {
             std::fprintf(stderr, "%s\n",
                          tuner.status().toString().c_str());
@@ -168,7 +167,7 @@ main(int argc, char **argv)
         std::printf(
             "TUNE family=%s model=%s baseline=%s "
             "evaluations=%lld db_hits=%lld speedup=%.4f\n",
-            tune::backendFamilyName(campaign.space.family),
+            sim::backendFamilyName(campaign.space.family),
             result.model.c_str(), result.baseline.c_str(),
             static_cast<long long>(result.evaluations),
             static_cast<long long>(result.dbHits), result.speedup());

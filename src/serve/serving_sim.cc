@@ -10,6 +10,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
+#include "sim/variants.h"
 
 namespace cfconv::serve {
 
@@ -741,8 +742,13 @@ validateServingConfig(const ServingConfig &config)
     for (const auto &[broken, rule] : rules)
         if (broken)
             return invalidArgumentError("ServingConfig: %s", rule);
+    for (size_t i = 0; i < config.chips.size(); ++i)
+        if (sim::findVariant(config.chips[i].variant) == nullptr)
+            return invalidArgumentError(
+                "ServingConfig: chips[%zu].variant: unknown variant '%s'",
+                i, config.chips[i].variant.c_str());
     for (const std::string &variant : config.fallbackVariants)
-        if (!sim::tryMakeAccelerator(variant).ok())
+        if (sim::findVariant(variant) == nullptr)
             return invalidArgumentError(
                 "ServingConfig: fallbackVariants: unknown variant '%s'",
                 variant.c_str());

@@ -43,9 +43,8 @@
 
 namespace cfconv::serve {
 
-/** One simulated chip: an accelerator variant from the registry
- *  (tune/variant_registry), so heterogeneous boards — and PR 6's
- *  tuned design points — drop in by name. */
+/** One simulated chip: a named accelerator variant (sim/variants.h),
+ *  so heterogeneous boards and tuned design points drop in by name. */
 struct ChipSpec
 {
     std::string variant = "tpu-v2";
@@ -78,8 +77,8 @@ struct ServingConfig
     /**
      * Accelerator variants the degradation ladder may serve on at the
      * AlgorithmFallback step; the cost model picks the cheapest of
-     * {chip's own variant} U fallbacks per (class, batch). Registry
-     * names (tune/variant_registry), validated at construction.
+     * {chip's own variant} U fallbacks per (class, batch). Variant
+     * names (sim/variants.h), validated at construction.
      */
     std::vector<std::string> fallbackVariants;
     /** Scenario label: becomes RunRecord::model, so sweeps emit one

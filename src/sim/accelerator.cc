@@ -154,8 +154,4 @@ Accelerator::tryRunLayer(const ConvParams &params,
     }
 }
 
-// makeAccelerator / tryMakeAccelerator / knownAccelerators are defined
-// in tune/variant_registry.cc: both the name list and the dispatch
-// derive from the variant registry, the single source of truth.
-
 } // namespace cfconv::sim

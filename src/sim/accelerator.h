@@ -201,15 +201,13 @@ Status validateLayerParams(const ConvParams &params,
                            const RunOptions &options = {});
 
 /**
- * Factory over the named accelerator zoo. The stock configurations —
- * "tpu-v2" (Table II core), "tpu-v3ish" (v2 core with a second matrix
- * unit and faster HBM — the Fig 16b insight), "gpu-v100" (the paper's
- * V100 + our channel-first kernel), "gpu-v100-cudnn" (vendor-tuned
- * channel-last baseline) — come first; the design-space sweep variants
- * (array/word/buffer/algorithm points, see tune/variant_registry.h)
- * follow. Defined by the variant registry (src/tune), which is the
- * single source of truth for the name table. Fatal on unknown names so
- * typos surface.
+ * Factory over the named accelerator zoo (sim/variants.h). The stock
+ * configurations — "tpu-v2" (Table II core), "tpu-v3ish" (v2 core with
+ * a second matrix unit and faster HBM — the Fig 16b insight),
+ * "gpu-v100" (the paper's V100 + our channel-first kernel),
+ * "gpu-v100-cudnn" (vendor-tuned channel-last baseline) — come first;
+ * the design-space sweep variants (array/word/buffer/algorithm points)
+ * follow. Fatal on unknown names so typos surface.
  */
 std::unique_ptr<Accelerator> makeAccelerator(const std::string &name);
 
@@ -219,10 +217,6 @@ std::unique_ptr<Accelerator> makeAccelerator(const std::string &name);
  *  resolves through. */
 StatusOr<std::unique_ptr<Accelerator>>
 tryMakeAccelerator(const std::string &name);
-
-/** The names makeAccelerator() accepts, in registration order (the
- *  four stock configurations first). */
-std::vector<std::string> knownAccelerators();
 
 } // namespace cfconv::sim
 

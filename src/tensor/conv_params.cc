@@ -1,5 +1,9 @@
 #include "tensor/conv_params.h"
 
+#include <algorithm>
+#include <charconv>
+#include <string_view>
+
 #include "common/logging.h"
 #include "common/memo_cache.h"
 
@@ -39,23 +43,38 @@ ConvParams::validate() const
 std::string
 ConvParams::toString() const
 {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "N%lld C%lld %lldx%lld k%lldx%lld s%lld p%lld d%lld "
-                  "-> C%lld %lldx%lld",
-                  static_cast<long long>(batch),
-                  static_cast<long long>(inChannels),
-                  static_cast<long long>(inH),
-                  static_cast<long long>(inW),
-                  static_cast<long long>(kernelH),
-                  static_cast<long long>(kernelW),
-                  static_cast<long long>(strideH),
-                  static_cast<long long>(padH),
-                  static_cast<long long>(dilationH),
-                  static_cast<long long>(outChannels),
-                  static_cast<long long>(outH()),
-                  static_cast<long long>(outW()));
-    return buf;
+    // Thirteen numbers of at most 20 characters each, plus the text;
+    // built in place so the result is allocated once, at its length.
+    char buf[13 * 20 + 64];
+    char *out = buf;
+    const auto put = [&out](std::string_view text, Index value) {
+        out = std::copy(text.begin(), text.end(), out);
+        out = std::to_chars(out, out + 20, value).ptr;
+    };
+    // One value when both axes agree, "HxW" when they differ.
+    const auto axes = [&put](std::string_view tag, Index h, Index w) {
+        put(tag, h);
+        if (w != h)
+            put("x", w);
+    };
+    put("N", batch);
+    put(" C", inChannels);
+    put(" ", inH);
+    put("x", inW);
+    put(" k", kernelH);
+    put("x", kernelW);
+    axes(" s", strideH, strideW);
+    axes(" p", padH, padW);
+    axes(" d", dilationH, dilationW);
+    put(" -> C", outChannels);
+    put(" ", outH());
+    put("x", outW());
+    if (dataType != DataType::Fp16) {
+        const std::string_view type = dataTypeName(dataType);
+        *out++ = ' ';
+        out = std::copy(type.begin(), type.end(), out);
+    }
+    return std::string(buf, out);
 }
 
 ConvParams

@@ -148,7 +148,15 @@ struct ConvParams
     /** Validate geometry; calls fatal() on nonsense configurations. */
     void validate() const;
 
-    /** Short printable description, e.g. "64x56x56 k3 s2 p1 -> 128". */
+    /**
+     * Canonical one-line description, e.g.
+     * "N8 C64 56x56 k3x3 s1 p1 d1 -> C64 56x56". Stride, padding and
+     * dilation print one value when H and W agree and "HxW" when they
+     * differ ("s1x2 p0x27 d1"); a data type other than fp16 is
+     * appended ("... -> C64 56x56 fp32"). Two layers that compare
+     * unequal never print the same string, so the autotuner's cache
+     * and the tuned-config database key on it.
+     */
     std::string toString() const;
 
     bool operator==(const ConvParams &other) const = default;

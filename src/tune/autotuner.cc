@@ -14,7 +14,7 @@ KnobSpace
 tpuKnobSpace()
 {
     KnobSpace space;
-    space.family = Backend::Tpu;
+    space.family = sim::Backend::Tpu;
     space.variants = {
         // array 64
         "tpu-v2-a64-w4", "tpu-v2-a64-w4-indirect", "tpu-v2-a64-w4-smm",
@@ -40,7 +40,7 @@ KnobSpace
 gpuKnobSpace()
 {
     KnobSpace space;
-    space.family = Backend::Gpu;
+    space.family = sim::Backend::Gpu;
     space.variants = {
         "gpu-v100",          "gpu-v100-tuned",
         "gpu-v100-chlast",   "gpu-v100-cudnn",
@@ -84,24 +84,23 @@ indexOf(const KnobSpace &space, const std::string &name)
 } // namespace
 
 StatusOr<std::unique_ptr<Autotuner>>
-Autotuner::create(KnobSpace space, const VariantRegistry &registry)
+Autotuner::create(KnobSpace space)
 {
     if (space.variants.empty())
         return invalidArgumentError("knob space lists no variants");
     std::unique_ptr<Autotuner> tuner(new Autotuner(std::move(space)));
     tuner->candidates_.reserve(tuner->space_.points());
     for (const std::string &name : tuner->space_.variants) {
-        const VariantSpec *spec = registry.find(name);
+        const sim::VariantSpec *spec = sim::findVariant(name);
         if (spec == nullptr)
-            return notFoundError(
-                "knob space names unregistered variant '%s'",
-                name.c_str());
+            return notFoundError("knob space names unknown variant '%s'",
+                                 name.c_str());
         if (spec->backend != tuner->space_.family)
             return invalidArgumentError(
                 "knob space variant '%s' is not a %s variant",
                 name.c_str(),
-                backendFamilyName(tuner->space_.family));
-        tuner->candidates_.push_back(makeFromSpec(*spec));
+                sim::backendFamilyName(tuner->space_.family));
+        tuner->candidates_.push_back(sim::makeFromSpec(*spec));
     }
     return tuner;
 }
@@ -184,7 +183,7 @@ Autotuner::tuneLayer(const models::ConvLayerSpec &layer,
     choice.groups = layer.groups;
     choice.count = layer.count;
 
-    const char *family = backendFamilyName(space_.family);
+    const char *family = sim::backendFamilyName(space_.family);
     // DB entries are keyed per (family, algorithm, geometry): the
     // algorithm context is the baseline accelerator's lowering, so
     // searches anchored to different algorithms stay distinct.

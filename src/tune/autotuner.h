@@ -4,9 +4,10 @@
  * message is that the best (array size, buffer word, kernel choice)
  * shifts per layer shape; this component makes that actionable: given
  * a layer (or a whole model-zoo network), simulate it on every variant
- * of a small search space — each a *named registered variant*, so
- * every tuned choice is reproducible by name — and report the fastest
- * against a named baseline, the first listed variant winning a tie.
+ * of a small search space — each a *named variant* of sim/variants.h,
+ * so every tuned choice is reproducible by name — and report the
+ * fastest against a named baseline, the first listed variant winning a
+ * tie.
  * Candidate simulations run in parallel via common/parallel and are
  * memoized process-wide via common/memo_cache, and an optional
  * TunedConfigDb turns repeat runs into pure lookups (zero search
@@ -25,19 +26,19 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "models/model_zoo.h"
+#include "sim/variants.h"
 #include "tune/tuned_db.h"
-#include "tune/variant_registry.h"
 
 namespace cfconv::tune {
 
 /**
- * A search space over registered variants: a backend family and the
+ * A search space over named variants: a backend family and the
  * variants the tuner simulates, in the order that breaks time ties
  * (the first listed wins).
  */
 struct KnobSpace
 {
-    Backend family = Backend::Tpu;
+    sim::Backend family = sim::Backend::Tpu;
     std::vector<std::string> variants;
 
     size_t points() const { return variants.size(); }
@@ -73,7 +74,7 @@ struct LayerTuneChoice
     std::string geometry; ///< canonical ConvParams::toString()
     Index groups = 1;
     Index count = 1;      ///< repetitions in the source model
-    std::string variant;  ///< winning registered variant
+    std::string variant;  ///< winning named variant
     double tunedSeconds = 0.0;    ///< winner, one instance
     double baselineSeconds = 0.0; ///< baseline, one instance
     /** Fresh candidate simulations this choice cost (0 on a DB hit or
@@ -108,19 +109,16 @@ struct ModelTuneResult
 
 /**
  * The searcher. Construction (via create) resolves every variant
- * against the registry once and instantiates the accelerators, so the
- * per-layer search loop is allocation-light and any zoo mismatch is a
- * construction-time Status, not a mid-search fatal.
+ * against the variant table once and instantiates the accelerators, so
+ * the per-layer search loop is allocation-light and any zoo mismatch is
+ * a construction-time Status, not a mid-search fatal.
  */
 class Autotuner
 {
   public:
-    /** Validate @p space against @p registry (every variant must be
-     *  registered, of the space's family) and build the candidate
-     *  accelerators. */
-    static StatusOr<std::unique_ptr<Autotuner>>
-    create(KnobSpace space,
-           const VariantRegistry &registry = VariantRegistry::instance());
+    /** Validate @p space (every variant must be in the variant table
+     *  and of the space's family) and build the candidate accelerators. */
+    static StatusOr<std::unique_ptr<Autotuner>> create(KnobSpace space);
 
     const KnobSpace &space() const { return space_; }
 

@@ -8,6 +8,7 @@
 #include "common/metrics.h"
 #include "common/report.h"
 #include "conv/algorithm.h"
+#include "sim/variants.h"
 
 namespace cfconv::tune {
 
@@ -83,9 +84,9 @@ TunedConfigDb::saveFile(const std::string &path) const
 namespace {
 
 /** Per-entry validity: the reason the entry is stale/invalid, or
- *  nullptr when it can be trusted against the live registry. */
+ *  nullptr when it can be trusted against the variant table. */
 const char *
-entryProblem(const TunedEntry &e, const VariantRegistry &registry)
+entryProblem(const TunedEntry &e)
 {
     if (e.family != "tpu" && e.family != "gpu")
         return "unknown backend family";
@@ -95,10 +96,16 @@ entryProblem(const TunedEntry &e, const VariantRegistry &registry)
         return "empty geometry";
     if (e.groups < 1)
         return "non-positive groups";
-    if (!registry.contains(e.variant))
-        return "variant not in the live registry";
-    if (!registry.contains(e.baseline))
-        return "baseline not in the live registry";
+    const sim::VariantSpec *variant = sim::findVariant(e.variant);
+    if (variant == nullptr)
+        return "unknown variant";
+    if (e.family != sim::backendFamilyName(variant->backend))
+        return "variant of another family";
+    const sim::VariantSpec *baseline = sim::findVariant(e.baseline);
+    if (baseline == nullptr)
+        return "unknown baseline";
+    if (e.family != sim::backendFamilyName(baseline->backend))
+        return "baseline of another family";
     if (!(e.tunedSeconds > 0.0) || !(e.baselineSeconds > 0.0))
         return "non-positive seconds";
     return nullptr;
@@ -107,8 +114,7 @@ entryProblem(const TunedEntry &e, const VariantRegistry &registry)
 } // namespace
 
 StatusOr<DbLoadStats>
-TunedConfigDb::loadFile(const std::string &path,
-                        const VariantRegistry &registry)
+TunedConfigDb::loadFile(const std::string &path)
 {
     CFCONV_ASSIGN_OR_RETURN(std::string text, readFileVerified(path));
     CFCONV_ASSIGN_OR_RETURN(JsonValue doc, parseJson(text));
@@ -151,7 +157,7 @@ TunedConfigDb::loadFile(const std::string &path,
         e.baselineSeconds = item.numberOr("baseline_seconds", 0.0);
         e.evaluations =
             static_cast<Index>(item.numberOr("evaluations", 0));
-        if (const char *problem = entryProblem(e, registry)) {
+        if (const char *problem = entryProblem(e)) {
             ++stats.rejected;
             std::fprintf(
                 stderr,
@@ -167,10 +173,9 @@ TunedConfigDb::loadFile(const std::string &path,
 }
 
 DbLoadStats
-TunedConfigDb::loadOrRecover(const std::string &path,
-                             const VariantRegistry &registry)
+TunedConfigDb::loadOrRecover(const std::string &path)
 {
-    auto loaded = loadFile(path, registry);
+    auto loaded = loadFile(path);
     if (loaded.ok())
         return *loaded;
     DbLoadStats stats;

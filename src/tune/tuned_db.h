@@ -2,16 +2,17 @@
  * @file
  * Persistent tuned-config database: the autotuner's memory across
  * processes. One TunedEntry records, for a canonical layer geometry on
- * one backend family, which registered variant the search chose and
+ * one backend family, which named variant the search chose and
  * what it measured — so a repeat run looks the answer up instead of
  * re-searching (bench_autotune's second run performs zero search
  * evaluations). The JSON document is written deterministically
  * (entries sorted by key) via common/report's JsonWriter and read back
  * with common/json; the loader is schema-versioned and validates every
- * entry against the live VariantRegistry and conv::Algorithm registry,
- * rejecting stale records (unknown variant, baseline, or algorithm
- * names, non-positive timings) instead of letting a renamed zoo
- * silently redirect tuned choices.
+ * entry against the variant table (sim/variants.h) and the
+ * conv::Algorithm registry, rejecting stale records (unknown variant,
+ * baseline, or algorithm names, a variant of the other family,
+ * non-positive timings) instead of letting a renamed zoo silently
+ * redirect tuned choices.
  */
 
 #ifndef CFCONV_TUNE_TUNED_DB_H
@@ -23,7 +24,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "tune/variant_registry.h"
 
 namespace cfconv::tune {
 
@@ -43,7 +43,8 @@ struct TunedEntry
      *  layer, the same string LayerRecord.geometry carries. */
     std::string geometry;
     Index groups = 1;
-    /** Winning variant (must name a registered variant at load time). */
+    /** Winning variant (must name a variant of the entry's family at
+     *  load time). */
     std::string variant;
     /** Baseline variant the search was asked to beat (validated the
      *  same way; a DB entry is only meaningful relative to it). */
@@ -108,14 +109,14 @@ class TunedConfigDb
 
     /**
      * Merge the document at @p path into this database, validating
-     * each entry against @p registry. Structural problems (missing
-     * file, parse error, wrong schema name or version) fail the whole
-     * load; per-entry problems (unknown variant/baseline, empty
-     * geometry, non-positive seconds) reject just that entry with a
-     * warning and are counted in DbLoadStats::rejected.
+     * each entry against the variant table. Structural problems
+     * (missing file, parse error, wrong schema name or version) fail
+     * the whole load; per-entry problems (unknown variant/baseline or
+     * one of the other family, empty geometry, non-positive seconds)
+     * reject just that entry with a warning and are counted in
+     * DbLoadStats::rejected.
      */
-    StatusOr<DbLoadStats> loadFile(const std::string &path,
-                                   const VariantRegistry &registry);
+    StatusOr<DbLoadStats> loadFile(const std::string &path);
 
     /**
      * Crash-consistent load: like loadFile(), but never fails the
@@ -125,8 +126,7 @@ class TunedConfigDb
      * metric, warned to stderr, and reported with recovered=true so
      * the caller re-searches and re-saves a clean database.
      */
-    DbLoadStats loadOrRecover(const std::string &path,
-                              const VariantRegistry &registry);
+    DbLoadStats loadOrRecover(const std::string &path);
 
     void clear() { entries_.clear(); }
 

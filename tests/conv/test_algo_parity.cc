@@ -9,7 +9,7 @@
  *  one validate() error for an unfit layer and a named
  *  dimension for a mismatched operand, the same zoo surfaced through
  *  both simulator backends with thread-count-invariant LayerRecords,
- *  and a pinned digest of every registered variant's records. */
+ *  and a pinned digest of every named variant's records. */
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "conv/algorithm.h"
 #include "gpusim/kernel_cache.h"
 #include "sim/accelerator.h"
+#include "sim/variants.h"
 #include "tensor/conv_ref.h"
 #include "tensor/im2col_explicit.h"
 #include "tensor/microkernel.h"
@@ -383,7 +384,7 @@ TEST(AlgoParity, BothBackendsExposeTheRegisteredAlgorithm)
 
 TEST(AlgoParity, LayerRecordsAreThreadCountInvariant)
 {
-    // Every registered variant on the model layers and on a 2-group
+    // Every named variant on the model layers and on a 2-group
     // layer, simulated afresh at 1 and 4 threads. The memo caches are
     // process-wide, so they are emptied before each run; otherwise the
     // second run would only read back the first.
@@ -406,7 +407,8 @@ TEST(AlgoParity, LayerRecordsAreThreadCountInvariant)
         }
         return records;
     };
-    for (const std::string &name : sim::knownAccelerators()) {
+    for (const sim::VariantSpec &spec : sim::variantSpecs()) {
+        const std::string &name = spec.name;
         const auto one = runAll(name, 1);
         const auto four = runAll(name, 4);
         for (size_t i = 0; i < one.size(); ++i) {
@@ -434,7 +436,8 @@ TEST(AlgoParity, EveryVariantRecordNamesItsAlgorithm)
 {
     // Every lowering, stock or zoo addition, says which one it ran.
     const auto p = makeConv(4, 64, 28, 64, 3, 1, 1);
-    for (const std::string &name : sim::knownAccelerators()) {
+    for (const sim::VariantSpec &spec : sim::variantSpecs()) {
+        const std::string &name = spec.name;
         const auto accel = sim::makeAccelerator(name);
         EXPECT_EQ(accel->runLayer(p).algorithm,
                   accel->algorithm()->name())
@@ -452,7 +455,8 @@ TEST(AlgoParity, ExplicitRecordsMoveExactlyTheTraffic)
         if (layer.groups == 1)
             shapes.push_back(layer.params);
     int variants = 0;
-    for (const std::string &name : sim::knownAccelerators()) {
+    for (const sim::VariantSpec &spec : sim::variantSpecs()) {
+        const std::string &name = spec.name;
         const auto accel = sim::makeAccelerator(name);
         if (accel->algorithm()->id() != AlgorithmId::ExplicitIm2col)
             continue;
@@ -503,7 +507,8 @@ TEST(AlgoParity, EveryVariantRecordStaysUnderPeak)
     // peak, which counts every MXU: utilization <= 1, and no layer
     // finishes faster than its FLOPs at peak.
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
-    for (const std::string &name : sim::knownAccelerators()) {
+    for (const sim::VariantSpec &spec : sim::variantSpecs()) {
+        const std::string &name = spec.name;
         const auto accel = sim::makeAccelerator(name);
         const double peak_flops = accel->peakTflops() * 1e12;
         for (const models::ConvLayerSpec &layer : layers) {
@@ -524,14 +529,15 @@ TEST(AlgoParity, EveryVariantRecordStaysUnderPeak)
 
 TEST(AlgoParity, VariantRecordDigestIsPinned)
 {
-    // Byte-identity net over every registered variant, including the
+    // Byte-identity net over every named variant, including the
     // indirect/SMM lowerings on non-stock arrays that no golden pins:
     // one digest over each variant's tryRunLayer outcome (the record,
     // or the status code of a rejected layer) on the distinct layers
     // of three models at batch 1.
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
     std::uint64_t digest = 0;
-    for (const std::string &name : sim::knownAccelerators()) {
+    for (const sim::VariantSpec &spec : sim::variantSpecs()) {
+        const std::string &name = spec.name;
         const auto accel = sim::makeAccelerator(name);
         digest = hashCombine(digest, hashBytes(name.data(), name.size()));
         for (const models::ConvLayerSpec &layer : layers) {

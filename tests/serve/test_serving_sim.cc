@@ -282,6 +282,16 @@ TEST(ServingConfigValidation, NamesTheOffendingField)
     ASSERT_FALSE(status.ok());
     EXPECT_NE(status.toString().find("tpu-v9-retired"),
               std::string::npos);
+
+    config = ServingConfig{};
+    config.chips = {ChipSpec{"tpu-v2"}, ChipSpec{"tpu-v9-imaginary"}};
+    status = validateServingConfig(config);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.toString().find("chips[1].variant"),
+              std::string::npos);
+    EXPECT_NE(status.toString().find("tpu-v9-imaginary"),
+              std::string::npos);
 }
 
 TEST(ServingSim, ZeroMaxWaitLaunchesImmediately)

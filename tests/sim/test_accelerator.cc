@@ -9,6 +9,7 @@
 #include "models/model_zoo.h"
 #include "sim/gpu_accelerator.h"
 #include "sim/tpu_accelerator.h"
+#include "sim/variants.h"
 #include "tpusim/layer_cache.h"
 #include "tpusim/tpu_sim.h"
 
@@ -19,13 +20,12 @@ using tensor::makeConv;
 
 TEST(AcceleratorFactory, KnownBackendsConstructAndSelfReport)
 {
-    const auto names = knownAccelerators();
-    ASSERT_GE(names.size(), 4u);
-    for (const auto &name : names) {
-        const auto accelerator = makeAccelerator(name);
-        ASSERT_NE(accelerator, nullptr) << name;
-        EXPECT_EQ(accelerator->name(), name);
-        EXPECT_GT(accelerator->peakTflops(), 0.0) << name;
+    ASSERT_GE(variantSpecs().size(), 4u);
+    for (const VariantSpec &spec : variantSpecs()) {
+        const auto accelerator = makeAccelerator(spec.name);
+        ASSERT_NE(accelerator, nullptr) << spec.name;
+        EXPECT_EQ(accelerator->name(), spec.name);
+        EXPECT_GT(accelerator->peakTflops(), 0.0) << spec.name;
     }
 }
 

@@ -19,6 +19,7 @@
 #include "serve/cost_model.h"
 #include "sim/model_runner.h"
 #include "sim/report.h"
+#include "sim/variants.h"
 #include "sram/banked_sram.h"
 #include "tpusim/layer_cache.h"
 
@@ -330,10 +331,10 @@ TEST_F(ResilienceTest, ValidateLayerParamsNamesTheOffendingField)
 
 TEST_F(ResilienceTest, TryMakeAcceleratorReportsUnknownNames)
 {
-    for (const auto &name : knownAccelerators()) {
-        const auto made = tryMakeAccelerator(name);
-        ASSERT_TRUE(made.ok()) << name;
-        EXPECT_EQ(made.value()->name(), name);
+    for (const VariantSpec &spec : variantSpecs()) {
+        const auto made = tryMakeAccelerator(spec.name);
+        ASSERT_TRUE(made.ok()) << spec.name;
+        EXPECT_EQ(made.value()->name(), spec.name);
     }
     const auto bad = tryMakeAccelerator("tpu-v9");
     ASSERT_FALSE(bad.ok());

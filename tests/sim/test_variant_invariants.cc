@@ -1,4 +1,4 @@
-/** @file The paper's invariants as properties of every registered
+/** @file The paper's invariants as properties of every named
  *  variant, not goldens of the stock four: a record's FLOPs, TFLOPS
  *  and utilization agree with its layer, its time and its peak; each
  *  PE row reads one single-port vector memory; no layer beats its
@@ -28,8 +28,8 @@
 #include "dram/dram_model.h"
 #include "im2col/filter_decomp.h"
 #include "sim/accelerator.h"
+#include "sim/variants.h"
 #include "tpusim/tpu_sim.h"
-#include "tune/variant_registry.h"
 
 #include "../common/model_layers.h"
 
@@ -41,19 +41,8 @@ using sim::LayerRecord;
 using sim::RunOptions;
 using tensor::ConvParams;
 using tensor::makeConv;
-using tune::Backend;
-using tune::VariantRegistry;
-using tune::VariantSpec;
-
-/** Every registered variant's spec, in registration order. */
-std::vector<const VariantSpec *>
-allVariants()
-{
-    std::vector<const VariantSpec *> specs;
-    for (const std::string &name : VariantRegistry::instance().names())
-        specs.push_back(VariantRegistry::instance().find(name));
-    return specs;
-}
+using sim::Backend;
+using sim::VariantSpec;
 
 /** The lowering scheme @p spec runs. */
 AlgorithmId
@@ -89,15 +78,15 @@ void
 forEachModelRecord(Fn &&fn)
 {
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
-    for (const VariantSpec *spec : allVariants()) {
-        const auto accel = tune::makeFromSpec(*spec);
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        const auto accel = sim::makeFromSpec(spec);
         for (const models::ConvLayerSpec &layer : layers) {
             RunOptions options;
             options.groups = layer.groups;
             const StatusOr<LayerRecord> record =
                 accel->tryRunLayer(layer.params, options);
             if (record.ok())
-                fn(*spec, layer, *record);
+                fn(spec, layer, *record);
         }
     }
 }
@@ -149,29 +138,29 @@ TEST(VariantInvariants, EveryPeRowReadsOneSinglePortVectorMemory)
     // overlaps, and every repetition of a grouped layer included.
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
     int checked = 0;
-    for (const VariantSpec *spec : allVariants()) {
-        if (spec->backend != Backend::Tpu)
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        if (spec.backend != Backend::Tpu)
             continue;
-        const tpusim::TpuSim sim(spec->tpuConfig);
+        const tpusim::TpuSim sim(spec.tpuConfig);
         const auto memories =
-            static_cast<double>(spec->tpuConfig.array.rows);
+            static_cast<double>(spec.tpuConfig.array.rows);
         for (const models::ConvLayerSpec &layer : layers) {
-            if (!conv::findAlgorithm(spec->tpuOptions.algorithm)
+            if (!conv::findAlgorithm(spec.tpuOptions.algorithm)
                      ->supports(layer.params, layer.groups)
                      .ok())
                 continue;
             const tpusim::TpuLayerResult r = sim.runGroupedConv(
-                layer.params, layer.groups, spec->tpuOptions);
+                layer.params, layer.groups, spec.tpuOptions);
             const double capacity =
                 static_cast<double>(r.cycles) * memories;
             EXPECT_LE(static_cast<double>(r.vecMemOps), capacity)
-                << spec->name << " on " << layer.params.toString();
+                << spec.name << " on " << layer.params.toString();
             EXPECT_EQ(r.portUtilization,
                       static_cast<double>(r.vecMemOps) / capacity)
-                << spec->name << " on " << layer.params.toString()
+                << spec.name << " on " << layer.params.toString()
                 << " groups " << layer.groups;
             EXPECT_EQ(r.exposedFillCycles, r.cycles - r.computeCycles)
-                << spec->name << " on " << layer.params.toString()
+                << spec.name << " on " << layer.params.toString()
                 << " groups " << layer.groups;
             ++checked;
         }
@@ -231,14 +220,14 @@ TEST(VariantInvariants, ImplicitSchemesNeverWriteAWorkspace)
     // than its explicit twin.
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
     int checked = 0;
-    for (const VariantSpec *spec : allVariants()) {
-        const AlgorithmId id = algorithmOf(*spec);
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        const AlgorithmId id = algorithmOf(spec);
         if (id != AlgorithmId::ChannelFirst &&
             id != AlgorithmId::ChannelLast && id != AlgorithmId::Smm)
             continue;
-        const auto implicit = tune::makeFromSpec(*spec);
-        const auto explicit_im2col = tune::makeFromSpec(
-            withAlgorithm(*spec, AlgorithmId::ExplicitIm2col));
+        const auto implicit = sim::makeFromSpec(spec);
+        const auto explicit_im2col = sim::makeFromSpec(
+            withAlgorithm(spec, AlgorithmId::ExplicitIm2col));
         for (const models::ConvLayerSpec &layer : layers) {
             const ConvParams &p = layer.params;
             if (layer.groups != 1 ||
@@ -246,7 +235,7 @@ TEST(VariantInvariants, ImplicitSchemesNeverWriteAWorkspace)
                 continue;
             EXPECT_LE(implicit->runLayer(p).dramBytes + p.loweredBytes(),
                       explicit_im2col->runLayer(p).dramBytes)
-                << spec->name << " on " << p.toString();
+                << spec.name << " on " << p.toString();
             ++checked;
         }
     }
@@ -260,12 +249,12 @@ TEST(VariantInvariants, IndirectPaysExactlyItsPointerTable)
     // indirection buffer more than its SMM-Conv twin does.
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
     int checked = 0;
-    for (const VariantSpec *spec : allVariants()) {
-        if (algorithmOf(*spec) != AlgorithmId::Indirect)
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        if (algorithmOf(spec) != AlgorithmId::Indirect)
             continue;
-        const auto indirect = tune::makeFromSpec(*spec);
+        const auto indirect = sim::makeFromSpec(spec);
         const auto smm =
-            tune::makeFromSpec(withAlgorithm(*spec, AlgorithmId::Smm));
+            sim::makeFromSpec(withAlgorithm(spec, AlgorithmId::Smm));
         for (const models::ConvLayerSpec &layer : layers) {
             const ConvParams &p = layer.params;
             if (layer.groups != 1 || !smm->algorithm()->supports(p, 1).ok())
@@ -277,7 +266,7 @@ TEST(VariantInvariants, IndirectPaysExactlyItsPointerTable)
                                               AlgorithmId::Indirect)
                                               ->traffic(p)
                                               .metadataBytes)
-                << spec->name << " on " << with.geometry;
+                << spec.name << " on " << with.geometry;
             ++checked;
         }
     }
@@ -336,19 +325,19 @@ TEST(VariantInvariants, ExplicitIsNeverFasterThanChannelLast)
     // written and read back, so it never finishes first.
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
     int checked = 0;
-    for (const VariantSpec *spec : allVariants()) {
-        if (algorithmOf(*spec) != AlgorithmId::ExplicitIm2col)
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        if (algorithmOf(spec) != AlgorithmId::ExplicitIm2col)
             continue;
-        const auto explicit_im2col = tune::makeFromSpec(*spec);
-        const auto channel_last = tune::makeFromSpec(
-            withAlgorithm(*spec, AlgorithmId::ChannelLast));
+        const auto explicit_im2col = sim::makeFromSpec(spec);
+        const auto channel_last = sim::makeFromSpec(
+            withAlgorithm(spec, AlgorithmId::ChannelLast));
         for (const models::ConvLayerSpec &layer : layers) {
             RunOptions options;
             options.groups = layer.groups;
             EXPECT_GE(explicit_im2col->runLayer(layer.params, options)
                           .seconds,
                       channel_last->runLayer(layer.params, options).seconds)
-                << spec->name << " on " << layer.params.toString();
+                << spec.name << " on " << layer.params.toString();
             ++checked;
         }
     }
@@ -364,12 +353,12 @@ void
 expectUpgradeNeverSlower(Upgrade &&upgrade)
 {
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
-    for (const VariantSpec *spec : allVariants()) {
-        VariantSpec better = *spec;
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        VariantSpec better = spec;
         if (!upgrade(better))
             continue;
-        const auto base = tune::makeFromSpec(*spec);
-        const auto upgraded = tune::makeFromSpec(better);
+        const auto base = sim::makeFromSpec(spec);
+        const auto upgraded = sim::makeFromSpec(better);
         for (const models::ConvLayerSpec &layer : layers) {
             RunOptions options;
             options.groups = layer.groups;
@@ -379,7 +368,7 @@ expectUpgradeNeverSlower(Upgrade &&upgrade)
                 continue;
             EXPECT_LE(upgraded->runLayer(layer.params, options).seconds,
                       was->seconds * (1.0 + 1e-12))
-                << spec->name << " on " << was->geometry;
+                << spec.name << " on " << was->geometry;
         }
     }
 }
@@ -427,15 +416,15 @@ TEST(VariantInvariants, SmmRunsExactlyTheUnitStrideLayers)
     shapes.push_back(tensor::makeConvRect(1, 16, 20, 20, 16, 3, 3, 1, 2,
                                           1, 1));
     int checked = 0;
-    for (const VariantSpec *spec : allVariants()) {
-        if (algorithmOf(*spec) != AlgorithmId::Smm)
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        if (algorithmOf(spec) != AlgorithmId::Smm)
             continue;
-        const auto accel = tune::makeFromSpec(*spec);
+        const auto accel = sim::makeFromSpec(spec);
         for (const ConvParams &p : shapes) {
             const bool unit = p.strideH == 1 && p.strideW == 1 &&
                               p.dilationH == 1 && p.dilationW == 1;
             const StatusOr<LayerRecord> record = accel->tryRunLayer(p);
-            EXPECT_EQ(record.ok(), unit) << spec->name << " on "
+            EXPECT_EQ(record.ok(), unit) << spec.name << " on "
                                          << p.toString();
             if (!record.ok()) {
                 EXPECT_EQ(record.status().code(),
@@ -456,11 +445,11 @@ TEST(VariantInvariants, ChannelFirstStreamsShrinkByStrideSquared)
     // C_I-deep tile per tap) and its OFMap both scale with the GEMM
     // rows, which fall by stride^2.
     int checked = 0;
-    for (const VariantSpec *spec : allVariants()) {
-        if (spec->backend != Backend::Tpu ||
-            algorithmOf(*spec) != AlgorithmId::ChannelFirst)
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        if (spec.backend != Backend::Tpu ||
+            algorithmOf(spec) != AlgorithmId::ChannelFirst)
             continue;
-        const auto accel = tune::makeFromSpec(*spec);
+        const auto accel = sim::makeFromSpec(spec);
         Bytes base = 0;
         Index base_rows = 0;
         // Unpadded 114 -> 112 / s rows, so every tap reads only input,
@@ -470,11 +459,11 @@ TEST(VariantInvariants, ChannelFirstStreamsShrinkByStrideSquared)
         const Bytes image = im2col::inputUnionBytes(
             makeConv(1, 64, 114, 64, 3, 4, 0));
         const Index batch =
-            static_cast<Index>(spec->tpuConfig.onChipBytes / (2 * image)) + 1;
+            static_cast<Index>(spec.tpuConfig.onChipBytes / (2 * image)) + 1;
         for (const Index s : {1, 2, 4}) {
             const ConvParams p = makeConv(batch, 64, 114, 64, 3, s, 0);
             ASSERT_GT(im2col::inputUnionBytes(p) * 2,
-                      spec->tpuConfig.onChipBytes);
+                      spec.tpuConfig.onChipBytes);
             const LayerRecord record = accel->runLayer(p);
             const Bytes streamed = record.dramBytes - p.filterBytes();
             if (s == 1) {
@@ -484,7 +473,7 @@ TEST(VariantInvariants, ChannelFirstStreamsShrinkByStrideSquared)
             }
             EXPECT_EQ(p.gemmM() * s * s, base_rows) << p.toString();
             EXPECT_EQ(streamed * static_cast<Bytes>(s * s), base)
-                << spec->name << " at stride " << s;
+                << spec.name << " at stride " << s;
         }
         ++checked;
     }
@@ -504,20 +493,20 @@ TEST(VariantInvariants, PaperMultiTileCountIsTheFastestUpToTheFilterWidth)
         makeConv(1, 32, 28, 64, 5, 1, 2),
     };
     int checked = 0;
-    for (const VariantSpec *spec : allVariants()) {
-        if (spec->backend != Backend::Tpu ||
-            algorithmOf(*spec) != AlgorithmId::ChannelFirst ||
-            spec->tpuOptions.spaceToDepthFirstLayer)
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        if (spec.backend != Backend::Tpu ||
+            algorithmOf(spec) != AlgorithmId::ChannelFirst ||
+            spec.tpuOptions.spaceToDepthFirstLayer)
             continue;
-        const auto paper = tune::makeFromSpec(*spec);
+        const auto paper = sim::makeFromSpec(spec);
         for (const ConvParams &p : shallow) {
             const double best = paper->runLayer(p).seconds;
             for (Index tiles = 1; tiles <= p.kernelW; ++tiles) {
-                VariantSpec forced = *spec;
+                VariantSpec forced = spec;
                 forced.tpuOptions.multiTileOverride = tiles;
                 EXPECT_LE(best,
-                          tune::makeFromSpec(forced)->runLayer(p).seconds)
-                    << spec->name << " on " << p.toString() << " at "
+                          sim::makeFromSpec(forced)->runLayer(p).seconds)
+                    << spec.name << " on " << p.toString() << " at "
                     << tiles << " tiles";
             }
             ++checked;
@@ -601,8 +590,8 @@ TEST(VariantInvariants, RandomLayersYieldARecordOrInvalidArgument)
         layers.push_back(randomLayer(rng));
     int records = 0;
     int rejections = 0;
-    for (const VariantSpec *spec : allVariants()) {
-        const auto accel = tune::makeFromSpec(*spec);
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        const auto accel = sim::makeFromSpec(spec);
         for (const FuzzedLayer &layer : layers) {
             const ConvParams &p = layer.params;
             RunOptions options;
@@ -613,7 +602,7 @@ TEST(VariantInvariants, RandomLayersYieldARecordOrInvalidArgument)
             if (accepted.ok())
                 accepted = accel->algorithm()->supports(p, layer.groups);
             if (!accepted.ok()) {
-                ASSERT_FALSE(record.ok()) << spec->name;
+                ASSERT_FALSE(record.ok()) << spec.name;
                 EXPECT_EQ(record.status().code(),
                           StatusCode::kInvalidArgument)
                     << record.status().toString();
@@ -627,15 +616,15 @@ TEST(VariantInvariants, RandomLayersYieldARecordOrInvalidArgument)
                 continue;
             }
             ASSERT_TRUE(record.ok())
-                << spec->name << ": " << record.status().toString();
+                << spec.name << ": " << record.status().toString();
             EXPECT_TRUE(std::isfinite(record->seconds) &&
                         record->seconds > 0.0)
-                << spec->name << " on " << record->geometry;
+                << spec.name << " on " << record->geometry;
             EXPECT_LE(record->utilization, 1.0)
-                << spec->name << " on " << record->geometry;
+                << spec.name << " on " << record->geometry;
             EXPECT_EQ(record->flops,
                       p.flops() / static_cast<Flops>(layer.groups))
-                << spec->name << " on " << record->geometry;
+                << spec.name << " on " << record->geometry;
             ++records;
         }
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "common/logging.h"
 #include "tensor/conv_params.h"
 
@@ -86,6 +89,44 @@ TEST(ConvParams, ToStringMentionsGeometry)
     EXPECT_NE(s.find("C16"), std::string::npos);
     EXPECT_NE(s.find("k3x3"), std::string::npos);
     EXPECT_NE(s.find("s2"), std::string::npos);
+    EXPECT_EQ(s, "N2 C16 28x28 k3x3 s2 p1 d1 -> C32 14x14");
+
+    // Stride, padding and dilation print per axis where H and W differ.
+    EXPECT_EQ(makeConvRect(64, 128, 57, 57, 128, 3, 3, 1, 2, 0, 27)
+                  .toString(),
+              "N64 C128 57x57 k3x3 s1x2 p0x27 d1 -> C128 55x55");
+    EXPECT_EQ(makeConvRect(1, 8, 16, 16, 8, 3, 3, 1, 1, 1, 2, 1, 2)
+                  .toString(),
+              "N1 C8 16x16 k3x3 s1 p1x2 d1x2 -> C8 16x16");
+
+    // A data type other than fp16 is appended.
+    ConvParams fp32 = p;
+    fp32.dataType = DataType::Fp32;
+    EXPECT_EQ(fp32.toString(),
+              "N2 C16 28x28 k3x3 s2 p1 d1 -> C32 14x14 fp32");
+}
+
+TEST(ConvParams, ToStringTellsApartLayersThatCompareUnequal)
+{
+    // Every W-axis geometry of a small grid, in two data types: two
+    // layers that print the same string must be the same layer.
+    std::map<std::string, ConvParams> seen;
+    for (const DataType type : {DataType::Fp16, DataType::Fp32})
+        for (const Index in : {7, 8})
+            for (const Index k : {1, 3})
+                for (const Index stride : {1, 2})
+                    for (const Index pad : {0, 1, 2})
+                        for (const Index dilation : {1, 2}) {
+                            ConvParams p = makeConvRect(
+                                2, 4, 8, in, 4, 3, k, 1, stride, 1, pad,
+                                1, dilation);
+                            p.dataType = type;
+                            const auto [it, fresh] =
+                                seen.emplace(p.toString(), p);
+                            EXPECT_TRUE(fresh || it->second == p)
+                                << it->first;
+                        }
+    EXPECT_EQ(seen.size(), 96u);
 }
 
 struct GeometryCase

@@ -50,10 +50,9 @@ TEST(KnobSpace, BuiltinSpacesListEachVariantOnceWithTheirStockBaseline)
 
 TEST(KnobSpace, BuiltinGridsNameOnlyRegisteredVariants)
 {
-    const auto &registry = VariantRegistry::instance();
     for (const KnobSpace &space : {tpuKnobSpace(), gpuKnobSpace()})
         for (const auto &name : space.variants) {
-            const VariantSpec *spec = registry.find(name);
+            const sim::VariantSpec *spec = sim::findVariant(name);
             ASSERT_NE(spec, nullptr) << name;
             EXPECT_EQ(spec->backend, space.family) << name;
         }
@@ -66,7 +65,7 @@ TEST(Autotuner, CreateRejectsUnregisteredGridPoints)
     EXPECT_FALSE(Autotuner::create(space).ok());
     // A space of the other family's variants, or of none, is refused.
     space = gpuKnobSpace();
-    space.family = Backend::Tpu;
+    space.family = sim::Backend::Tpu;
     EXPECT_FALSE(Autotuner::create(space).ok());
     EXPECT_FALSE(Autotuner::create(KnobSpace{}).ok());
 }
@@ -190,6 +189,39 @@ TEST(Autotuner, DatabaseHitRequiresTheSameBaseline)
     options.baseline = "gpu-v100-cudnn";
     const auto other = tuner->tuneLayer(layer, options).value();
     EXPECT_FALSE(other.fromDb);
+}
+
+TEST(Autotuner, LayersThatDifferOnlyAlongWAreTunedApart)
+{
+    // Same strideH, padH and dilationH and the same 55x55 output, but
+    // a different strideW and padW: neither the tune cache nor the
+    // database may answer the second layer with the first one's times.
+    const auto square = layerOf(
+        "square", tensor::makeConvRect(64, 128, 57, 57, 128, 3, 3, 1, 1,
+                                       0, 0));
+    const auto wide = layerOf(
+        "wide", tensor::makeConvRect(64, 128, 57, 57, 128, 3, 3, 1, 2,
+                                     0, 27));
+    ASSERT_EQ(square.params.outW(), wide.params.outW());
+    const double direct = sim::makeAccelerator("gpu-v100-cudnn")
+                              ->runLayer(wide.params)
+                              .seconds;
+
+    auto tuner = Autotuner::create(gpuKnobSpace()).value();
+    TuneOptions options;
+    options.baseline = "gpu-v100-cudnn";
+    ASSERT_TRUE(tuner->tuneLayer(square, options).ok());
+    const auto searched = tuner->tuneLayer(wide, options).value();
+    EXPECT_GT(searched.evaluations, 0);
+    EXPECT_EQ(searched.baselineSeconds, direct);
+
+    TunedConfigDb db;
+    options.db = &db;
+    ASSERT_TRUE(tuner->tuneLayer(square, options).ok());
+    const auto stored = tuner->tuneLayer(wide, options).value();
+    EXPECT_FALSE(stored.fromDb);
+    EXPECT_EQ(stored.baselineSeconds, direct);
+    EXPECT_EQ(db.size(), 2u);
 }
 
 TEST(Autotuner, UnsupportedAlgorithmsNeverWin)

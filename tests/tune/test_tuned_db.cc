@@ -1,7 +1,7 @@
 /** @file Tests for the persistent tuned-config database
  *  (tune/tuned_db): deterministic persistence, round-trips, and the
- *  loader's schema and staleness validation against the live
- *  variant registry. */
+ *  loader's schema and staleness validation against the variant
+ *  table. */
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "common/atomic_file.h"
 #include "tune/tuned_db.h"
-#include "tune/variant_registry.h"
 
 namespace cfconv::tune {
 namespace {
@@ -97,8 +96,7 @@ TEST(TunedConfigDb, SaveAndLoadRoundTrips)
     ASSERT_TRUE(db.saveFile(path));
 
     TunedConfigDb loaded;
-    const auto stats =
-        loaded.loadFile(path, VariantRegistry::instance());
+    const auto stats = loaded.loadFile(path);
     ASSERT_TRUE(stats.ok()) << stats.status().toString();
     EXPECT_EQ(stats.value().loaded, 3);
     EXPECT_EQ(stats.value().rejected, 0);
@@ -141,14 +139,27 @@ TEST(TunedConfigDb, LoaderRejectsStaleEntriesIndividually)
     TunedEntry unknownAlgorithm = sampleEntry("stale_algorithm");
     unknownAlgorithm.algorithm = "winograd";
     db.upsert(unknownAlgorithm);
+    // Known names of the other family: a TPU entry won by a GPU
+    // variant, a GPU entry naming TPU variants, and a GPU entry with a
+    // TPU baseline.
+    TunedEntry gpuWinner = sampleEntry("gpu_winner");
+    gpuWinner.variant = "gpu-v100";
+    db.upsert(gpuWinner);
+    TunedEntry tpuNames = sampleEntry("tpu_names");
+    tpuNames.family = "gpu";
+    tpuNames.variant = "tpu-v3ish";
+    db.upsert(tpuNames);
+    TunedEntry tpuBaseline = sampleEntry("tpu_baseline");
+    tpuBaseline.family = "gpu";
+    tpuBaseline.variant = "gpu-v100-tuned";
+    db.upsert(tpuBaseline);
     ASSERT_TRUE(db.saveFile(path));
 
     TunedConfigDb loaded;
-    const auto stats =
-        loaded.loadFile(path, VariantRegistry::instance());
+    const auto stats = loaded.loadFile(path);
     ASSERT_TRUE(stats.ok()) << stats.status().toString();
     EXPECT_EQ(stats.value().loaded, 1);
-    EXPECT_EQ(stats.value().rejected, 5);
+    EXPECT_EQ(stats.value().rejected, 8);
     EXPECT_EQ(loaded.size(), 1u);
     EXPECT_NE(loaded.find("tpu", "channel-first", "good", 1), nullptr);
     EXPECT_EQ(loaded.find("tpu", "channel-first", "stale_variant", 1), nullptr);
@@ -166,22 +177,22 @@ TEST(TunedConfigDb, LoaderRefusesForeignSchemas)
 
     writeDoc(R"({"schema": "other.format", "version": 1,)"
              R"( "entries": []})");
-    EXPECT_FALSE(db.loadFile(path, VariantRegistry::instance()).ok());
+    EXPECT_FALSE(db.loadFile(path).ok());
 
     writeDoc(R"({"schema": "cfconv.tuned_db", "version": 999,)"
              R"( "entries": []})");
-    EXPECT_FALSE(db.loadFile(path, VariantRegistry::instance()).ok());
+    EXPECT_FALSE(db.loadFile(path).ok());
 
     // The pre-algorithm v1 layout is refused outright, not guessed at.
     writeDoc(R"({"schema": "cfconv.tuned_db", "version": 1,)"
              R"( "entries": []})");
-    EXPECT_FALSE(db.loadFile(path, VariantRegistry::instance()).ok());
+    EXPECT_FALSE(db.loadFile(path).ok());
 
     writeDoc(R"({"schema": "cfconv.tuned_db", "version": 2})");
-    EXPECT_FALSE(db.loadFile(path, VariantRegistry::instance()).ok());
+    EXPECT_FALSE(db.loadFile(path).ok());
 
     writeDoc("{not json");
-    EXPECT_FALSE(db.loadFile(path, VariantRegistry::instance()).ok());
+    EXPECT_FALSE(db.loadFile(path).ok());
 
     // A structurally failed load leaves the database untouched.
     EXPECT_EQ(db.size(), 0u);
@@ -206,7 +217,7 @@ TEST(TunedConfigDb, EntriesThatCarryAModeLoadAndResaveWithoutIt)
                R"( "mode": "greedy"}]})";
     }
     TunedConfigDb db;
-    const auto stats = db.loadFile(path, VariantRegistry::instance());
+    const auto stats = db.loadFile(path);
     ASSERT_TRUE(stats.ok()) << stats.status().toString();
     EXPECT_EQ(stats.value().loaded, 1);
     EXPECT_EQ(stats.value().rejected, 0);
@@ -226,8 +237,7 @@ TEST(TunedConfigDb, EntriesThatCarryAModeLoadAndResaveWithoutIt)
 TEST(TunedConfigDb, MissingFileIsNotFound)
 {
     TunedConfigDb db;
-    const auto stats = db.loadFile("/nonexistent/tuned.json",
-                                   VariantRegistry::instance());
+    const auto stats = db.loadFile("/nonexistent/tuned.json");
     ASSERT_FALSE(stats.ok());
     EXPECT_EQ(stats.status().code(), StatusCode::kNotFound);
 }
@@ -245,7 +255,7 @@ TEST(TunedConfigDb, LoadMergesIntoExistingEntries)
     TunedConfigDb db;
     db.upsert(sampleEntry("shared")); // to be overwritten by the file
     db.upsert(sampleEntry("memory_only"));
-    const auto stats = db.loadFile(path, VariantRegistry::instance());
+    const auto stats = db.loadFile(path);
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(db.size(), 3u);
     EXPECT_EQ(db.find("tpu", "channel-first", "shared", 1)->variant, "tpu-v2-256x256");
@@ -269,8 +279,7 @@ TEST(TunedConfigDb, SaveWritesAChecksumTrailer)
 
     // The verified loader strips the trailer transparently.
     TunedConfigDb loaded;
-    ASSERT_TRUE(
-        loaded.loadFile(path, VariantRegistry::instance()).ok());
+    ASSERT_TRUE(loaded.loadFile(path).ok());
     EXPECT_EQ(loaded.size(), 1u);
     std::remove(path.c_str());
 }
@@ -278,8 +287,7 @@ TEST(TunedConfigDb, SaveWritesAChecksumTrailer)
 TEST(TunedConfigDb, LoadOrRecoverStartsFreshWhenMissing)
 {
     TunedConfigDb db;
-    const DbLoadStats stats = db.loadOrRecover(
-        tempPath("never_written"), VariantRegistry::instance());
+    const DbLoadStats stats = db.loadOrRecover(tempPath("never_written"));
     EXPECT_TRUE(stats.fresh);
     EXPECT_FALSE(stats.recovered);
     EXPECT_EQ(db.size(), 0u);
@@ -309,14 +317,12 @@ TEST(TunedConfigDb, LoadOrRecoverQuarantinesATornFile)
 
     // The strict loader refuses the torn file...
     TunedConfigDb strict;
-    EXPECT_FALSE(
-        strict.loadFile(path, VariantRegistry::instance()).ok());
+    EXPECT_FALSE(strict.loadFile(path).ok());
 
     // ...while loadOrRecover() deletes it and reports the recovery,
     // leaving the db empty but usable for a clean re-save.
     TunedConfigDb db;
-    const DbLoadStats stats =
-        db.loadOrRecover(path, VariantRegistry::instance());
+    const DbLoadStats stats = db.loadOrRecover(path);
     EXPECT_TRUE(stats.recovered);
     EXPECT_FALSE(stats.fresh);
     EXPECT_EQ(db.size(), 0u);
@@ -325,8 +331,7 @@ TEST(TunedConfigDb, LoadOrRecoverQuarantinesATornFile)
     db.upsert(sampleEntry());
     ASSERT_TRUE(db.saveFile(path));
     TunedConfigDb reread;
-    const DbLoadStats again =
-        reread.loadOrRecover(path, VariantRegistry::instance());
+    const DbLoadStats again = reread.loadOrRecover(path);
     EXPECT_FALSE(again.recovered);
     EXPECT_EQ(reread.size(), 1u);
     std::remove(path.c_str());
