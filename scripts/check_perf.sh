@@ -18,10 +18,14 @@
 #     threads=1 on every run, whatever thread count last wrote
 #     BENCH_gemm.json.
 #
+# Check and selftest runs regenerate every compared point from the
+# build under test in a temp dir, so the BENCH files at the repo root
+# are neither read nor written.
+#
 # Usage:
-#   check_perf.sh             compare (regenerates the simulated BENCH files
-#                             if absent; always re-measures the GEMM points)
-#   check_perf.sh --update    regenerate the baselines from a fresh run
+#   check_perf.sh             compare a fresh run with the baselines
+#   check_perf.sh --update    regenerate the root BENCH files and the
+#                             baselines from a fresh run
 #   check_perf.sh --selftest  prove the gate fails on a perturbed baseline
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,15 +63,23 @@ gemm_points() {
         >/dev/null)
 }
 
+# regen_bench_files <dir>: write all four BENCH files into <dir>.
 regen_bench_files() {
     require_build bench_models_report
-    "$BUILD_DIR"/bench/bench_models_report json=BENCH_models.json \
+    "$BUILD_DIR"/bench/bench_models_report json="$1/BENCH_models.json" \
         >/dev/null
-    "$BUILD_DIR"/bench/bench_serving json=BENCH_serving.json \
+    "$BUILD_DIR"/bench/bench_serving json="$1/BENCH_serving.json" \
         >/dev/null
-    "$BUILD_DIR"/bench/bench_fig4_stride json=BENCH_algos.json \
+    "$BUILD_DIR"/bench/bench_fig4_stride json="$1/BENCH_algos.json" \
         >/dev/null
-    gemm_points .
+    gemm_points "$1"
+}
+
+# current <dir>: a fresh run's compared metrics, as <dir>/current.json.
+current() {
+    regen_bench_files "$1"
+    extract "$1/BENCH_models.json" "$1/BENCH_gemm.json" \
+        "$1/BENCH_serving.json" "$1/BENCH_algos.json" "$1/current.json"
 }
 
 # extract <models.json> <gemm.json> <serving.json> <algos.json>
@@ -153,7 +165,7 @@ EOF
 
 case "$MODE" in
 update | --update)
-    regen_bench_files
+    regen_bench_files .
     mkdir -p "$BASELINE_DIR"
     extract BENCH_models.json BENCH_gemm.json BENCH_serving.json \
         BENCH_algos.json "$BASELINE_DIR/perf_baseline.json"
@@ -165,11 +177,7 @@ selftest | --selftest)
     # past the noise band, then require the comparison to reject both.
     workdir="$(mktemp -d)"
     trap 'rm -rf "$workdir"' EXIT
-    [ -s BENCH_models.json ] && [ -s BENCH_serving.json ] \
-        && [ -s BENCH_algos.json ] || regen_bench_files
-    gemm_points "$workdir"
-    extract BENCH_models.json "$workdir/BENCH_gemm.json" \
-        BENCH_serving.json BENCH_algos.json "$workdir/current.json"
+    current "$workdir"
     python3 - "$BASELINE_DIR/perf_baseline.json" \
         "$workdir/perturbed.json" <<'EOF'
 import json
@@ -197,13 +205,9 @@ check | --check)
         echo "check_perf: no baseline; run check_perf.sh --update" >&2
         exit 1
     fi
-    [ -s BENCH_models.json ] && [ -s BENCH_serving.json ] \
-        && [ -s BENCH_algos.json ] || regen_bench_files
     workdir="$(mktemp -d)"
     trap 'rm -rf "$workdir"' EXIT
-    gemm_points "$workdir"
-    extract BENCH_models.json "$workdir/BENCH_gemm.json" \
-        BENCH_serving.json BENCH_algos.json "$workdir/current.json"
+    current "$workdir"
     compare "$BASELINE_DIR/perf_baseline.json" \
         "$workdir/current.json" "$TOL"
     echo "PERF OK"

@@ -8,7 +8,8 @@
  *   - identity (stable id + canonical name),
  *   - an applicability predicate (stride/dilation/groups restrictions),
  *   - a DRAM traffic model (unique bytes each operand class moves,
- *     the lowered workspace and the pointer table included),
+ *     the lowered workspace and the pointer table included), read
+ *     off the pass plan by the base class,
  *   - a pass plan (im2col::PassPlan: tap order, depth, feed locality,
  *     metadata) that the TPU and GPU simulators each schedule with one
  *     generic loop,
@@ -110,13 +111,19 @@ class Algorithm
      * Applicability predicate: OK when this algorithm can run @p params
      * with @p groups, INVALID_ARGUMENT (naming algorithm and offending
      * field) otherwise. The default checks only @p groups; it does not
-     * validate the geometry (ConvParams::validate() does, and every
-     * execute() calls it first).
+     * validate the geometry (tensor::checkLayer() does, and every
+     * execute() validates first).
      */
     virtual Status supports(const ConvParams &params, Index groups) const;
 
-    /** Backend-neutral unique-DRAM-traffic model on @p params. */
-    virtual Traffic traffic(const ConvParams &params) const = 0;
+    /**
+     * Backend-neutral unique DRAM traffic on @p params, read off the
+     * plan: the input union (the whole IFMap and the lowered matrix
+     * written and read back for a Workspace feed), the filter, the
+     * output and the plan's side table. Answers layers supports()
+     * refuses too, such as a strided layer for SMM-Conv.
+     */
+    Traffic traffic(const ConvParams &params) const;
 
     /**
      * The pass plan both simulators schedule for @p params, or the

@@ -32,17 +32,6 @@ using tensor::ColumnOrder;
 /** Pointer-size of one indirection-buffer entry (64-bit host). */
 constexpr Bytes kPointerBytes = 8;
 
-/** Shared traffic skeleton: unique input union + filter + output. */
-Traffic
-implicitTraffic(const ConvParams &params)
-{
-    Traffic t;
-    t.inputBytes = im2col::inputUnionBytes(params);
-    t.filterBytes = params.filterBytes();
-    t.outputBytes = params.outputBytes();
-    return t;
-}
-
 /** Plan of the per-tap schemes: the decomposed 1x1 tiles in row-major
  *  order, C_I deep each. */
 PassPlan
@@ -76,12 +65,6 @@ class ChannelFirstAlgorithm final : public Algorithm
     AlgorithmId id() const override { return AlgorithmId::ChannelFirst; }
     const char *name() const override { return "channel-first"; }
 
-    Traffic
-    traffic(const ConvParams &params) const override
-    {
-        return implicitTraffic(params);
-    }
-
     TapPointers
     pointers(const ConvParams &params, const Tensor &input,
              const PassPlan &) const override
@@ -107,12 +90,6 @@ class ChannelLastAlgorithm final : public Algorithm
   public:
     AlgorithmId id() const override { return AlgorithmId::ChannelLast; }
     const char *name() const override { return "channel-last"; }
-
-    Traffic
-    traffic(const ConvParams &params) const override
-    {
-        return implicitTraffic(params);
-    }
 
     TapPointers
     pointers(const ConvParams &params, const Tensor &input,
@@ -157,19 +134,6 @@ class ExplicitIm2colAlgorithm final : public Algorithm
 
     const char *name() const override { return "explicit-im2col"; }
 
-    Traffic
-    traffic(const ConvParams &params) const override
-    {
-        Traffic t;
-        t.inputBytes = params.inputBytes();
-        t.filterBytes = params.filterBytes();
-        t.outputBytes = params.outputBytes();
-        // The lowered workspace is written by the transform and read
-        // back by the GEMM.
-        t.workspaceBytes = 2 * params.loweredBytes();
-        return t;
-    }
-
     TapPointers
     pointers(const ConvParams &params, const Tensor &input,
              const PassPlan &) const override
@@ -213,14 +177,6 @@ class IndirectAlgorithm final : public Algorithm
   public:
     AlgorithmId id() const override { return AlgorithmId::Indirect; }
     const char *name() const override { return "indirect"; }
-
-    Traffic
-    traffic(const ConvParams &params) const override
-    {
-        Traffic t = implicitTraffic(params);
-        t.metadataBytes = buildPlan(params).metadataBytes(params.gemmM());
-        return t;
-    }
 
     TapPointers
     pointers(const ConvParams &params, const Tensor &input,
@@ -305,12 +261,6 @@ class SmmAlgorithm final : public Algorithm
         return okStatus();
     }
 
-    Traffic
-    traffic(const ConvParams &params) const override
-    {
-        return implicitTraffic(params);
-    }
-
     TapPointers
     pointers(const ConvParams &params, const Tensor &input,
              const PassPlan &) const override
@@ -344,6 +294,26 @@ Algorithm::supports(const ConvParams &params, Index groups) const
     return okStatus();
 }
 
+Traffic
+Algorithm::traffic(const ConvParams &params) const
+{
+    // buildPlan(), not plan(): the model answers outside supports().
+    const PassPlan plan = buildPlan(params);
+    Traffic t;
+    t.filterBytes = params.filterBytes();
+    t.outputBytes = params.outputBytes();
+    t.metadataBytes = plan.metadataBytes(params.gemmM());
+    if (plan.feed == FeedLocality::Workspace) {
+        // The transform reads the whole IFMap and writes the lowered
+        // matrix, which the GEMM reads back.
+        t.inputBytes = params.inputBytes();
+        t.workspaceBytes = 2 * params.loweredBytes();
+    } else {
+        t.inputBytes = im2col::inputUnionBytes(params);
+    }
+    return t;
+}
+
 StatusOr<PassPlan>
 Algorithm::plan(const ConvParams &params) const
 {
@@ -368,7 +338,7 @@ Tensor
 Algorithm::execute(const ConvParams &params, const Tensor &input,
                    const Tensor &filter) const
 {
-    im2col::checkInput(params, input);
+    tensor::checkInput(params, input);
     const StatusOr<PassPlan> plan = this->plan(params);
     CFCONV_FATAL_IF(!plan.ok(), "%s", plan.status().message().c_str());
     const std::vector<float> strips =

@@ -16,7 +16,7 @@ convBlock(const conv::Algorithm &algorithm, const im2col::PassPlan &plan,
           const Tensor &filter, const BlockKernelConfig &config,
           BlockKernelStats *stats)
 {
-    im2col::checkInput(params, input);
+    tensor::checkInput(params, input);
     CFCONV_FATAL_IF(config.tileM < 1 || config.tileN < 1 ||
                     config.chunkK < 1,
                     "block kernel: non-positive tile configuration");

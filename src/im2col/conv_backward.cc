@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/logging.h"
 #include "im2col/implicit_conv.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col_explicit.h"
@@ -11,15 +10,17 @@ namespace cfconv::im2col {
 
 namespace {
 
+/** Fatal unless @p params is valid and @p grad_out is its
+ *  (N, C_O, H_O, W_O). */
 void
 checkGradOut(const ConvParams &params, const tensor::Tensor &grad_out)
 {
-    CFCONV_FATAL_IF(grad_out.n() != params.batch ||
-                    grad_out.c() != params.outChannels ||
-                    grad_out.h() != params.outH() ||
-                    grad_out.w() != params.outW(),
-                    "conv backward: grad_out dims do not match params "
-                    "(%s)", params.toString().c_str());
+    params.validate();
+    tensor::checkOperandDims(params, "grad_out",
+                             {{"N", grad_out.n(), params.batch},
+                              {"C_O", grad_out.c(), params.outChannels},
+                              {"H_O", grad_out.h(), params.outH()},
+                              {"W_O", grad_out.w(), params.outW()}});
 }
 
 } // namespace
@@ -29,8 +30,8 @@ convBackwardDataDirect(const ConvParams &params,
                        const tensor::Tensor &grad_out,
                        const tensor::Tensor &filter)
 {
-    params.validate();
     checkGradOut(params, grad_out);
+    tensor::checkFilter(params, filter);
     tensor::Tensor grad_in(params.batch, params.inChannels, params.inH,
                            params.inW);
     for (Index n = 0; n < params.batch; ++n) {
@@ -66,7 +67,7 @@ convBackwardFilterDirect(const ConvParams &params,
                          const tensor::Tensor &input,
                          const tensor::Tensor &grad_out)
 {
-    params.validate();
+    tensor::checkInput(params, input);
     checkGradOut(params, grad_out);
     tensor::Tensor grad_w(params.outChannels, params.inChannels,
                           params.kernelH, params.kernelW);
@@ -101,8 +102,8 @@ convBackwardDataImplicit(const ConvParams &params,
                          const tensor::Tensor &grad_out,
                          const tensor::Tensor &filter)
 {
-    params.validate();
     checkGradOut(params, grad_out);
+    tensor::checkFilter(params, filter);
 
     // Flatten dY to the (M x C_O) GEMM operand once.
     tensor::Matrix dy(params.gemmM(), params.gemmN());
@@ -145,7 +146,7 @@ convBackwardFilterImplicit(const ConvParams &params,
                            const tensor::Tensor &input,
                            const tensor::Tensor &grad_out)
 {
-    checkInput(params, input);
+    tensor::checkInput(params, input);
     checkGradOut(params, grad_out);
 
     tensor::Matrix dy(params.gemmM(), params.gemmN());

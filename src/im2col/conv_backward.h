@@ -12,7 +12,11 @@
  *  - backward-filter: dW[r,s] = A_tile(r,s)^T * dY     (C_I x C_O)
  *  - backward-data:   dX += scatter_tile(r,s)(dY * W[r,s]^T)
  * so they inherit the forward pass's stride/padding/dilation handling
- * and its zero-materialization property.
+ * and its zero-materialization property. Every pass validates the
+ * layer and checks the operands it takes, as the forward pass does:
+ * @p grad_out against the OFMap's (N, C_O, H_O, W_O), the input and
+ * the filter through tensor::checkInput() and checkFilter(); a
+ * mismatch is fatal and names the dimension.
  */
 
 #ifndef CFCONV_IM2COL_CONV_BACKWARD_H

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "im2col/implicit_conv.h"
 #include "tensor/conv_ref.h"
 
@@ -20,16 +19,7 @@ GroupedConvParams::groupParams() const
 void
 GroupedConvParams::validate() const
 {
-    base.validate();
-    CFCONV_FATAL_IF(groups < 1, "grouped conv: groups must be >= 1");
-    CFCONV_FATAL_IF(base.inChannels % groups != 0 ||
-                    base.outChannels % groups != 0,
-                    "grouped conv: channels (%lld in, %lld out) not "
-                    "divisible by %lld groups",
-                    static_cast<long long>(base.inChannels),
-                    static_cast<long long>(base.outChannels),
-                    static_cast<long long>(groups));
-    groupParams().validate();
+    base.validate(groups);
 }
 
 Flops
@@ -70,13 +60,13 @@ void
 checkFilter(const GroupedConvParams &params,
             const tensor::Tensor &filter)
 {
-    const ConvParams g = params.groupParams();
-    CFCONV_FATAL_IF(filter.n() != params.base.outChannels ||
-                    filter.c() != g.inChannels ||
-                    filter.h() != params.base.kernelH ||
-                    filter.w() != params.base.kernelW,
-                    "grouped conv: filter dims must be (C_O, C_I/G, "
-                    "H_F, W_F)");
+    const ConvParams &base = params.base;
+    tensor::checkOperandDims(base, "filter",
+                             {{"C_O", filter.n(), base.outChannels},
+                              {"C_I/G", filter.c(),
+                               base.inChannels / params.groups},
+                              {"H_F", filter.h(), base.kernelH},
+                              {"W_F", filter.w(), base.kernelW}});
 }
 
 template <typename GroupConv>
@@ -85,6 +75,7 @@ runGroups(const GroupedConvParams &params, const tensor::Tensor &input,
           const tensor::Tensor &filter, GroupConv &&group_conv)
 {
     params.validate();
+    tensor::checkInput(params.base, input);
     checkFilter(params, filter);
     const ConvParams g = params.groupParams();
 

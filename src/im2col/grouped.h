@@ -26,7 +26,8 @@ struct GroupedConvParams
     /** Per-group geometry: C_I/G in, C_O/G out. */
     ConvParams groupParams() const;
 
-    /** Validate divisibility and the underlying geometry. */
+    /** base.validate(groups): fatal unless tensor::checkLayer()
+     *  accepts the layer with this group count. */
     void validate() const;
 
     /** Total MAC FLOPs: 2 * M * (K/G) * N. */

@@ -39,7 +39,7 @@ gatherGemm(const ConvParams &params, const tensor::Tensor &input,
            const PassPlan &plan, const std::vector<float> &strips,
            const TapPointers &point)
 {
-    checkInput(params, input);
+    tensor::checkInput(params, input);
     const Index m_total = params.gemmM();
     const Index n = params.gemmN();
     const Index taps = static_cast<Index>(plan.taps.size());
@@ -109,17 +109,6 @@ gatherGemm(const ConvParams &params, const tensor::Tensor &input,
             }
         });
     return out;
-}
-
-void
-checkInput(const ConvParams &params, const tensor::Tensor &input)
-{
-    params.validate();
-    tensor::checkOperandDims(params, "input",
-                             {{"N", input.n(), params.batch},
-                              {"C_I", input.c(), params.inChannels},
-                              {"H_I", input.h(), params.inH},
-                              {"W_I", input.w(), params.inW}});
 }
 
 std::vector<float>

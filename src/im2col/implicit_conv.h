@@ -57,10 +57,6 @@ tensor::Tensor gatherGemm(const ConvParams &params,
                           const std::vector<float> &strips,
                           const TapPointers &point);
 
-/** Validate @p params and check that @p input is (N, C_I, H_I, W_I);
- *  the error names the first dimension that does not match. */
-void checkInput(const ConvParams &params, const tensor::Tensor &input);
-
 /**
  * B for the engine packed straight from @p filter, without a K x C_O
  * matrix: row k is filter(:, cols[k].ci, cols[k].r, cols[k].s). Checks

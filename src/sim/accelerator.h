@@ -160,18 +160,21 @@ class Accelerator
     /** Peak useful TFLOPS of the configured hardware. */
     virtual double peakTflops() const = 0;
 
-    /** Simulate one (possibly grouped) convolution layer. */
+    /** Simulate one (possibly grouped) convolution layer; a layer
+     *  that fails ConvParams::validate(options.groups) is fatal. */
     virtual LayerRecord runLayer(const ConvParams &params,
                                  const RunOptions &options = {}) const
         = 0;
 
     /**
-     * The recoverable front door to runLayer(): validates the layer
-     * geometry (validateLayerParams), rolls the `accel.step_timeout`
-     * chaos die scoped to this backend's name, and converts any
-     * FatalError/PanicError escaping the backend into a Status
-     * (INVALID_ARGUMENT / INTERNAL) instead of unwinding through the
-     * thread pool. What the resilient ModelRunner programs against.
+     * The recoverable front door to runLayer(): returns
+     * tensor::checkLayer()'s and the algorithm's supports() Status for
+     * a layer they refuse, rolls the `accel.step_timeout` chaos die
+     * scoped to this backend's name while the fault injector is armed,
+     * and converts any FatalError/PanicError escaping the backend into
+     * a Status (INVALID_ARGUMENT / INTERNAL) instead of unwinding
+     * through the thread pool. What the resilient ModelRunner programs
+     * against.
      */
     StatusOr<LayerRecord> tryRunLayer(const ConvParams &params,
                                       const RunOptions &options = {})
@@ -189,16 +192,6 @@ class Accelerator
      */
     virtual const conv::Algorithm *algorithm() const = 0;
 };
-
-/**
- * Validate one layer at the accelerator boundary: positive dims,
- * stride/dilation >= 1, kernel fits the padded input, non-degenerate
- * output, and grouped-conv channel divisibility. Returns a descriptive
- * INVALID_ARGUMENT naming the offending field instead of letting the
- * shape flow into the kernels.
- */
-Status validateLayerParams(const ConvParams &params,
-                           const RunOptions &options = {});
 
 /**
  * Factory over the named accelerator zoo (sim/variants.h). The stock

@@ -24,7 +24,9 @@ GpuAccelerator::runLayer(const ConvParams &params,
 {
     // Grouped layers: one kernel per group slice (real stacks fuse
     // these, but the slice count dominates the estimate). The slice
-    // geometry comes from ConvLayerSpec::sliceParams.
+    // geometry comes from ConvLayerSpec::sliceParams, which divides by
+    // the group count.
+    params.validate(options.groups);
     models::ConvLayerSpec spec;
     spec.params = params;
     spec.groups = options.groups;

@@ -9,39 +9,15 @@
 
 namespace cfconv::tensor {
 
-void
-ConvParams::validate() const
-{
-    CFCONV_FATAL_IF(batch < 1, "conv: batch %lld < 1",
-                    static_cast<long long>(batch));
-    CFCONV_FATAL_IF(inChannels < 1 || outChannels < 1,
-                    "conv: channels must be positive (C_I=%lld C_O=%lld)",
-                    static_cast<long long>(inChannels),
-                    static_cast<long long>(outChannels));
-    CFCONV_FATAL_IF(inH < 1 || inW < 1, "conv: input %lldx%lld invalid",
-                    static_cast<long long>(inH),
-                    static_cast<long long>(inW));
-    CFCONV_FATAL_IF(kernelH < 1 || kernelW < 1,
-                    "conv: kernel %lldx%lld invalid",
-                    static_cast<long long>(kernelH),
-                    static_cast<long long>(kernelW));
-    CFCONV_FATAL_IF(strideH < 1 || strideW < 1,
-                    "conv: stride %lldx%lld invalid",
-                    static_cast<long long>(strideH),
-                    static_cast<long long>(strideW));
-    CFCONV_FATAL_IF(dilationH < 1 || dilationW < 1,
-                    "conv: dilation %lldx%lld invalid",
-                    static_cast<long long>(dilationH),
-                    static_cast<long long>(dilationW));
-    CFCONV_FATAL_IF(padH < 0 || padW < 0, "conv: negative padding");
-    CFCONV_FATAL_IF(inH + 2 * padH < effKernelH() ||
-                    inW + 2 * padW < effKernelW(),
-                    "conv: kernel does not fit padded input (%s)",
-                    toString().c_str());
-}
+namespace {
 
+/**
+ * toString()'s text. The output shape comes only @p with_output: it
+ * divides by the stride, which a layer checkLayer() refuses may have
+ * as zero.
+ */
 std::string
-ConvParams::toString() const
+describe(const ConvParams &p, bool with_output)
 {
     // Thirteen numbers of at most 20 characters each, plus the text;
     // built in place so the result is allocated once, at its length.
@@ -57,24 +33,118 @@ ConvParams::toString() const
         if (w != h)
             put("x", w);
     };
-    put("N", batch);
-    put(" C", inChannels);
-    put(" ", inH);
-    put("x", inW);
-    put(" k", kernelH);
-    put("x", kernelW);
-    axes(" s", strideH, strideW);
-    axes(" p", padH, padW);
-    axes(" d", dilationH, dilationW);
-    put(" -> C", outChannels);
-    put(" ", outH());
-    put("x", outW());
-    if (dataType != DataType::Fp16) {
-        const std::string_view type = dataTypeName(dataType);
+    put("N", p.batch);
+    put(" C", p.inChannels);
+    put(" ", p.inH);
+    put("x", p.inW);
+    put(" k", p.kernelH);
+    put("x", p.kernelW);
+    axes(" s", p.strideH, p.strideW);
+    axes(" p", p.padH, p.padW);
+    axes(" d", p.dilationH, p.dilationW);
+    put(" -> C", p.outChannels);
+    if (with_output) {
+        put(" ", p.outH());
+        put("x", p.outW());
+    }
+    if (p.dataType != DataType::Fp16) {
+        const std::string_view type = dataTypeName(p.dataType);
         *out++ = ' ';
         out = std::copy(type.begin(), type.end(), out);
     }
     return std::string(buf, out);
+}
+
+/** The least value of each field checkLayer() bounds, in the order it
+ *  checks them. */
+constexpr struct
+{
+    const char *name;
+    Index ConvParams::*field;
+    Index least;
+} kFieldBounds[] = {
+    {"batch", &ConvParams::batch, 1},
+    {"inChannels", &ConvParams::inChannels, 1},
+    {"outChannels", &ConvParams::outChannels, 1},
+    {"inH", &ConvParams::inH, 1},
+    {"inW", &ConvParams::inW, 1},
+    {"kernelH", &ConvParams::kernelH, 1},
+    {"kernelW", &ConvParams::kernelW, 1},
+    {"strideH", &ConvParams::strideH, 1},
+    {"strideW", &ConvParams::strideW, 1},
+    {"dilationH", &ConvParams::dilationH, 1},
+    {"dilationW", &ConvParams::dilationW, 1},
+    {"padH", &ConvParams::padH, 0},
+    {"padW", &ConvParams::padW, 0},
+};
+
+/** The first rule of a valid layer that @p p breaks run @p groups-way
+ *  grouped, as the words "<what> = <value> <rule> <limit>"; `what` is
+ *  null when the layer keeps every rule. Plain values, so checking a
+ *  valid layer builds nothing, and validate() inlines the walk. */
+struct Breach
+{
+    const char *what = nullptr;
+    Index value = 0;
+    const char *rule = nullptr;
+    Index limit = 0;
+};
+
+inline Breach
+firstBreach(const ConvParams &p, Index groups)
+{
+    // Unrolled, a valid layer pays 13 compares and no loop: makeConv
+    // validates every layer a model is built from.
+#pragma GCC unroll 13
+    for (const auto &bound : kFieldBounds)
+        if (p.*bound.field < bound.least)
+            return {bound.name, p.*bound.field, "must be >=", bound.least};
+    // With stride >= 1, a kernel that fits gives outH(), outW() >= 1.
+    if (p.effKernelH() > p.inH + 2 * p.padH)
+        return {"dilated kernel height", p.effKernelH(),
+                "exceeds padded input height", p.inH + 2 * p.padH};
+    if (p.effKernelW() > p.inW + 2 * p.padW)
+        return {"dilated kernel width", p.effKernelW(),
+                "exceeds padded input width", p.inW + 2 * p.padW};
+    if (groups < 1)
+        return {"groups", groups, "must be >=", 1};
+    // Every channel count divides into one group: skip the divisions.
+    if (groups > 1 && p.inChannels % groups != 0)
+        return {"groups", groups, "does not divide inChannels =",
+                p.inChannels};
+    if (groups > 1 && p.outChannels % groups != 0)
+        return {"groups", groups, "does not divide outChannels =",
+                p.outChannels};
+    return {};
+}
+
+} // namespace
+
+Status
+checkLayer(const ConvParams &params, Index groups)
+{
+    const Breach breach = firstBreach(params, groups);
+    if (breach.what == nullptr)
+        return okStatus();
+    return invalidArgumentError("layer %s: %s = %lld %s %lld",
+                                describe(params, false).c_str(),
+                                breach.what,
+                                static_cast<long long>(breach.value),
+                                breach.rule,
+                                static_cast<long long>(breach.limit));
+}
+
+void
+ConvParams::validate(Index groups) const
+{
+    if (firstBreach(*this, groups).what != nullptr)
+        fatal("%s", checkLayer(*this, groups).message().c_str());
+}
+
+std::string
+ConvParams::toString() const
+{
+    return describe(*this, true);
 }
 
 ConvParams

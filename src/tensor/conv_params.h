@@ -10,6 +10,7 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "common/types.h"
 
 namespace cfconv::tensor {
@@ -145,8 +146,14 @@ struct ConvParams
                strideW == 1 && padH == 0 && padW == 0;
     }
 
-    /** Validate geometry; calls fatal() on nonsense configurations. */
-    void validate() const;
+    /**
+     * fatal() with checkLayer()'s message unless checkLayer(*this,
+     * @p groups) is OK: the edge where the value-returning entries
+     * (makeConv, conv::Algorithm::execute(), Accelerator::runLayer)
+     * turn an invalid layer into a FatalError. Holds no rule of its
+     * own.
+     */
+    void validate(Index groups = 1) const;
 
     /**
      * Canonical one-line description, e.g.
@@ -161,6 +168,20 @@ struct ConvParams
 
     bool operator==(const ConvParams &other) const = default;
 };
+
+/**
+ * The one statement of a valid layer, run @p groups-way grouped:
+ * batch, channels, input and kernel extents, stride and dilation
+ * >= 1; padding >= 0; the dilated kernel inside the padded input,
+ * which makes outH() and outW() >= 1; and @p groups >= 1 dividing
+ * C_I and C_O. Otherwise INVALID_ARGUMENT names the first field that
+ * breaks a rule ("layer N1 C64 56x56 k3x3 s0x1 p1 d1 -> C64: strideH
+ * = 0 must be >= 1", "...: groups = 3 does not divide inChannels =
+ * 64"); its layer description is toString()'s without the output
+ * shape, which divides by the stride. A valid layer costs the
+ * compares and builds no string.
+ */
+Status checkLayer(const ConvParams &params, Index groups = 1);
 
 /** Convenience builder for square-geometry layers used all over tests. */
 ConvParams makeConv(Index batch, Index in_channels, Index in_hw,

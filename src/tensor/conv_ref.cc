@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/parallel.h"
+#include "tensor/im2col_explicit.h"
 #include "tensor/microkernel.h"
 
 namespace cfconv::tensor {
@@ -107,18 +108,8 @@ Tensor
 convDirect(const ConvParams &params, const Tensor &input,
            const Tensor &filter)
 {
-    params.validate();
-    CFCONV_FATAL_IF(input.n() != params.batch ||
-                    input.c() != params.inChannels ||
-                    input.h() != params.inH || input.w() != params.inW,
-                    "convDirect: input dims do not match params (%s)",
-                    params.toString().c_str());
-    CFCONV_FATAL_IF(filter.n() != params.outChannels ||
-                    filter.c() != params.inChannels ||
-                    filter.h() != params.kernelH ||
-                    filter.w() != params.kernelW,
-                    "convDirect: filter dims do not match params (%s)",
-                    params.toString().c_str());
+    checkInput(params, input);
+    checkFilter(params, filter);
 
     Tensor out(params.batch, params.outChannels, params.outH(),
                params.outW(), Layout::NCHW);

@@ -19,6 +19,8 @@ namespace cfconv::tensor {
  * dilation from @p params. Every output adds each weight times a pixel
  * or a halo zero, so a non-finite weight that meets the halo gives NaN
  * there, as in every conv::Algorithm, whatever the operand layout.
+ * An invalid layer or an operand of other dims is fatal, through the
+ * same checks as execute() (checkInput(), checkFilter()).
  */
 Tensor convDirect(const ConvParams &params, const Tensor &input,
                   const Tensor &filter);

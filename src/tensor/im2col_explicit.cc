@@ -95,6 +95,17 @@ checkOperandDims(const ConvParams &params, const char *operand,
 }
 
 void
+checkInput(const ConvParams &params, const Tensor &input)
+{
+    params.validate();
+    checkOperandDims(params, "input",
+                     {{"N", input.n(), params.batch},
+                      {"C_I", input.c(), params.inChannels},
+                      {"H_I", input.h(), params.inH},
+                      {"W_I", input.w(), params.inW}});
+}
+
+void
 checkFilter(const ConvParams &params, const Tensor &filter)
 {
     checkOperandDims(params, "filter",

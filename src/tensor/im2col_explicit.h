@@ -95,7 +95,12 @@ struct OperandDim
 void checkOperandDims(const ConvParams &params, const char *operand,
                       std::initializer_list<OperandDim> dims);
 
-/** The one filter check of every conv lowering: @p filter must be
+/** The one input check of every conv pass: fatal unless @p params
+ *  is valid (ConvParams::validate()) and @p input is its
+ *  (N, C_I, H_I, W_I) (see checkOperandDims()). */
+void checkInput(const ConvParams &params, const Tensor &input);
+
+/** The one filter check of every conv pass: @p filter must be
  *  (C_O, C_I, H_F, W_F) of @p params (see checkOperandDims()). */
 void checkFilter(const ConvParams &params, const Tensor &filter);
 

@@ -25,7 +25,7 @@ FunctionalTpuCore::runConv(const conv::Algorithm &algorithm,
                            const ConvParams &params, const Tensor &input,
                            const Tensor &filter, Index tiles_per_group)
 {
-    im2col::checkInput(params, input);
+    tensor::checkInput(params, input);
     CFCONV_FATAL_IF(tiles_per_group < 1,
                     "FunctionalTpuCore: tiles_per_group must be >= 1");
     CFCONV_FATAL_IF(tiles_per_group > 1 &&

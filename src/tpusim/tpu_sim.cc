@@ -434,13 +434,9 @@ TpuLayerResult
 TpuSim::runGroupedConv(const ConvParams &base, Index groups,
                        const TpuRunOptions &options) const
 {
-    base.validate();
-    CFCONV_FATAL_IF(groups < 1, "runGroupedConv: groups must be >= 1");
+    base.validate(groups);
     if (groups == 1)
         return runConv(base, options);
-    CFCONV_FATAL_IF(base.inChannels % groups != 0 ||
-                    base.outChannels % groups != 0,
-                    "runGroupedConv: channels not divisible by groups");
 
     const Index cig = base.inChannels / groups;
     const Index cog = base.outChannels / groups;

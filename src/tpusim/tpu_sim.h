@@ -95,7 +95,8 @@ class TpuSim
      * array (rows and columns), so depthwise layers cost
      * ~H_F*W_F * ceil(C_I/rows) passes instead of one GEMM per
      * channel. Wasted MACs (the off-diagonal zeros) show up as low
-     * utilization, which is the honest depthwise penalty.
+     * utilization, which is the honest depthwise penalty. A layer that
+     * fails base.validate(groups) is fatal.
      */
     TpuLayerResult runGroupedConv(const ConvParams &base, Index groups,
                                   const TpuRunOptions &options =

@@ -171,11 +171,10 @@ Autotuner::tuneLayer(const models::ConvLayerSpec &layer,
         return notFoundError(
             "baseline '%s' is not a variant of this knob space",
             options.baseline.c_str());
-    sim::RunOptions runOptions;
-    runOptions.groups = layer.groups;
-    CFCONV_RETURN_IF_ERROR(
-        sim::validateLayerParams(layer.params, runOptions)
-            .withContext("tuning layer " + layer.name));
+    if (const Status refused =
+            tensor::checkLayer(layer.params, layer.groups);
+        !refused.ok())
+        return refused.withContext("tuning layer " + layer.name);
 
     LayerTuneChoice choice;
     choice.layerName = layer.name;

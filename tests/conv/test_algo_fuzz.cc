@@ -11,7 +11,6 @@
 
 #include "common/rng.h"
 #include "conv/algorithm.h"
-#include "sim/accelerator.h"
 #include "tensor/conv_ref.h"
 #include "tensor/tensor.h"
 
@@ -23,7 +22,7 @@ namespace {
 using tensor::ConvParams;
 using tensor::Tensor;
 
-/** @p count seeded random layers that pass validateLayerParams, small
+/** @p count seeded random layers that pass tensor::checkLayer, small
  *  enough that a direct convolution of each is quick. */
 std::vector<ConvParams>
 randomValidLayers(std::uint64_t seed, int count)
@@ -53,7 +52,7 @@ randomValidLayers(std::uint64_t seed, int count)
             p.dilationH = pick(1, 2);
             p.dilationW = pick(1, 2);
         }
-        if (sim::validateLayerParams(p).ok())
+        if (tensor::checkLayer(p).ok())
             layers.push_back(p);
     }
     return layers;

@@ -7,7 +7,8 @@
  *  the explicit-GEMM oracle in its column order, blind to the
  *  input's layout (as the reference's two planes are to the operands'),
  *  one validate() error for an unfit layer and a named
- *  dimension for a mismatched operand, the same zoo surfaced through
+ *  dimension for a mismatched operand (in the reference passes,
+ *  forward, grouped and backward, too), the same zoo surfaced through
  *  both simulator backends with thread-count-invariant LayerRecords,
  *  and a pinned digest of every named variant's records. */
 
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -25,6 +27,8 @@
 #include "common/rng.h"
 #include "conv/algorithm.h"
 #include "gpusim/kernel_cache.h"
+#include "im2col/conv_backward.h"
+#include "im2col/grouped.h"
 #include "sim/accelerator.h"
 #include "sim/variants.h"
 #include "tensor/conv_ref.h"
@@ -297,8 +301,8 @@ TEST(AlgoParity, EveryExecuteRejectsAnUnfitLayer)
 {
     // A 5x5 kernel over an unpadded 3x3 input. supports() checks only
     // each algorithm's own domain and accepts it, so every execute()
-    // must stop it with ConvParams::validate()'s message before it
-    // gathers anything.
+    // must stop it with ConvParams::validate()'s message (checkLayer's)
+    // before it gathers anything.
     ConvParams p;
     p.inChannels = p.outChannels = 4;
     p.inH = p.inW = 3;
@@ -309,7 +313,8 @@ TEST(AlgoParity, EveryExecuteRejectsAnUnfitLayer)
     } catch (const FatalError &e) {
         want = e.what();
     }
-    ASSERT_NE(want.find("kernel does not fit padded input"),
+    ASSERT_NE(want.find("dilated kernel height = 5 exceeds padded input "
+                        "height 3"),
               std::string::npos)
         << want;
     const Tensor input(1, 4, 3, 3);
@@ -325,37 +330,127 @@ TEST(AlgoParity, EveryExecuteRejectsAnUnfitLayer)
     }
 }
 
-TEST(AlgoParity, EveryExecuteNamesAMismatchedInputDimension)
+/** The layer every operand case below is checked against. */
+const ConvParams kOperandLayer = makeConv(2, 4, 6, 4, 3, 1, 1);
+
+/** One operand of kOperandLayer with one wrong dimension, and the
+ *  message's words that name the dimension and give its sizes. */
+struct OperandCase
 {
-    const ConvParams p = makeConv(2, 4, 6, 4, 3, 1, 1);
-    const Tensor input = tensor::makeInput(p);
-    const Tensor filter = tensor::makeFilter(p);
-    const struct
-    {
-        Tensor input, filter;
-        const char *names;
-    } cases[] = {
-        {Tensor(1, 4, 6, 6), filter, "input N is 1 but the layer has 2"},
-        {Tensor(2, 3, 6, 6), filter, "input C_I is 3 but the layer has 4"},
-        {Tensor(2, 4, 7, 6), filter, "input H_I is 7 but the layer has 6"},
-        {Tensor(2, 4, 6, 5), filter, "input W_I is 5 but the layer has 6"},
-        {input, Tensor(5, 4, 3, 3), "filter C_O is 5 but the layer has 4"},
-        {input, Tensor(4, 3, 3, 3), "filter C_I is 3 but the layer has 4"},
-        {input, Tensor(4, 4, 2, 3), "filter H_F is 2 but the layer has 3"},
-        {input, Tensor(4, 4, 3, 1), "filter W_F is 1 but the layer has 3"},
+    const char *operand; ///< "input", "filter" or "grad_out"
+    Tensor tensor;
+    const char *dim;   ///< e.g. "filter C_I" (a grouped filter's C_I/G)
+    const char *sizes; ///< e.g. "is 3 but the layer has 4"
+};
+
+std::vector<OperandCase>
+operandCases()
+{
+    const char *input = "input", *filter = "filter", *dy = "grad_out";
+    return {
+        {input, Tensor(1, 4, 6, 6), "input N", "is 1 but the layer has 2"},
+        {input, Tensor(2, 3, 6, 6), "input C_I", "is 3 but the layer has 4"},
+        {input, Tensor(2, 4, 7, 6), "input H_I", "is 7 but the layer has 6"},
+        {input, Tensor(2, 4, 6, 5), "input W_I", "is 5 but the layer has 6"},
+        {filter, Tensor(5, 4, 3, 3), "filter C_O", "is 5 but the layer has 4"},
+        {filter, Tensor(4, 3, 3, 3), "filter C_I", "is 3 but the layer has 4"},
+        {filter, Tensor(4, 4, 2, 3), "filter H_F", "is 2 but the layer has 3"},
+        {filter, Tensor(4, 4, 3, 1), "filter W_F", "is 1 but the layer has 3"},
+        {dy, Tensor(1, 4, 6, 6), "grad_out N", "is 1 but the layer has 2"},
+        {dy, Tensor(2, 3, 6, 6), "grad_out C_O", "is 3 but the layer has 4"},
+        {dy, Tensor(2, 4, 5, 6), "grad_out H_O", "is 5 but the layer has 6"},
+        {dy, Tensor(2, 4, 6, 7), "grad_out W_O", "is 7 but the layer has 6"},
     };
-    for (const auto &c : cases) {
-        for (const Algorithm *algo : allAlgorithms()) {
+}
+
+/** A conv pass over some of the operands: its name, which it takes,
+ *  and a call that runs it on (input, filter, grad_out). */
+struct OperandDoor
+{
+    std::string name;
+    std::vector<std::string> takes;
+    std::function<void(const Tensor &, const Tensor &, const Tensor &)> run;
+};
+
+/** Runs every case of operandCases() a door takes through it, the
+ *  other operands right, and expects a FatalError naming the dim. */
+void
+expectEveryMismatchNamed(const std::vector<OperandDoor> &doors)
+{
+    const Tensor input = tensor::makeInput(kOperandLayer);
+    const Tensor filter = tensor::makeFilter(kOperandLayer);
+    const Tensor grad_out(2, 4, 6, 6);
+    for (const OperandCase &c : operandCases()) {
+        for (const OperandDoor &door : doors) {
+            if (std::find(door.takes.begin(), door.takes.end(),
+                          c.operand) == door.takes.end())
+                continue;
+            const std::string which = c.operand;
             try {
-                algo->execute(p, c.input, c.filter);
-                ADD_FAILURE() << algo->name() << " accepted the operands";
+                door.run(which == "input" ? c.tensor : input,
+                         which == "filter" ? c.tensor : filter,
+                         which == "grad_out" ? c.tensor : grad_out);
+                ADD_FAILURE() << door.name << " accepted a wrong " << c.dim;
             } catch (const FatalError &e) {
-                EXPECT_NE(std::string(e.what()).find(c.names),
-                          std::string::npos)
-                    << algo->name() << ": " << e.what();
+                const std::string what = e.what();
+                EXPECT_NE(what.find(c.dim), std::string::npos)
+                    << door.name << ": " << what;
+                EXPECT_NE(what.find(c.sizes), std::string::npos)
+                    << door.name << ": " << what;
             }
         }
     }
+}
+
+TEST(AlgoParity, EveryExecuteNamesAMismatchedInputDimension)
+{
+    std::vector<OperandDoor> doors;
+    for (const Algorithm *algo : allAlgorithms())
+        doors.push_back({algo->name(), {"input", "filter"},
+                         [algo](const Tensor &in, const Tensor &f,
+                                const Tensor &) {
+                             algo->execute(kOperandLayer, in, f);
+                         }});
+    expectEveryMismatchNamed(doors);
+}
+
+TEST(AlgoParity, EveryReferencePassNamesAMismatchedOperand)
+{
+    // The passes execute() is checked against, forward and backward,
+    // share its operand checks and name the same dimensions. A grouped
+    // layer's filter holds C_I/G channels: one group here.
+    const im2col::GroupedConvParams one{kOperandLayer, 1};
+    const std::vector<OperandDoor> doors = {
+        {"convDirect", {"input", "filter"},
+         [](const Tensor &in, const Tensor &f, const Tensor &) {
+             tensor::convDirect(kOperandLayer, in, f);
+         }},
+        {"convGroupedDirect", {"input", "filter"},
+         [&one](const Tensor &in, const Tensor &f, const Tensor &) {
+             im2col::convGroupedDirect(one, in, f);
+         }},
+        {"convGroupedImplicit", {"input", "filter"},
+         [&one](const Tensor &in, const Tensor &f, const Tensor &) {
+             im2col::convGroupedImplicit(one, in, f);
+         }},
+        {"convBackwardDataDirect", {"filter", "grad_out"},
+         [](const Tensor &, const Tensor &f, const Tensor &dy) {
+             im2col::convBackwardDataDirect(kOperandLayer, dy, f);
+         }},
+        {"convBackwardDataImplicit", {"filter", "grad_out"},
+         [](const Tensor &, const Tensor &f, const Tensor &dy) {
+             im2col::convBackwardDataImplicit(kOperandLayer, dy, f);
+         }},
+        {"convBackwardFilterDirect", {"input", "grad_out"},
+         [](const Tensor &in, const Tensor &, const Tensor &dy) {
+             im2col::convBackwardFilterDirect(kOperandLayer, in, dy);
+         }},
+        {"convBackwardFilterImplicit", {"input", "grad_out"},
+         [](const Tensor &in, const Tensor &, const Tensor &dy) {
+             im2col::convBackwardFilterImplicit(kOperandLayer, in, dy);
+         }},
+    };
+    expectEveryMismatchNamed(doors);
 }
 
 /** One accelerator variant per (backend, algorithm) cell, stock cores. */

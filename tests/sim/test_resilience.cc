@@ -282,53 +282,6 @@ TEST_F(ResilienceTest, InvalidLayersFailFastWithoutBurningFailover)
     EXPECT_THROW(ModelRunner(*accelerator).runModel(model), FatalError);
 }
 
-TEST_F(ResilienceTest, ValidateLayerParamsNamesTheOffendingField)
-{
-    const ConvParams good = tensor::makeConv(8, 64, 28, 64, 3, 1, 1);
-    EXPECT_TRUE(validateLayerParams(good).ok());
-
-    const auto field_of = [&](ConvParams p) {
-        const Status s = validateLayerParams(p);
-        EXPECT_FALSE(s.ok());
-        EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-        return s.message();
-    };
-
-    ConvParams p = good;
-    p.batch = 0;
-    EXPECT_NE(field_of(p).find("batch"), std::string::npos);
-    p = good;
-    p.inChannels = -4;
-    EXPECT_NE(field_of(p).find("inChannels"), std::string::npos);
-    p = good;
-    p.dilationW = 0;
-    EXPECT_NE(field_of(p).find("dilationW"), std::string::npos);
-    p = good;
-    p.padH = -1;
-    EXPECT_NE(field_of(p).find("padH"), std::string::npos);
-    p = good;
-    p.kernelH = 40; // dilated kernel larger than the padded input
-    EXPECT_NE(field_of(p).find("kernel height"), std::string::npos);
-
-    // Grouped-conv channel divisibility is checked at the boundary.
-    RunOptions options;
-    options.groups = 3;
-    const Status grouped = validateLayerParams(good, options);
-    ASSERT_FALSE(grouped.ok());
-    EXPECT_NE(grouped.message().find("not divisible by groups"),
-              std::string::npos);
-
-    // tryRunLayer refuses the same shapes without touching a backend.
-    const auto accelerator = makeAccelerator("tpu-v2");
-    p = good;
-    p.strideW = 0;
-    const auto refused = accelerator->tryRunLayer(p);
-    ASSERT_FALSE(refused.ok());
-    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(refused.status().message().find("strideW"),
-              std::string::npos);
-}
-
 TEST_F(ResilienceTest, TryMakeAcceleratorReportsUnknownNames)
 {
     for (const VariantSpec &spec : variantSpecs()) {
