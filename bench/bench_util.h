@@ -136,11 +136,10 @@ tryParseBenchArgs(int argc, char **argv, bool supports_json,
 {
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "threads=", 8) == 0) {
-            const long v = std::strtol(argv[i] + 8, nullptr, 10);
-            if (v < 1)
+            args->threads = parallel::parseThreadCount(argv[i] + 8);
+            if (args->threads == 0)
                 return invalidArgumentError(
-                    "bad threads=%s (want >= 1)", argv[i] + 8);
-            args->threads = static_cast<Index>(v);
+                    "bad threads=%s (want an integer >= 1)", argv[i] + 8);
         } else if (supports_json &&
                    std::strncmp(argv[i], "json=", 5) == 0 &&
                    argv[i][5] != '\0') {

@@ -17,10 +17,14 @@
 #     analysis (wall=off) is byte-identical whether the trace was
 #     recorded at 1 or 4 threads.
 # Also exercises the metrics= bench dump and the exit-2 naming-offender
-# contract for bad CLI args. Uses python3 when available, otherwise a
-# grep-based fallback.
+# contract for bad CLI args. Requires python3, like every JSON gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+command -v python3 >/dev/null 2>&1 || {
+    echo "check_analyze: python3 is required to validate the trace" >&2
+    exit 1
+}
 
 BUILD_DIR="${BUILD_DIR:-build}"
 if [ ! -d "$BUILD_DIR" ]; then
@@ -51,8 +55,7 @@ echo "==== check_analyze: record single-model traces ===="
     "json=$workdir/rec_stock_t4.json" >/dev/null
 
 echo "==== check_analyze: the recorder's trace and report ===="
-validate_trace_py() {
-    python3 - "$workdir/stock_t4.trace" "$workdir/rec_stock_t4.json" <<'EOF'
+python3 - "$workdir/stock_t4.trace" "$workdir/rec_stock_t4.json" <<'EOF'
 import json
 import sys
 
@@ -88,38 +91,13 @@ assert "runner.layer_sim_seconds" in hists, "no layer latency histogram"
 print(f"{trace_path}: {len(events)} events, "
       f"{len(spans)} spans across {len(cats)} categories OK")
 EOF
-}
-
-validate_trace_grep() {
-    local trace="$workdir/stock_t4.trace"
-    grep -q '"traceEvents"' "$trace"
-    # Every instrumented subsystem shows up at least once.
-    for cat in runner tpusim gpusim pool cache; do
-        grep -q "\"cat\": \"$cat\"" "$trace"
-    done
-    # Both clock domains are present.
-    grep -q '"pid": 1' "$trace"
-    grep -q '"pid": 2' "$trace"
-    # The report points back at the trace.
-    grep -q '"version": 6' "$workdir/rec_stock_t4.json"
-    grep -q "\"trace_file\": \"$trace\"" "$workdir/rec_stock_t4.json"
-    grep -q '"runner.layer_sim_seconds"' "$workdir/rec_stock_t4.json"
-    echo "$trace: OK (grep fallback)"
-}
-
-if command -v python3 >/dev/null 2>&1; then
-    validate_trace_py
-else
-    validate_trace_grep
-fi
 
 echo "==== check_analyze: analyze + schema ===="
 "$analyze" "$workdir/tpu_t1.trace" "json=$workdir/analysis.json" \
     > "$workdir/report_a.txt"
 grep -q '^ANALYZE ' "$workdir/report_a.txt"
 
-validate_py() {
-    python3 - "$workdir/analysis.json" <<'EOF'
+python3 - "$workdir/analysis.json" <<'EOF'
 import json
 import sys
 
@@ -153,23 +131,6 @@ assert abs(fracs - 1.0) <= 1e-6, f"critical-path fracs sum {fracs}"
 assert "wall" in doc, "wall section missing from wall-clock trace"
 print(f"{sys.argv[1]}: {len(timelines)} timelines OK")
 EOF
-}
-
-validate_grep() {
-    grep -q '"schema": "cfconv.trace_analysis"' "$workdir/analysis.json"
-    grep -q '"version": 2' "$workdir/analysis.json"
-    grep -q '"resilience"' "$workdir/analysis.json"
-    grep -q '"timelines"' "$workdir/analysis.json"
-    grep -q '"critical_path"' "$workdir/analysis.json"
-    grep -q '"wall"' "$workdir/analysis.json"
-    echo "$workdir/analysis.json: OK (grep fallback)"
-}
-
-if command -v python3 >/dev/null 2>&1; then
-    validate_py
-else
-    validate_grep
-fi
 
 # The metrics= satellite dumps the same schema as the RunRecord
 # metrics block: counters + histograms, deterministically ordered.

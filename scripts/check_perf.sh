@@ -35,15 +35,10 @@ BASELINE_DIR="scripts/perf_baselines"
 TOL="${CFCONV_PERF_TOL:-0.40}"
 MODE="${1:-check}"
 
-if ! command -v python3 >/dev/null 2>&1; then
-    # The comparison needs structured JSON diffing; without python3 we
-    # can only check the artifacts exist. Say so loudly.
-    echo "check_perf: python3 unavailable; structural check only" >&2
-    [ -s BENCH_models.json ] && [ -s BENCH_gemm.json ] \
-        && [ -s BENCH_serving.json ] && [ -s BENCH_algos.json ]
-    echo "PERF OK (coarse)"
-    exit 0
-fi
+command -v python3 >/dev/null 2>&1 || {
+    echo "check_perf: python3 is required to compare the points" >&2
+    exit 1
+}
 
 require_build() {
     if [ ! -x "$BUILD_DIR/bench/$1" ]; then

@@ -7,10 +7,14 @@
 # array, and finite positive whole-model TFLOPS (the writer emits
 # non-finite doubles as null, so a NaN anywhere in the pipeline shows
 # up here).
-# Uses python3 when available, otherwise a grep-based fallback that
-# checks the same invariants coarsely.
+# Requires python3, like every JSON gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+command -v python3 >/dev/null 2>&1 || {
+    echo "check_report: python3 is required to validate the reports" >&2
+    exit 1
+}
 
 BUILD_DIR="${BUILD_DIR:-build}"
 if [ ! -d "$BUILD_DIR" ]; then
@@ -21,7 +25,7 @@ fi
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-validate_py() {
+validate() {
     python3 - "$1" <<'EOF'
 import json
 import math
@@ -93,28 +97,6 @@ for record in records:
 print(f"{path}: {len(records)} records OK"
       + (f" ({resilient} resilient)" if resilient else ""))
 EOF
-}
-
-validate_grep() {
-    local path="$1"
-    grep -q '"schema": "cfconv.run_record"' "$path"
-    grep -q '"version": 6' "$path"
-    grep -q '"layers": \[' "$path"
-    # The writer emits non-finite doubles as null; a null tflops means
-    # a NaN/Inf escaped the simulators.
-    if grep -q '"tflops": null' "$path"; then
-        echo "$path: non-finite tflops" >&2
-        return 1
-    fi
-    echo "$path: OK (grep fallback)"
-}
-
-validate() {
-    if command -v python3 >/dev/null 2>&1; then
-        validate_py "$1"
-    else
-        validate_grep "$1"
-    fi
 }
 
 echo "==== check_report: bench_fig15_models ===="

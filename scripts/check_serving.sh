@@ -27,9 +27,14 @@
 #   6. class-spec validation — malformed classes= values exit 2 naming
 #      the offending token.
 # The torn tuned-db recovery check runs bench_autotune, so it lives in
-# check_tune.sh.
+# check_tune.sh. Requires python3, like every JSON gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+command -v python3 >/dev/null 2>&1 || {
+    echo "check_serving: python3 is required to validate the report" >&2
+    exit 1
+}
 
 BUILD_DIR="${BUILD_DIR:-build}"
 if [ ! -d "$BUILD_DIR" ]; then
@@ -66,8 +71,7 @@ cmp -s "$workdir/a.records" "$workdir/t4.records" || {
 echo "serving records identical across runs and thread counts"
 
 echo "==== check_serving: report validity + serving headlines ===="
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$workdir/a.json" <<'EOF'
+python3 - "$workdir/a.json" <<'EOF'
 import json
 import math
 import sys
@@ -116,12 +120,6 @@ assert goodput(shed_r) > goodput(records["overload_open"]), (
 print(f"serving report OK: batching {best / b1:.2f}x, "
       f"scaling {t4 / t1:.2f}x, shed {shed / offered:.2f}")
 EOF
-else
-    grep -q '"schema": "cfconv.run_record"' "$workdir/a.json"
-    grep -q '"model": "pareto_b1"' "$workdir/a.json"
-    grep -q '"model": "overload_shed"' "$workdir/a.json"
-    echo "serving report OK (grep fallback)"
-fi
 
 echo "==== check_serving: chaos-under-load (serve.chip_down) ===="
 CHAOS_SPEC='seed=11; serve.chip_down=0.1'

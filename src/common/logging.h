@@ -2,6 +2,7 @@
  * @file
  * gem5-style status and error reporting: inform/warn for status, fatal for
  * user errors (clean exit), panic for internal invariant violations (abort).
+ * The status channels have no levels: inform() and warn() always print.
  */
 
 #ifndef CFCONV_COMMON_LOGGING_H
@@ -52,30 +53,6 @@ std::string format(const char *fmt, ...)
  * regardless of user input). Throws PanicError; never returns.
  */
 [[noreturn]] void panicMsg(const std::string &msg);
-
-/**
- * Verbosity threshold for the status channels. Messages at or above
- * the active level print; fatal/panic are exceptions, not prints, and
- * are never filtered. Initialized from the CFCONV_LOG_LEVEL
- * environment variable ("info", "warn", "error"/"quiet"/"silent";
- * default Info) — set CFCONV_LOG_LEVEL=warn in benches/CI to silence
- * inform() chatter while keeping warnings on.
- */
-enum class LogLevel {
-    Info = 0, ///< inform() and warn() print (default)
-    Warn = 1, ///< warn() prints, inform() is silenced
-    Error = 2 ///< both status channels are silenced
-};
-
-/** The active verbosity threshold (env-initialized on first use). */
-LogLevel logLevel();
-
-/** Override the verbosity threshold (takes precedence over the env). */
-void setLogLevel(LogLevel level);
-
-/** Parse a CFCONV_LOG_LEVEL value; @return false (and leave @p out
- *  untouched) when @p text names no known level. */
-bool parseLogLevel(const char *text, LogLevel *out);
 
 /** Print an informational status message to stderr. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

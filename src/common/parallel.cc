@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -139,9 +141,8 @@ class ThreadPool
     defaultThreads()
     {
         if (const char *env = std::getenv("CFCONV_THREADS")) {
-            const long v = std::strtol(env, nullptr, 10);
-            if (v >= 1)
-                return static_cast<Index>(v);
+            if (const Index n = parseThreadCount(env))
+                return n;
             warn("CFCONV_THREADS=\"%s\" is not a positive integer; "
                  "using hardware concurrency",
                  env);
@@ -296,6 +297,15 @@ Index
 threads()
 {
     return ThreadPool::instance().threads();
+}
+
+Index
+parseThreadCount(const char *text)
+{
+    const char *end = text + std::strlen(text);
+    Index n = 0;
+    const auto [stop, error] = std::from_chars(text, end, n);
+    return error == std::errc() && stop == end && n >= 1 ? n : 0;
 }
 
 void

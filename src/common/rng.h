@@ -68,6 +68,24 @@ hashCombine(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
+/**
+ * The measurement oracles' deterministic noise factor for @p key,
+ * uniform in [1 - amplitude, 1 + amplitude): the SplitMix64 finalizer
+ * of key ^ seed, whose full avalanche gives near-identical keys (layers
+ * differing in one field) independent noise.
+ */
+inline double
+measurementNoise(std::uint64_t key, std::uint64_t seed, double amplitude)
+{
+    std::uint64_t z = key ^ seed;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    const double u =
+        static_cast<double>(z >> 11) * 0x1.0p-53 * 2.0 - 1.0;
+    return 1.0 + amplitude * u;
+}
+
 /** FNV-1a over a NUL-terminated string; constexpr so fault-site names
  *  hash at compile time. */
 constexpr std::uint64_t

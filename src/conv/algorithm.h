@@ -109,10 +109,10 @@ class Algorithm
 
     /**
      * Applicability predicate: OK when this algorithm can run @p params
-     * with @p groups, INVALID_ARGUMENT (naming algorithm and offending
-     * field) otherwise. The default checks only @p groups; it does not
-     * validate the geometry (tensor::checkLayer() does, and every
-     * execute() validates first).
+     * with @p groups, INVALID_ARGUMENT naming the offending field
+     * otherwise. The default is tensor::checkLayer(); an algorithm with
+     * a narrower domain (SMM-Conv's unit stride and dilation) adds its
+     * own rule after it.
      */
     virtual Status supports(const ConvParams &params, Index groups) const;
 
@@ -127,8 +127,8 @@ class Algorithm
 
     /**
      * The pass plan both simulators schedule for @p params, or the
-     * supports() Status when the layer is outside this algorithm's
-     * domain.
+     * supports() Status when the layer is invalid or outside this
+     * algorithm's domain; it never throws on a bad layer.
      */
     StatusOr<im2col::PassPlan> plan(const ConvParams &params) const;
 

@@ -286,12 +286,7 @@ class SmmAlgorithm final : public Algorithm
 Status
 Algorithm::supports(const ConvParams &params, Index groups) const
 {
-    (void)params;
-    if (groups < 1)
-        return invalidArgumentError(
-            "algorithm \"%s\": groups must be >= 1 (got %lld)", name(),
-            static_cast<long long>(groups));
-    return okStatus();
+    return tensor::checkLayer(params, groups);
 }
 
 Traffic

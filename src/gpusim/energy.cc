@@ -5,17 +5,16 @@
 namespace cfconv::gpusim {
 
 GpuEnergyReport
-kernelEnergy(const GpuConfig &config, const GpuKernelResult &result)
+kernelEnergy(const GpuKernelResult &result)
 {
     GpuEnergyReport e;
     e.dramPj = static_cast<double>(result.dramBytes) *
                sram::kDramPjPerByte;
 
-    // The shared-memory fill pipeline drains L2 at l2GBps * l2Util for
+    // The shared-memory fill pipeline drains L2 at kL2GBps * kL2Util for
     // memorySeconds of aggregate step time; that product is the bytes
     // the TBs pulled on chip (DRAM misses are already billed above).
-    const double l2_bytes =
-        result.memorySeconds * config.l2GBps * 1e9 * config.l2Util;
+    const double l2_bytes = result.memorySeconds * kL2GBps * 1e9 * kL2Util;
     e.l2Pj = l2_bytes * kL2PjPerByte;
 
     const double macs = result.tflops * 1e12 * result.seconds / 2.0;

@@ -36,13 +36,11 @@ struct GpuEnergyReport
 };
 
 /**
- * Energy for one kernel result produced by @p config's simulator. MAC
- * count is recovered from the result's throughput accounting; L2
- * traffic is estimated from the memory-bound pipeline time serviced at
- * the configured L2 bandwidth.
+ * Energy for one simulated kernel result. MAC count is recovered from
+ * the result's throughput accounting; L2 traffic is estimated from the
+ * memory-bound pipeline time serviced at the calibrated L2 bandwidth.
  */
-GpuEnergyReport kernelEnergy(const GpuConfig &config,
-                             const GpuKernelResult &result);
+GpuEnergyReport kernelEnergy(const GpuKernelResult &result);
 
 } // namespace cfconv::gpusim
 

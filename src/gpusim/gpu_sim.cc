@@ -13,6 +13,9 @@ namespace cfconv::gpusim {
 
 namespace {
 
+/** Thread blocks resident on the whole GPU at once. */
+constexpr Index kResidentTbs = kSms * kTbPerSm;
+
 /**
  * Pick the thread-block tile for an (M, N) output. Starts from the
  * throughput-optimal 128x128 tile and halves it while the grid would
@@ -68,20 +71,13 @@ gemmKernelLabel(Index m, Index k, Index n)
 
 } // namespace
 
-GpuSim::GpuSim(const GpuConfig &config) : config_(config)
-{
-    CFCONV_FATAL_IF(config.sms < 1 || config.tbPerSm < 1,
-                    "GpuSim: need at least one SM and one resident TB");
-}
-
 double
 GpuSim::gatherWaste(Bytes contiguous_run_bytes, Index stride) const
 {
-    if (stride <= 1 || contiguous_run_bytes >= config_.transactionBytes)
+    if (stride <= 1 || contiguous_run_bytes >= kTransactionBytes)
         return 1.0;
-    const double per_run =
-        static_cast<double>(config_.transactionBytes) /
-        static_cast<double>(contiguous_run_bytes);
+    const double per_run = static_cast<double>(kTransactionBytes) /
+                           static_cast<double>(contiguous_run_bytes);
     return std::min(static_cast<double>(stride), per_run);
 }
 
@@ -94,21 +90,20 @@ GpuSim::runPipeline(Index m, Index n, const std::vector<Step> &steps,
     trace::Scope span("gpusim",
                       trace::enabled() ? label : std::string());
     Index tm, tn;
-    chooseTile(m, n, config_.sms * config_.tbPerSm, tm, tn);
+    chooseTile(m, n, kResidentTbs, tm, tn);
     const Index num_tbs = divCeil(m, tm) * divCeil(n, tn);
-    const Index concurrent =
-        std::min(num_tbs, config_.sms * config_.tbPerSm);
+    const Index concurrent = std::min(num_tbs, kResidentTbs);
     // Continuous throughput model: a ragged tail wave contributes its
     // fraction rather than a whole extra wave.
     const double waves = std::max(
         1.0, static_cast<double>(num_tbs) /
-                 static_cast<double>(config_.sms * config_.tbPerSm));
+                 static_cast<double>(kResidentTbs));
 
     const double per_tb_macs =
-        static_cast<double>(config_.macsPerSmPerCycle) /
-        static_cast<double>(config_.tbPerSm) * compute_eff;
+        static_cast<double>(kMacsPerSmPerCycle) /
+        static_cast<double>(kTbPerSm) * compute_eff;
     const double per_tb_fill_bpc =
-        config_.l2GBps * 1e9 * config_.l2Util /
+        kL2GBps * 1e9 * kL2Util /
         (static_cast<double>(concurrent) * config_.clockGhz * 1e9);
 
     // One representative thread block's pipeline on the simulated-
@@ -170,7 +165,7 @@ GpuSim::applyDramRoofline(GpuKernelResult &r, Bytes unique_bytes,
 {
     const double dram_secs =
         static_cast<double>(unique_bytes) /
-        (config_.dram.peakGBps() * 1e9 * config_.bwUtil);
+        (config_.dram.peakGBps() * 1e9 * kBwUtil);
     if (dram_secs + overhead_sec > r.seconds) {
         r.seconds = dram_secs + overhead_sec;
         r.memoryBound = true;
@@ -196,7 +191,7 @@ GpuSim::runGemm(Index m, Index k, Index n, bool vendor_tuned,
             return cached;
     }
     Index tm, tn;
-    chooseTile(m, n, config_.sms * config_.tbPerSm, tm, tn);
+    chooseTile(m, n, kResidentTbs, tm, tn);
     const Bytes elem = 2; // FP16 operands
     const Index kc = 64;
     std::vector<Step> steps;
@@ -214,13 +209,11 @@ GpuSim::runGemm(Index m, Index k, Index n, bool vendor_tuned,
 
     const Flops flops = 2ULL * static_cast<Flops>(m) *
                         static_cast<Flops>(k) * static_cast<Flops>(n);
-    const double overhead = vendor_tuned
-        ? config_.cudnnKernelOverheadSec
-        : config_.kernelOverheadSec;
+    const double overhead =
+        vendor_tuned ? kCudnnKernelOverheadSec : kKernelOverheadSec;
     GpuKernelResult r =
         runPipeline(m, n, steps, flops,
-                    vendor_tuned ? config_.cudnnComputeEff
-                                 : config_.computeEff,
+                    vendor_tuned ? kCudnnComputeEff : kComputeEff,
                     overhead, gemmKernelLabel(m, k, n));
 
     // Global DRAM roofline: unique operand + result bytes. Skipped for
@@ -291,10 +284,10 @@ GpuSim::runConvUncached(const ConvParams &params,
     }
 
     Index tm, tn;
-    chooseTile(m, n, config_.sms * config_.tbPerSm, tm, tn);
+    chooseTile(m, n, kResidentTbs, tm, tn);
     const Index kc = 64;
-    const double eff = options.vendorTuned ? config_.cudnnComputeEff
-                                           : config_.computeEff;
+    const double eff =
+        options.vendorTuned ? kCudnnComputeEff : kComputeEff;
 
     // DRAM-transaction waste of the A-operand gathers, by feed locality.
     double waste = 1.0;
@@ -320,7 +313,7 @@ GpuSim::runConvUncached(const ConvParams &params,
         const double lin_stride = static_cast<double>(
             std::max(params.strideH, params.strideW));
         if (lin_stride > 1.0)
-            waste = std::clamp(config_.clStrideWasteCoeff * lin_stride,
+            waste = std::clamp(kClStrideWasteCoeff * lin_stride,
                                1.0, 2.0);
     }
     // Pointer gathers dereference per-pixel rows, contiguous over C_I
@@ -373,9 +366,8 @@ GpuSim::runConvUncached(const ConvParams &params,
             plan.metadataBytes(m);
     }
 
-    const double overhead = options.vendorTuned
-        ? config_.cudnnKernelOverheadSec
-        : config_.kernelOverheadSec;
+    const double overhead = options.vendorTuned ? kCudnnKernelOverheadSec
+                                                : kKernelOverheadSec;
     GpuKernelResult r = runPipeline(m, n, steps, params.flops(), eff,
                                     overhead,
                                     convKernelLabel(params, plan, options));
@@ -395,8 +387,8 @@ GpuSim::explicitTransformSeconds(const ConvParams &params) const
     // It streams through L2 (transformGBps), since the matrix is
     // produced tile-by-tile rather than bounced entirely off DRAM.
     const Bytes bytes = params.inputBytes() + params.loweredBytes();
-    return static_cast<double>(bytes) / (config_.transformGBps * 1e9) +
-           config_.kernelOverheadSec;
+    return static_cast<double>(bytes) / (kTransformGBps * 1e9) +
+           kKernelOverheadSec;
 }
 
 } // namespace cfconv::gpusim

@@ -50,7 +50,7 @@ struct GpuKernelResult
 class GpuSim
 {
   public:
-    explicit GpuSim(const GpuConfig &config);
+    explicit GpuSim(const GpuConfig &config) : config_(config) {}
 
     const GpuConfig &config() const { return config_; }
 

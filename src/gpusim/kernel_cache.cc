@@ -7,21 +7,7 @@ namespace {
 void
 appendConfig(std::string &key, const GpuConfig &config)
 {
-    memoKeyAppendInt(key, config.sms);
-    memoKeyAppendInt(key, config.tbPerSm);
     memoKeyAppendFloat(key, config.clockGhz);
-    memoKeyAppendInt(key, config.macsPerSmPerCycle);
-    memoKeyAppendFloat(key, config.computeEff);
-    memoKeyAppendFloat(key, config.cudnnComputeEff);
-    memoKeyAppendFloat(key, config.bwUtil);
-    memoKeyAppendFloat(key, config.l2GBps);
-    memoKeyAppendFloat(key, config.l2Util);
-    memoKeyAppendFloat(key, config.clStrideWasteCoeff);
-    memoKeyAppendFloat(key, config.transformGBps);
-    memoKeyAppendInt(key,
-                     static_cast<long long>(config.transactionBytes));
-    memoKeyAppendFloat(key, config.kernelOverheadSec);
-    memoKeyAppendFloat(key, config.cudnnKernelOverheadSec);
     dram::memoKeyAppend(key, config.dram);
 }
 

@@ -6,6 +6,16 @@ namespace cfconv::oracle {
 
 namespace {
 
+/** Peak relative measurement noise and its seed. */
+constexpr double kNoiseAmplitude = 0.02;
+constexpr std::uint64_t kNoiseSeed = 0x2b67c9d1e5a38f04ULL;
+
+double
+noise(std::uint64_t key)
+{
+    return measurementNoise(key, kNoiseSeed, kNoiseAmplitude);
+}
+
 std::uint64_t
 convKey(const ConvParams &p)
 {
@@ -21,26 +31,6 @@ convKey(const ConvParams &p)
 }
 
 } // namespace
-
-GpuOracle::GpuOracle(const gpusim::GpuConfig &config,
-                     double noise_amplitude, std::uint64_t noise_seed)
-    : sim_(config), noiseAmplitude_(noise_amplitude),
-      noiseSeed_(noise_seed)
-{
-}
-
-double
-GpuOracle::noise(std::uint64_t key) const
-{
-    // SplitMix64 finalizer: full avalanche (see TpuOracle::noise).
-    std::uint64_t z = key ^ noiseSeed_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    const double u =
-        static_cast<double>(z >> 11) * 0x1.0p-53 * 2.0 - 1.0;
-    return 1.0 + noiseAmplitude_ * u;
-}
 
 double
 GpuOracle::convSeconds(const ConvParams &params) const

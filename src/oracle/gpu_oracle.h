@@ -15,15 +15,14 @@ namespace cfconv::oracle {
 
 using tensor::ConvParams;
 
-/** cuDNN measurement stand-in. */
+/**
+ * cuDNN measurement stand-in: the V100 simulator's vendor-tuned
+ * kernels under a fixed calibration (the stock V100 and a 2% peak
+ * measurement noise with its own seed; see gpu_oracle.cc).
+ */
 class GpuOracle
 {
   public:
-    explicit GpuOracle(const gpusim::GpuConfig &config =
-                           gpusim::GpuConfig::v100(),
-                       double noise_amplitude = 0.02,
-                       std::uint64_t noise_seed = 0x2b67c9d1e5a38f04ULL);
-
     /** "Measured" cuDNN implicit-GEMM convolution seconds. */
     double convSeconds(const ConvParams &params) const;
 
@@ -39,14 +38,8 @@ class GpuOracle
     /** Effective TFLOPS of the implicit kernel. */
     double convTflops(const ConvParams &params) const;
 
-    const gpusim::GpuSim &sim() const { return sim_; }
-
   private:
-    double noise(std::uint64_t key) const;
-
-    gpusim::GpuSim sim_;
-    double noiseAmplitude_;
-    std::uint64_t noiseSeed_;
+    gpusim::GpuSim sim_{gpusim::GpuConfig::v100()};
 };
 
 } // namespace cfconv::oracle

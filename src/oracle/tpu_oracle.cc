@@ -9,25 +9,22 @@
 
 namespace cfconv::oracle {
 
-TpuOracle::TpuOracle(const TpuOracleConfig &config) : config_(config)
-{
-    CFCONV_FATAL_IF(config.arrayRows < 1 || config.arrayCols < 1,
-                    "TpuOracle: bad array dimensions");
-}
+namespace {
 
-double
-TpuOracle::noise(std::uint64_t key) const
-{
-    // SplitMix64 finalizer: full avalanche so near-identical keys
-    // (layers differing in one field) get independent noise.
-    std::uint64_t z = key ^ config_.noiseSeed;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    const double u =
-        static_cast<double>(z >> 11) * 0x1.0p-53 * 2.0 - 1.0;
-    return 1.0 + config_.noiseAmplitude * u;
-}
+// The TPU-v2 calibration of the analytical model.
+constexpr Index kArrayRows = 128;
+constexpr Index kArrayCols = 128;
+constexpr double kClockGhz = 0.7;
+constexpr double kMemGBps = 700.0;
+constexpr double kMemUtil = 0.85;
+/** Per-pass pipeline overhead in cycles (fill + drain + issue). */
+constexpr double kPassOverheadCycles = 280.0;
+/** Fixed per-invocation overhead in seconds. */
+constexpr double kInvokeOverheadSec = 2.0e-6;
+/** Seed of the measurement noise. */
+constexpr std::uint64_t kNoiseSeed = 0x7f1e2d3c4b5a6978ULL;
+
+} // namespace
 
 double
 TpuOracle::gemmSeconds(Index m, Index k, Index n) const
@@ -35,24 +32,24 @@ TpuOracle::gemmSeconds(Index m, Index k, Index n) const
     CFCONV_FATAL_IF(m < 1 || k < 1 || n < 1,
                     "TpuOracle: non-positive GEMM dims");
     const double passes =
-        static_cast<double>(divCeil(k, config_.arrayRows)) *
-        static_cast<double>(divCeil(n, config_.arrayCols));
+        static_cast<double>(divCeil(k, kArrayRows)) *
+        static_cast<double>(divCeil(n, kArrayCols));
     const double cycles =
-        passes * (static_cast<double>(m) + config_.passOverheadCycles);
-    const double compute = cycles / (config_.clockGhz * 1e9);
+        passes * (static_cast<double>(m) + kPassOverheadCycles);
+    const double compute = cycles / (kClockGhz * 1e9);
 
     const double bytes =
         2.0 * (static_cast<double>(m) * static_cast<double>(k) +
                static_cast<double>(k) * static_cast<double>(n) +
                static_cast<double>(m) * static_cast<double>(n));
-    const double mem = bytes / (config_.memGBps * 1e9 * config_.memUtil);
+    const double mem = bytes / (kMemGBps * 1e9 * kMemUtil);
 
     const std::uint64_t key = hashCombine(
         hashCombine(static_cast<std::uint64_t>(m),
                     static_cast<std::uint64_t>(k)),
         static_cast<std::uint64_t>(n));
-    return (std::max(compute, mem) + config_.invokeOverheadSec) *
-           noise(key);
+    return (std::max(compute, mem) + kInvokeOverheadSec) *
+           measurementNoise(key, kNoiseSeed, noiseAmplitude_);
 }
 
 double
@@ -60,26 +57,24 @@ TpuOracle::convSeconds(const ConvParams &params) const
 {
     params.validate();
     const Index m = params.gemmM();
-    const Index rows = config_.arrayRows;
     const Bytes elem = dataTypeSize(params.dataType);
 
     double k_passes;
     Index multi_tile = 1;
-    if (params.inChannels <= rows) {
-        multi_tile = im2col::tpuMultiTileParam(rows, params);
+    if (params.inChannels <= kArrayRows) {
+        multi_tile = im2col::tpuMultiTileParam(kArrayRows, params);
         k_passes = static_cast<double>(
             divCeil(params.kernelH * params.kernelW, multi_tile));
     } else {
         k_passes =
             static_cast<double>(params.kernelH * params.kernelW) *
-            static_cast<double>(divCeil(params.inChannels, rows));
+            static_cast<double>(divCeil(params.inChannels, kArrayRows));
     }
     const double passes =
-        k_passes * static_cast<double>(
-                       divCeil(params.gemmN(), config_.arrayCols));
+        k_passes * static_cast<double>(divCeil(params.gemmN(), kArrayCols));
     const double cycles =
-        passes * (static_cast<double>(m) + config_.passOverheadCycles);
-    const double compute = cycles / (config_.clockGhz * 1e9);
+        passes * (static_cast<double>(m) + kPassOverheadCycles);
+    const double compute = cycles / (kClockGhz * 1e9);
 
     // Memory: activations stay in the TPU's 32 MB unified memory when
     // they fit (only weights stream); otherwise the tile operands
@@ -93,8 +88,7 @@ TpuOracle::convSeconds(const ConvParams &params) const
                        static_cast<double>(elem) +
                    static_cast<double>(params.outputBytes());
     }
-    const double mem =
-        traffic / (config_.memGBps * 1e9 * config_.memUtil);
+    const double mem = traffic / (kMemGBps * 1e9 * kMemUtil);
 
     std::uint64_t key = hashCombine(
         static_cast<std::uint64_t>(params.inChannels),
@@ -104,8 +98,8 @@ TpuOracle::convSeconds(const ConvParams &params) const
                                params.kernelH * 31 + params.kernelW));
     key = hashCombine(key, static_cast<std::uint64_t>(
                                params.strideH * 17 + params.batch));
-    return (std::max(compute, mem) + config_.invokeOverheadSec) *
-           noise(key);
+    return (std::max(compute, mem) + kInvokeOverheadSec) *
+           measurementNoise(key, kNoiseSeed, noiseAmplitude_);
 }
 
 double

@@ -17,28 +17,19 @@ namespace cfconv::oracle {
 
 using tensor::ConvParams;
 
-/** Tunable parameters of the oracle's analytical model. */
-struct TpuOracleConfig
-{
-    Index arrayRows = 128;
-    Index arrayCols = 128;
-    double clockGhz = 0.7;
-    double memGBps = 700.0;
-    double memUtil = 0.85;
-    /** Per-pass pipeline overhead in cycles (fill + drain + issue). */
-    double passOverheadCycles = 280.0;
-    /** Fixed per-invocation overhead in seconds. */
-    double invokeOverheadSec = 2.0e-6;
-    /** Peak relative measurement noise (uniform, deterministic). */
-    double noiseAmplitude = 0.06;
-    std::uint64_t noiseSeed = 0x7f1e2d3c4b5a6978ULL;
-};
-
-/** The measurement oracle. */
+/**
+ * The measurement oracle: one fixed TPU-v2 calibration (a 128x128
+ * array at 700 MHz, 700 GB/s of memory, per-pass and per-invocation
+ * overheads; see tpu_oracle.cc), like the one chip the paper measured.
+ */
 class TpuOracle
 {
   public:
-    explicit TpuOracle(const TpuOracleConfig &config = {});
+    /** @p noise_amplitude: peak relative measurement noise (uniform,
+     *  deterministic per layer); 0 gives the noise-free model. */
+    explicit TpuOracle(double noise_amplitude = 0.06)
+        : noiseAmplitude_(noise_amplitude)
+    {}
 
     /** "Measured" seconds for a GEMM of the given dimensions. */
     double gemmSeconds(Index m, Index k, Index n) const;
@@ -52,12 +43,8 @@ class TpuOracle
     /** Effective TFLOPS derived from convSeconds(). */
     double convTflops(const ConvParams &params) const;
 
-    const TpuOracleConfig &config() const { return config_; }
-
   private:
-    double noise(std::uint64_t key) const;
-
-    TpuOracleConfig config_;
+    double noiseAmplitude_;
 };
 
 } // namespace cfconv::oracle

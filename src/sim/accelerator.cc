@@ -11,12 +11,11 @@ StatusOr<LayerRecord>
 Accelerator::tryRunLayer(const ConvParams &params,
                          const RunOptions &options) const
 {
-    // Algorithm applicability is a property of the layer, not a
-    // simulator bug: reject unsupported shapes (SMM-Conv on strided
-    // layers) here so the resilient runner sees INVALID_ARGUMENT.
-    Status refused = tensor::checkLayer(params, options.groups);
-    if (refused.ok())
-        refused = algorithm()->supports(params, options.groups);
+    // Layer validity and algorithm applicability are properties of the
+    // layer, not simulator bugs: reject invalid layers and unsupported
+    // shapes (SMM-Conv on strided layers) here so the resilient runner
+    // sees INVALID_ARGUMENT.
+    Status refused = algorithm()->supports(params, options.groups);
     if (refused.ok() && options.attempt < 0)
         refused = invalidArgumentError(
             "attempt = %lld must be >= 0",

@@ -167,11 +167,11 @@ class Accelerator
         = 0;
 
     /**
-     * The recoverable front door to runLayer(): returns
-     * tensor::checkLayer()'s and the algorithm's supports() Status for
-     * a layer they refuse, rolls the `accel.step_timeout` chaos die
-     * scoped to this backend's name while the fault injector is armed,
-     * and converts any FatalError/PanicError escaping the backend into
+     * The recoverable front door to runLayer(): returns the
+     * algorithm's supports() Status (tensor::checkLayer() plus the
+     * algorithm's own domain) for a layer it refuses, rolls the
+     * `accel.step_timeout` chaos die scoped to this backend's name
+     * while the fault injector is armed, and converts any FatalError/PanicError escaping the backend into
      * a Status (INVALID_ARGUMENT / INTERNAL) instead of unwinding
      * through the thread pool. What the resilient ModelRunner programs
      * against.

@@ -49,8 +49,7 @@ GpuAccelerator::runLayer(const ConvParams &params,
     // pJ/MAC is a per-MAC ratio, so the single-slice kernel result is
     // the grouped layer's figure too (both energy and MACs scale by
     // the group count).
-    rec.extras["pjPerMac"] =
-        gpusim::kernelEnergy(sim_.config(), r).pjPerMac;
+    rec.extras["pjPerMac"] = gpusim::kernelEnergy(r).pjPerMac;
     rec.algorithm = algorithm()->name();
     return rec;
 }

@@ -33,10 +33,6 @@ class GpuAccelerator : public Accelerator
     StatGroup cacheStats() const override;
     const conv::Algorithm *algorithm() const override;
 
-    /** The wrapped simulator, for callers needing the full GPU API. */
-    const gpusim::GpuSim &sim() const { return sim_; }
-    const gpusim::GpuRunOptions &runOptions() const { return options_; }
-
   private:
     std::string name_;
     gpusim::GpuSim sim_;

@@ -32,10 +32,6 @@ class TpuAccelerator : public Accelerator
     StatGroup cacheStats() const override;
     const conv::Algorithm *algorithm() const override;
 
-    /** The wrapped simulator, for callers needing the full TPU API. */
-    const tpusim::TpuSim &sim() const { return sim_; }
-    const tpusim::TpuRunOptions &runOptions() const { return options_; }
-
   private:
     std::string name_;
     tpusim::TpuSim sim_;

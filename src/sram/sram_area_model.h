@@ -18,11 +18,6 @@ class SramAreaModel
 {
   public:
     /**
-     * @param elem_bytes storage width of one element (TPU regs: 4 B).
-     */
-    explicit SramAreaModel(Bytes elem_bytes = 4);
-
-    /**
      * Area of a macro of @p capacity_bytes organized with words of
      * @p word_elems elements, in mm^2 (freepdk45-like scale).
      *
@@ -37,15 +32,6 @@ class SramAreaModel
 
     /** Word size (elements) minimizing area for @p capacity_bytes. */
     Index bestWordElems(Bytes capacity_bytes) const;
-
-  private:
-    Bytes elemBytes_;
-    // Relative-cost coefficients; see sram_area_model.cc for the
-    // calibration derivation.
-    double base_;
-    double rowCoeff_;
-    double colCoeff_;
-    double mm2PerUnit_;
 };
 
 } // namespace cfconv::sram

@@ -1,6 +1,7 @@
 /** @file Regression tests for the uniform bench argument parser
- *  (bench/bench_util.h): the workload keys (seed=, stream=) added for
- *  bench_serving, and the strict unknown-argument policy. */
+ *  (bench/bench_util.h): whole-integer thread counts, the workload keys
+ *  (seed=, stream=) added for bench_serving, and the strict
+ *  unknown-argument policy. */
 
 #include <gtest/gtest.h>
 
@@ -60,6 +61,29 @@ TEST(BenchArgsParse, RejectsMalformedSeeds)
         EXPECT_NE(status.toString().find("seed"), std::string::npos)
             << bad;
     }
+}
+
+TEST(BenchArgsParse, ThreadsMustBeAWholeIntegerOfAtLeastOne)
+{
+    // Parse only: a pool of the parsed size is never started here.
+    for (const char *bad :
+         {"threads=", "threads=0", "threads=-2", "threads=4x",
+          "threads=2.5", "threads= 4", "threads=abc",
+          "threads=99999999999999999999"}) {
+        BenchArgs args;
+        const Status status = parse({bad}, &args);
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+        EXPECT_NE(status.toString().find(bad), std::string::npos)
+            << status.toString();
+    }
+    BenchArgs args;
+    ASSERT_TRUE(parse({"threads=3"}, &args).ok());
+    EXPECT_EQ(args.threads, 3);
+    // The environment reader takes the same spellings.
+    EXPECT_EQ(parallel::parseThreadCount("12"), 12);
+    EXPECT_EQ(parallel::parseThreadCount("4x"), 0);
+    EXPECT_EQ(parallel::parseThreadCount("2.5"), 0);
+    EXPECT_EQ(parallel::parseThreadCount(""), 0);
 }
 
 TEST(BenchArgsParse, RejectsEmptyStream)

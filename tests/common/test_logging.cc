@@ -46,72 +46,13 @@ TEST(Logging, FormatHandlesLongStrings)
     EXPECT_EQ(out.size(), 500u);
 }
 
-/** Restores the verbosity threshold so tests can't leak a level. */
-class LogLevelTest : public ::testing::Test
+TEST(Logging, InformAndWarnAlwaysPrintTheirPrefixedLines)
 {
-  protected:
-    void SetUp() override { saved_ = logLevel(); }
-    void TearDown() override { setLogLevel(saved_); }
-
-  private:
-    LogLevel saved_ = LogLevel::Info;
-};
-
-TEST_F(LogLevelTest, WarnLevelSilencesInformKeepsWarn)
-{
-    setLogLevel(LogLevel::Warn);
     ::testing::internal::CaptureStderr();
-    inform("should be silenced");
-    warn("should still print");
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(err.find("should be silenced"), std::string::npos);
-    EXPECT_NE(err.find("should still print"), std::string::npos);
-}
-
-TEST_F(LogLevelTest, ErrorLevelSilencesBothChannels)
-{
-    setLogLevel(LogLevel::Error);
-    ::testing::internal::CaptureStderr();
-    inform("status chatter");
-    warn("a warning");
-    EXPECT_TRUE(::testing::internal::GetCapturedStderr().empty());
-}
-
-TEST_F(LogLevelTest, InfoLevelPrintsBothChannels)
-{
-    setLogLevel(LogLevel::Info);
-    ::testing::internal::CaptureStderr();
-    inform("status line");
-    warn("warning line");
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("status line"), std::string::npos);
-    EXPECT_NE(err.find("warning line"), std::string::npos);
-}
-
-TEST_F(LogLevelTest, FatalIsNeverFiltered)
-{
-    setLogLevel(LogLevel::Error);
-    EXPECT_THROW(fatal("still throws"), FatalError);
-}
-
-TEST(LogLevelParse, AcceptsKnownNamesRejectsJunk)
-{
-    LogLevel level = LogLevel::Info;
-    EXPECT_TRUE(parseLogLevel("info", &level));
-    EXPECT_EQ(level, LogLevel::Info);
-    EXPECT_TRUE(parseLogLevel("warn", &level));
-    EXPECT_EQ(level, LogLevel::Warn);
-    EXPECT_TRUE(parseLogLevel("error", &level));
-    EXPECT_EQ(level, LogLevel::Error);
-    EXPECT_TRUE(parseLogLevel("quiet", &level));
-    EXPECT_EQ(level, LogLevel::Error);
-    EXPECT_TRUE(parseLogLevel("silent", &level));
-    EXPECT_EQ(level, LogLevel::Error);
-
-    level = LogLevel::Warn;
-    EXPECT_FALSE(parseLogLevel("verbose", &level));
-    EXPECT_FALSE(parseLogLevel("", &level));
-    EXPECT_EQ(level, LogLevel::Warn); // unknown names leave *out alone
+    inform("status line %d", 1);
+    warn("warning line %d", 2);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "info: status line 1\nwarn: warning line 2\n");
 }
 
 } // namespace

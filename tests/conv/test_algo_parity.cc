@@ -299,10 +299,10 @@ TEST(AlgoParity, ConvDirectPlanesAgreeOnANonFiniteWeight)
 
 TEST(AlgoParity, EveryExecuteRejectsAnUnfitLayer)
 {
-    // A 5x5 kernel over an unpadded 3x3 input. supports() checks only
-    // each algorithm's own domain and accepts it, so every execute()
-    // must stop it with ConvParams::validate()'s message (checkLayer's)
-    // before it gathers anything.
+    // A 5x5 kernel over an unpadded 3x3 input. Every supports() refuses
+    // it in checkLayer's words, and every execute() must stop it with
+    // ConvParams::validate()'s message (the same words) before it
+    // gathers anything.
     ConvParams p;
     p.inChannels = p.outChannels = 4;
     p.inH = p.inW = 3;
@@ -320,7 +320,7 @@ TEST(AlgoParity, EveryExecuteRejectsAnUnfitLayer)
     const Tensor input(1, 4, 3, 3);
     const Tensor filter(4, 4, 5, 5);
     for (const Algorithm *algo : allAlgorithms()) {
-        ASSERT_TRUE(algo->supports(p, 1).ok()) << algo->name();
+        EXPECT_EQ(algo->supports(p, 1).message(), want) << algo->name();
         try {
             algo->execute(p, input, filter);
             ADD_FAILURE() << algo->name() << " executed an unfit layer";

@@ -5,6 +5,7 @@
 #include "common/logging.h"
 
 #include "gpusim/gpu_sim.h"
+#include "gpusim/kernel_cache.h"
 
 namespace cfconv::gpusim {
 namespace {
@@ -22,6 +23,30 @@ TEST(GpuConfig, V100Parameters)
     const GpuConfig c = GpuConfig::v100();
     EXPECT_NEAR(c.peakTflops(), 125.0, 5.0);
     EXPECT_NEAR(c.dram.peakGBps(), 900.0, 15.0);
+}
+
+TEST(GpuConfig, CacheKeysFollowTheClockAndTheDram)
+{
+    // The two settable values are what the variant properties vary; a
+    // memo-cache key must tell their runs apart and share equal ones.
+    const auto p = makeConv(8, 64, 28, 64, 3, 1, 1);
+    const auto conv = [&p](const GpuConfig &c) {
+        return kernelCacheKey(c, p, GpuRunOptions{});
+    };
+    const auto gemm = [](const GpuConfig &c) {
+        return gpuGemmCacheKey(c, 512, 256, 128, false, true);
+    };
+    const GpuConfig stock = GpuConfig::v100();
+    EXPECT_EQ(conv(stock), conv(GpuConfig::v100()));
+    EXPECT_EQ(gemm(stock), gemm(GpuConfig::v100()));
+    GpuConfig fast = stock;
+    fast.clockGhz *= 1.25;
+    GpuConfig wide = stock;
+    wide.dram.channels *= 2;
+    for (const GpuConfig &other : {fast, wide}) {
+        EXPECT_NE(conv(other), conv(stock));
+        EXPECT_NE(gemm(other), gemm(stock));
+    }
 }
 
 TEST(GpuSim, LargeGemmApproachesPeak)

@@ -58,14 +58,11 @@ TEST(TpuOracleSweeps, StrideInsensitiveLikeTheHardware)
 
 TEST(TpuOracleSweeps, NoiseAmplitudeZeroIsExactlyAnalytical)
 {
-    TpuOracleConfig cfg;
-    cfg.noiseAmplitude = 0.0;
-    TpuOracle clean(cfg);
-    // With zero noise, two differently-seeded oracles agree exactly.
-    cfg.noiseSeed = 999;
-    TpuOracle clean2(cfg);
+    // 4 x 2 array passes of M + 280 cycles each at 700 MHz (compute
+    // bound), plus the 2 us invocation overhead, and no noise.
+    const TpuOracle clean(0.0);
     EXPECT_DOUBLE_EQ(clean.gemmSeconds(1024, 512, 256),
-                     clean2.gemmSeconds(1024, 512, 256));
+                     8.0 * (1024.0 + 280.0) / (0.7 * 1e9) + 2.0e-6);
 }
 
 TEST(TpuOracleSweeps, DistinctLayersGetDistinctNoise)
@@ -73,9 +70,7 @@ TEST(TpuOracleSweeps, DistinctLayersGetDistinctNoise)
     TpuOracle oracle;
     // Two layers with identical analytical time but different keys
     // should differ by the noise.
-    TpuOracleConfig cfg;
-    cfg.noiseAmplitude = 0.0;
-    TpuOracle clean(cfg);
+    const TpuOracle clean(0.0);
     const auto a = makeConv(8, 128, 56, 128, 3, 1, 1);
     const auto b = makeConv(8, 128, 56, 128, 3, 1, 1);
     EXPECT_EQ(oracle.convSeconds(a), oracle.convSeconds(b));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/stats.h"
 #include "models/model_zoo.h"
 #include "oracle/gpu_oracle.h"
@@ -24,11 +26,9 @@ TEST(TpuOracle, DeterministicAcrossCalls)
 
 TEST(TpuOracle, NoiseStaysWithinAmplitude)
 {
-    TpuOracleConfig cfg;
-    TpuOracle noisy(cfg);
-    const double bound = cfg.noiseAmplitude + 1e-4;
-    cfg.noiseAmplitude = 0.0;
-    TpuOracle clean(cfg);
+    const TpuOracle noisy;
+    const double bound = 0.06 + 1e-4; // the default amplitude
+    const TpuOracle clean(0.0);
     for (Index m : {256, 512, 1024, 2048, 4096}) {
         const double ratio = noisy.gemmSeconds(m, 1024, 1024) /
                              clean.gemmSeconds(m, 1024, 1024);
@@ -96,6 +96,27 @@ TEST(GpuOracle, DeterministicAndPositive)
     const double t = oracle.convSeconds(p);
     EXPECT_GT(t, 0.0);
     EXPECT_EQ(t, oracle.convSeconds(p));
+}
+
+TEST(GpuOracle, NoiseStaysWithinAmplitude)
+{
+    // The "measurement" is the V100 simulator's vendor-tuned
+    // channel-last kernel within the oracle's fixed 2% noise.
+    const GpuOracle oracle;
+    const gpusim::GpuSim sim((gpusim::GpuConfig::v100()));
+    gpusim::GpuRunOptions cudnn;
+    cudnn.algorithm = conv::AlgorithmId::ChannelLast;
+    cudnn.vendorTuned = true;
+    std::set<double> ratios;
+    for (Index ci : {16, 64, 256}) {
+        const ConvParams p = makeConv(8, ci, 28, 128, 3, 1, 1);
+        const double ratio =
+            oracle.convSeconds(p) / sim.runConv(p, cudnn).seconds;
+        EXPECT_GT(ratio, 1.0 - 0.02 - 1e-4) << ci;
+        EXPECT_LT(ratio, 1.0 + 0.02 + 1e-4) << ci;
+        ratios.insert(ratio);
+    }
+    EXPECT_EQ(ratios.size(), 3u); // each layer draws its own noise
 }
 
 TEST(GpuOracle, ExplicitSlowerThanImplicit)

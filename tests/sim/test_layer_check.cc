@@ -3,9 +3,10 @@
  *  geometry fields and the group count, broken alone on a valid layer,
  *  and a kernel that overhangs the padded input, are refused by name
  *  at checkLayer, makeConvRect, TpuSim::runGroupedConv,
- *  Accelerator::tryRunLayer and Autotuner::tuneLayer; and every
- *  variant's runLayer refuses a group count that is not positive or
- *  does not divide the channels. */
+ *  Accelerator::tryRunLayer, Autotuner::tuneLayer and every
+ *  algorithm's supports() and plan(); and every variant's runLayer
+ *  refuses a group count that is not positive or does not divide the
+ *  channels. */
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "conv/algorithm.h"
 #include "models/model_zoo.h"
 #include "sim/accelerator.h"
 #include "sim/variants.h"
@@ -162,6 +164,28 @@ TEST(LayerCheck, EveryDoorNamesTheBrokenRule)
             EXPECT_NE(choice.status().message().find(c.names),
                       std::string::npos)
                 << choice.status().toString();
+        }
+    }
+}
+
+TEST(LayerCheck, EveryAlgorithmsPlanReturnsTheBrokenRule)
+{
+    for (const conv::Algorithm *algo : conv::allAlgorithms()) {
+        for (const Broken &c : brokenLayers()) {
+            const Status supported = algo->supports(c.params, c.groups);
+            EXPECT_EQ(supported.code(), StatusCode::kInvalidArgument)
+                << algo->name() << ": " << c.names;
+            EXPECT_NE(supported.message().find(c.names), std::string::npos)
+                << algo->name() << ": " << supported.message();
+            if (c.groups != 1)
+                continue; // a plan is one group's
+            // A Status, never a FatalError from building the plan.
+            const StatusOr<im2col::PassPlan> plan = algo->plan(c.params);
+            ASSERT_FALSE(plan.ok()) << algo->name() << ": " << c.names;
+            EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+            EXPECT_NE(plan.status().message().find(c.names),
+                      std::string::npos)
+                << algo->name() << ": " << plan.status().message();
         }
     }
 }
