@@ -32,7 +32,10 @@ using namespace cfconv;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const Config args = bench::readArgs(argc, argv);
+    const std::string jsonPath =
+        bench::valueOrExit(args.getString("json", ""));
+    bench::startBench(args);
     const bench::WallTimer wall;
     // ---- 1. crossbar scaling ----
     bench::experimentHeader(
@@ -155,9 +158,9 @@ main(int argc, char **argv)
     bench::summaryLine("Ablation-5", "tpu explicit/implicit time",
                        1.5,
                        records[2].seconds / records[0].seconds);
-    if (!args.jsonPath.empty()
-        && sim::writeRunRecords(args.jsonPath, records))
-        std::printf("wrote %s (%zu records)\n", args.jsonPath.c_str(),
+    if (!jsonPath.empty()
+        && sim::writeRunRecords(jsonPath, records))
+        std::printf("wrote %s (%zu records)\n", jsonPath.c_str(),
                     records.size());
     bench::printWallClock("bench_ablation_hardware", wall);
     return 0;

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <vector>
 
@@ -92,19 +91,12 @@ tunedRecord(const models::ModelSpec &model,
 int
 main(int argc, char **argv)
 {
-    // Peel the bench-specific arguments, forward the uniform rest.
-    std::string dbPath = "TUNED_configs.json";
-    std::vector<char *> rest = {argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "db=", 3) == 0 && argv[i][3] != '\0')
-            dbPath = argv[i] + 3;
-        else
-            rest.push_back(argv[i]);
-    }
-    bench::BenchArgs args = bench::parseBenchArgs(
-        static_cast<int>(rest.size()), rest.data());
-    if (args.jsonPath.empty())
-        args.jsonPath = "BENCH_autotune.json";
+    const Config args = bench::readArgs(argc, argv);
+    const std::string dbPath =
+        bench::valueOrExit(args.getString("db", "TUNED_configs.json"));
+    const std::string jsonPath =
+        bench::valueOrExit(args.getString("json", "BENCH_autotune.json"));
+    bench::startBench(args);
     const bench::WallTimer wall;
 
     bench::experimentHeader(
@@ -182,8 +174,8 @@ main(int argc, char **argv)
 
     // An empty meta keeps the document a pure function of the sim:
     // the second (database-answered) run must be byte-identical.
-    if (sim::writeRunRecords(args.jsonPath, records, sim::ReportMeta{}))
-        std::printf("wrote %s (%zu records)\n", args.jsonPath.c_str(),
+    if (sim::writeRunRecords(jsonPath, records, sim::ReportMeta{}))
+        std::printf("wrote %s (%zu records)\n", jsonPath.c_str(),
                     records.size());
     if (db.saveFile(dbPath))
         std::printf("wrote %s (%zu entries)\n", dbPath.c_str(),

@@ -25,7 +25,7 @@ using namespace cfconv;
 int
 main(int argc, char **argv)
 {
-    bench::parseBenchArgs(argc, argv, /*supports_json=*/false);
+    bench::startBench(bench::readArgs(argc, argv));
     const bench::WallTimer wall;
     tpusim::TpuSim tpu((tpusim::TpuConfig::tpuV2()));
     gpusim::GpuSim gpu((gpusim::GpuConfig::v100()));

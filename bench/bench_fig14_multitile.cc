@@ -24,7 +24,7 @@ using namespace cfconv;
 int
 main(int argc, char **argv)
 {
-    bench::parseBenchArgs(argc, argv, /*supports_json=*/false);
+    bench::startBench(bench::readArgs(argc, argv));
     const bench::WallTimer wall;
     tpusim::TpuSim sim((tpusim::TpuConfig::tpuV2()));
     oracle::TpuOracle oracle;

@@ -26,7 +26,10 @@ using namespace cfconv;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const Config args = bench::readArgs(argc, argv);
+    const std::string jsonPath =
+        bench::valueOrExit(args.getString("json", ""));
+    bench::startBench(args);
     const bench::WallTimer wall;
     const Index batch = 8;
     const auto accelerator = sim::makeAccelerator("tpu-v2");
@@ -90,9 +93,9 @@ main(int argc, char **argv)
 
     bench::summaryLine("Fig-15b", "all-layer MAE %", 5.8,
                        meanAbsPctError(all_ref, all_got));
-    if (!args.jsonPath.empty() &&
-        sim::writeRunRecords(args.jsonPath, records))
-        std::printf("wrote %s (%zu records)\n", args.jsonPath.c_str(),
+    if (!jsonPath.empty() &&
+        sim::writeRunRecords(jsonPath, records))
+        std::printf("wrote %s (%zu records)\n", jsonPath.c_str(),
                     records.size());
     bench::printCacheStats(*accelerator);
     bench::printWallClock("bench_fig15_models", wall);

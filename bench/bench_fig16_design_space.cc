@@ -65,7 +65,10 @@ runVgg(const std::string &variant, Index batch)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const Config args = bench::readArgs(argc, argv);
+    const std::string jsonPath =
+        bench::valueOrExit(args.getString("json", ""));
+    bench::startBench(args);
     const bench::WallTimer wall;
     const Index batch = 8;
     std::vector<sim::RunRecord> records;
@@ -187,9 +190,9 @@ main(int argc, char **argv)
         records.push_back(two_records[i]);
     }
     gc.print();
-    if (!args.jsonPath.empty()
-        && sim::writeRunRecords(args.jsonPath, records))
-        std::printf("wrote %s (%zu records)\n", args.jsonPath.c_str(),
+    if (!jsonPath.empty()
+        && sim::writeRunRecords(jsonPath, records))
+        std::printf("wrote %s (%zu records)\n", jsonPath.c_str(),
                     records.size());
     bench::printWallClock("bench_fig16_design_space", wall);
     return 0;

@@ -24,7 +24,10 @@ using namespace cfconv;
 int
 main(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
+    const Config args = bench::readArgs(argc, argv);
+    const std::string jsonPath =
+        bench::valueOrExit(args.getString("json", ""));
+    bench::startBench(args);
     const bench::WallTimer wall;
     const Index batch = 8;
     const auto accelerator = sim::makeAccelerator("gpu-v100");
@@ -62,9 +65,9 @@ main(int argc, char **argv)
     avg /= static_cast<double>(ratios.size());
     bench::summaryLine("Fig-17", "ours/cuDNN (avg, paper ~1.01)", 1.01,
                        avg);
-    if (!args.jsonPath.empty() &&
-        sim::writeRunRecords(args.jsonPath, records))
-        std::printf("wrote %s (%zu records)\n", args.jsonPath.c_str(),
+    if (!jsonPath.empty() &&
+        sim::writeRunRecords(jsonPath, records))
+        std::printf("wrote %s (%zu records)\n", jsonPath.c_str(),
                     records.size());
     bench::printCacheStats(*accelerator);
     bench::printWallClock("bench_fig17_gpu_models", wall);

@@ -43,11 +43,11 @@ withStride(tensor::ConvParams p, Index stride)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseBenchArgs(
-        argc, argv, /*supports_json=*/true,
-        /*supports_workload=*/false, /*supports_algo=*/true);
-    if (args.jsonPath.empty())
-        args.jsonPath = "BENCH_algos.json";
+    const Config args = bench::readArgs(argc, argv);
+    const std::string jsonPath =
+        bench::valueOrExit(args.getString("json", "BENCH_algos.json"));
+    const std::string algoFilter = bench::valueOrExit(bench::algoArg(args));
+    bench::startBench(args);
     const bench::WallTimer wall;
     const Index batch = 64;
     const auto layers = models::resnetRepresentativeLayers(batch);
@@ -165,7 +165,7 @@ main(int argc, char **argv)
         const conv::Algorithm *algo = accel->algorithm();
         const std::string algoName =
             algo != nullptr ? algo->name() : "?";
-        if (!args.algo.empty() && args.algo != algoName)
+        if (!algoFilter.empty() && algoFilter != algoName)
             continue;
         std::vector<std::string> row = {name, algoName};
         for (const Combo &combo : combos) {
@@ -206,8 +206,8 @@ main(int argc, char **argv)
                 static_cast<long long>(skipped), records.size());
     // An empty meta keeps the document a pure function of the sim, so
     // repeat runs are byte-identical (check_algos.sh relies on it).
-    if (sim::writeRunRecords(args.jsonPath, records, sim::ReportMeta{}))
-        std::printf("wrote %s (%zu records)\n", args.jsonPath.c_str(),
+    if (sim::writeRunRecords(jsonPath, records, sim::ReportMeta{}))
+        std::printf("wrote %s (%zu records)\n", jsonPath.c_str(),
                     records.size());
 
     bench::printWallClock("bench_fig4_stride", wall);

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -297,19 +296,23 @@ gemmBackendSweep()
 int
 main(int argc, char **argv)
 {
-    // Peel off the uniform `threads=N` bench argument before google
-    // benchmark parses its own flags.
+    // The google-benchmark flags are operands; threads=N is the one
+    // key.
+    std::vector<std::string> flags;
+    const Config args =
+        bench::valueOrExit(Config::fromArgs(argc, argv, &flags));
+    const long long threads =
+        bench::valueOrExit(bench::positiveInt(args, "threads", 0));
+    bench::exitIfError(args.checkAllRead());
+    if (threads > 0)
+        parallel::setThreads(threads);
     std::vector<char *> kept{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "threads=", 8) == 0) {
-            char *args[] = {argv[0], argv[i]};
-            bench::parseBenchArgs(2, args, /*supports_json=*/false);
-        } else {
-            kept.push_back(argv[i]);
-        }
-    }
+    for (std::string &flag : flags)
+        kept.push_back(flag.data());
     int kept_argc = static_cast<int>(kept.size());
     benchmark::Initialize(&kept_argc, kept.data());
+    if (benchmark::ReportUnrecognizedArguments(kept_argc, kept.data()))
+        return 2;
     const bench::WallTimer wall;
     benchmark::RunSpecifiedBenchmarks();
     gemmBackendSweep();

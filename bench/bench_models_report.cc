@@ -12,6 +12,7 @@
  * caches, or either simulator show up in the bench trajectory.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -26,47 +27,35 @@ using namespace cfconv;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseBenchArgs(
-        argc, argv, /*supports_json=*/true, /*supports_workload=*/false,
-        /*supports_algo=*/false, /*supports_selection=*/true);
-    if (args.jsonPath.empty())
-        args.jsonPath = "BENCH_models.json";
+    const Config args = bench::readArgs(argc, argv);
+    const std::string jsonPath =
+        bench::valueOrExit(args.getString("json", "BENCH_models.json"));
+    const std::string model = bench::valueOrExit(args.getString("model", ""));
+    const std::string backend =
+        bench::valueOrExit(args.getString("backend", ""));
+    bench::startBench(args);
     const bench::WallTimer wall;
     const Index batch = 8;
 
-    auto zoo = models::allModels(batch);
-    zoo.push_back(models::mobilenetv1(batch));
-    std::vector<std::string> backends = {"tpu-v2", "tpu-v3ish",
-                                         "gpu-v100"};
     // model=/backend= narrow the sweep to one model and/or backend —
     // how check_analyze.sh records a single-model single-backend trace
     // whose timelines aren't interleaved with the rest of the zoo.
-    if (!args.model.empty()) {
-        decltype(zoo) kept;
-        for (auto &model : zoo)
-            if (model.name == args.model)
-                kept.push_back(std::move(model));
-        if (kept.empty()) {
-            std::fprintf(stderr,
-                         "INVALID_ARGUMENT: unknown model=%s (not in "
-                         "the zoo)\n",
-                         args.model.c_str());
-            return 2;
-        }
-        zoo = std::move(kept);
-    }
-    if (!args.backend.empty()) {
-        bool known = false;
-        for (const auto &b : backends)
-            known = known || b == args.backend;
-        if (!known) {
-            std::fprintf(stderr,
-                         "INVALID_ARGUMENT: unknown backend=%s "
-                         "(supported: tpu-v2, tpu-v3ish, gpu-v100)\n",
-                         args.backend.c_str());
-            return 2;
-        }
-        backends = {args.backend};
+    std::vector<models::ModelSpec> zoo;
+    if (!model.empty())
+        zoo.push_back(bench::valueOrExit(models::findModel(model))(batch));
+    else
+        for (const models::NamedModel &entry : models::kModels)
+            zoo.push_back(entry.factory(batch));
+    std::vector<std::string> backends = {"tpu-v2", "tpu-v3ish",
+                                         "gpu-v100"};
+    if (!backend.empty()) {
+        if (std::find(backends.begin(), backends.end(), backend) ==
+            backends.end())
+            bench::exitIfError(invalidArgumentError(
+                "unknown backend=%s (supported: tpu-v2, tpu-v3ish, "
+                "gpu-v100)",
+                backend.c_str()));
+        backends = {backend};
     }
 
     bench::experimentHeader(
@@ -114,8 +103,8 @@ main(int argc, char **argv)
                            flops / seconds);
     }
 
-    if (sim::writeRunRecords(args.jsonPath, records))
-        std::printf("wrote %s (%zu records)\n", args.jsonPath.c_str(),
+    if (sim::writeRunRecords(jsonPath, records))
+        std::printf("wrote %s (%zu records)\n", jsonPath.c_str(),
                     records.size());
     bench::printLatencyStats();
     for (const auto &accelerator : accelerators)

@@ -93,21 +93,16 @@ tableHeader()
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args =
-        bench::parseBenchArgs(argc, argv, true, true);
-    if (args.jsonPath.empty())
-        args.jsonPath = "BENCH_serving.json";
-    const std::uint64_t seed = args.seed ? args.seed : 42;
-    ArrivalKind paretoKind = ArrivalKind::Poisson;
-    if (!args.stream.empty()) {
-        auto parsed = parseArrivalKind(args.stream);
-        if (!parsed.ok()) {
-            std::fprintf(stderr, "%s\n",
-                         parsed.status().toString().c_str());
-            return 2;
-        }
-        paretoKind = parsed.value();
-    }
+    const Config args = bench::readArgs(argc, argv);
+    const std::string jsonPath =
+        bench::valueOrExit(args.getString("json", "BENCH_serving.json"));
+    const std::uint64_t seed =
+        bench::valueOrExit(bench::positiveInt(args, "seed", 42));
+    const ArrivalKind paretoKind = bench::valueOrExit(parseArrivalKind(
+        bench::valueOrExit(args.getString("stream", "poisson"))));
+    const std::string classes = bench::valueOrExit(args.getString(
+        "classes", "alexnet:2:0:50,zfnet:1:1:100,mobilenetv1:1:2:250"));
+    bench::startBench(args);
     const bench::WallTimer wall;
     std::vector<sim::RunRecord> records;
 
@@ -238,10 +233,7 @@ main(int argc, char **argv)
     // the batch tier at arrival — so the interactive tier's goodput
     // survives the overload.
     {
-        StatusOr<ModelMix> mixOr = parseClassSpecs(
-            args.classes.empty()
-                ? "alexnet:2:0:50,zfnet:1:1:100,mobilenetv1:1:2:250"
-                : args.classes);
+        StatusOr<ModelMix> mixOr = parseClassSpecs(classes);
         if (!mixOr.ok()) {
             std::fprintf(stderr, "classes=: %s\n",
                          mixOr.status().toString().c_str());
@@ -359,8 +351,8 @@ main(int argc, char **argv)
                            static_cast<double>(ron.hedgeWins));
     }
 
-    if (sim::writeRunRecords(args.jsonPath, records))
-        std::printf("wrote %s (%zu records)\n", args.jsonPath.c_str(),
+    if (sim::writeRunRecords(jsonPath, records))
+        std::printf("wrote %s (%zu records)\n", jsonPath.c_str(),
                     records.size());
     bench::printLatencyStats();
     bench::printWallClock("bench_serving", wall);

@@ -22,7 +22,7 @@ using namespace cfconv;
 int
 main(int argc, char **argv)
 {
-    bench::parseBenchArgs(argc, argv, /*supports_json=*/false);
+    bench::startBench(bench::readArgs(argc, argv));
     const bench::WallTimer wall;
     bench::experimentHeader(
         "Sparsity",

@@ -3,9 +3,14 @@
  * Shared helpers for the paper-reproduction benchmark binaries. Each
  * binary regenerates one table or figure of the paper and prints the
  * series in a uniform tabular format, alongside the paper's headline
- * numbers for comparison (recorded in EXPERIMENTS.md). All binaries
- * accept a `threads=N` argument (equivalent to CFCONV_THREADS=N) and
- * print a machine-parseable `WALL` line with their wall-clock time.
+ * numbers for comparison (recorded in EXPERIMENTS.md). A bench reads
+ * its `key=value` arguments into a Config (common/config), reads its
+ * own keys through the typed getters, then calls startBench() for the
+ * keys every bench takes: `threads=N` (as CFCONV_THREADS=N does),
+ * `trace=FILE`, `faults=SPEC` and `metrics=FILE`. A value that does
+ * not parse, or a key the bench does not read, exits 2 naming it.
+ * Every bench prints a machine-parseable `WALL` line with its
+ * wall-clock time.
  */
 
 #ifndef CFCONV_BENCH_BENCH_UTIL_H
@@ -14,9 +19,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
@@ -67,187 +73,116 @@ class WallTimer
     std::chrono::steady_clock::time_point start_;
 };
 
-/** Parsed uniform bench arguments (see parseBenchArgs). */
+/** Exit 2 with @p status on stderr unless it is OK: how a bench turns
+ *  bad input into its exit code. */
+inline void
+exitIfError(const Status &status)
+{
+    if (status.ok())
+        return;
+    std::fprintf(stderr, "%s\n", status.toString().c_str());
+    std::exit(2);
+}
+
+/** @p parsed's value, or exit 2 with its status. */
+template <typename T>
+T
+valueOrExit(StatusOr<T> parsed)
+{
+    exitIfError(parsed.status());
+    return std::move(parsed).value();
+}
+
+/** The command line as a Config; exit 2 when an argument is not
+ *  `key=value` or repeats a key. */
+inline Config
+readArgs(int argc, char **argv)
+{
+    return valueOrExit(Config::fromArgs(argc, argv));
+}
+
+/** @p args's integer @p key, at least 1; @p fallback when absent. */
+inline StatusOr<long long>
+positiveInt(const Config &args, const char *key, long long fallback)
+{
+    CFCONV_ASSIGN_OR_RETURN(const long long value,
+                            args.getInt(key, fallback));
+    if (args.has(key) && value < 1)
+        return invalidArgumentError("bad %s=%lld (want an integer >= 1)",
+                                    key, value);
+    return value;
+}
+
+/** `algo=NAME`, a canonical conv::Algorithm name such as
+ *  "channel-first" or "indirect"; empty when absent. */
+inline StatusOr<std::string>
+algoArg(const Config &args)
+{
+    CFCONV_ASSIGN_OR_RETURN(std::string name, args.getString("algo", ""));
+    if (name.empty())
+        return name;
+    const StatusOr<conv::AlgorithmId> parsed =
+        conv::parseAlgorithmName(name);
+    if (!parsed.ok())
+        return invalidArgumentError("bad algo=%s (%s)", name.c_str(),
+                                    parsed.status().message().c_str());
+    return name;
+}
+
+/** The keys every bench takes. */
 struct BenchArgs
 {
-    /** Worker-count override (threads=N); 0 = leave the pool alone. */
+    /** Worker count (threads=N); 0 = leave the pool alone. */
     Index threads = 0;
-    /** Destination of the structured JSON report (json=FILE), empty
-     *  when not requested. Benches that emit a sim::RunRecord
-     *  document honor it; report-less benches reject it. */
-    std::string jsonPath;
-    /** Destination of the Chrome-trace file (trace=FILE), empty when
-     *  the run is untraced. The parser arms the recorder itself. */
+    /** Chrome-trace destination (trace=FILE); empty = untraced. */
     std::string tracePath;
-    /** Chaos spec (faults=SPEC; see common/fault.h for the grammar),
-     *  empty when the run is fault-free. The parser arms the
-     *  injector itself. */
+    /** Chaos spec (faults=SPEC; see common/fault.h for the grammar);
+     *  empty = fault-free. */
     std::string faultsSpec;
-    /** Workload seed override (seed=N); 0 = the bench's default.
-     *  Consumed by the traffic-driven benches (bench_serving); the
-     *  paper-figure benches have no randomness to seed and reject
-     *  it via supports_workload. */
-    std::uint64_t seed = 0;
-    /** Arrival-stream kind override (stream=NAME, e.g. "poisson",
-     *  "bursty", "diurnal"); empty = the bench's default. Validated
-     *  by the consuming bench, not here. */
-    std::string stream;
-    /** Algorithm filter (algo=NAME, a canonical conv::Algorithm name
-     *  such as "channel-first" or "indirect"); empty = the bench's
-     *  default (usually the full algorithm matrix). Validated here
-     *  against the conv::Algorithm registry; only the algorithm-aware
-     *  benches (bench_fig4_stride) accept it, via supports_algo. */
-    std::string algo;
     /** Destination of the process-wide MetricsRegistry snapshot
      *  (metrics=FILE), dumped at exit as a sorted deterministic
-     *  "cfconv.metrics" JSON document (the same counters/histograms
-     *  shape as the RunRecord metrics block). Empty = no dump.
-     *  Accepted by every bench — the registry is process-wide. */
+     *  "cfconv.metrics" JSON document; empty = no dump. */
     std::string metricsPath;
-    /** Model filter (model=NAME, e.g. "ResNet"); empty = the bench's
-     *  default (usually the whole zoo). Only the model-sweep benches
-     *  accept it, via supports_selection; matched case-sensitively by
-     *  the consuming bench, which exits 2 on an unknown name. */
-    std::string model;
-    /** Backend filter (backend=NAME, e.g. "tpu-v2", "gpu-v100");
-     *  empty = all of the bench's backends. Only the model-sweep
-     *  benches accept it, via supports_selection. */
-    std::string backend;
-    /** Serving model-class spec (classes=SPEC, comma-separated
-     *  "name[:weight[:priority[:sloMs]]]" entries; see
-     *  serve::parseClassSpecs); empty = the bench's default mix.
-     *  Only the serving benches accept it, via supports_workload;
-     *  validated by the consuming bench, which exits 2 on a
-     *  malformed spec. */
-    std::string classes;
 };
 
 /**
- * The recoverable core of parseBenchArgs: pure parse into @p args, no
- * side effects, INVALID_ARGUMENT naming the offending argument. Every
- * unknown `key=value` is an error, never silently ignored — a typoed
- * knob must not run the bench with defaults and look green.
+ * Read the keys every bench takes from @p args, then check that a
+ * getter read every key: call it once the bench has read its own, so
+ * a typoed key fails instead of running the bench with defaults and
+ * looking green. Reads only; arms nothing.
  */
-inline Status
-tryParseBenchArgs(int argc, char **argv, bool supports_json,
-                  BenchArgs *args, bool supports_workload = false,
-                  bool supports_algo = false,
-                  bool supports_selection = false)
+inline StatusOr<BenchArgs>
+readBenchArgs(const Config &args)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "threads=", 8) == 0) {
-            args->threads = parallel::parseThreadCount(argv[i] + 8);
-            if (args->threads == 0)
-                return invalidArgumentError(
-                    "bad threads=%s (want an integer >= 1)", argv[i] + 8);
-        } else if (supports_json &&
-                   std::strncmp(argv[i], "json=", 5) == 0 &&
-                   argv[i][5] != '\0') {
-            args->jsonPath = argv[i] + 5;
-        } else if (std::strncmp(argv[i], "trace=", 6) == 0 &&
-                   argv[i][6] != '\0') {
-            args->tracePath = argv[i] + 6;
-        } else if (std::strncmp(argv[i], "faults=", 7) == 0 &&
-                   argv[i][7] != '\0') {
-            args->faultsSpec = argv[i] + 7;
-        } else if (supports_workload &&
-                   std::strncmp(argv[i], "seed=", 5) == 0) {
-            char *end = nullptr;
-            const unsigned long long v =
-                std::strtoull(argv[i] + 5, &end, 10);
-            if (argv[i][5] == '\0' || end == nullptr || *end != '\0' ||
-                v == 0)
-                return invalidArgumentError(
-                    "bad seed=%s (want an integer >= 1)", argv[i] + 5);
-            args->seed = v;
-        } else if (supports_workload &&
-                   std::strncmp(argv[i], "stream=", 7) == 0 &&
-                   argv[i][7] != '\0') {
-            args->stream = argv[i] + 7;
-        } else if (supports_workload &&
-                   std::strncmp(argv[i], "classes=", 8) == 0 &&
-                   argv[i][8] != '\0') {
-            args->classes = argv[i] + 8;
-        } else if (supports_algo &&
-                   std::strncmp(argv[i], "algo=", 5) == 0) {
-            const StatusOr<conv::AlgorithmId> parsed =
-                conv::parseAlgorithmName(argv[i] + 5);
-            if (!parsed.ok())
-                return invalidArgumentError(
-                    "bad algo=%s (%s)", argv[i] + 5,
-                    parsed.status().message().c_str());
-            args->algo = argv[i] + 5;
-        } else if (std::strncmp(argv[i], "metrics=", 8) == 0 &&
-                   argv[i][8] != '\0') {
-            args->metricsPath = argv[i] + 8;
-        } else if (supports_selection &&
-                   std::strncmp(argv[i], "model=", 6) == 0 &&
-                   argv[i][6] != '\0') {
-            args->model = argv[i] + 6;
-        } else if (supports_selection &&
-                   std::strncmp(argv[i], "backend=", 8) == 0 &&
-                   argv[i][8] != '\0') {
-            args->backend = argv[i] + 8;
-        } else {
-            return invalidArgumentError(
-                "unknown argument \"%s\" (supported: threads=N, "
-                "trace=FILE, faults=SPEC, metrics=FILE%s%s%s%s)",
-                argv[i], supports_json ? ", json=FILE" : "",
-                supports_workload
-                    ? ", seed=N, stream=NAME, classes=SPEC"
-                    : "",
-                supports_algo ? ", algo=NAME" : "",
-                supports_selection ? ", model=NAME, backend=NAME" : "");
-        }
-    }
-    return okStatus();
+    BenchArgs out;
+    CFCONV_ASSIGN_OR_RETURN(out.threads, positiveInt(args, "threads", 0));
+    CFCONV_ASSIGN_OR_RETURN(out.tracePath, args.getString("trace", ""));
+    CFCONV_ASSIGN_OR_RETURN(out.faultsSpec, args.getString("faults", ""));
+    CFCONV_ASSIGN_OR_RETURN(out.metricsPath,
+                            args.getString("metrics", ""));
+    CFCONV_RETURN_IF_ERROR(args.checkAllRead());
+    return out;
 }
 
 /**
- * Parse the uniform bench arguments — the one place bench CLI syntax
- * is defined: `threads=N` overrides the worker count (same effect as
- * CFCONV_THREADS=N), `json=FILE` requests a structured JSON report,
- * `trace=FILE` arms the Chrome-trace recorder (same effect as
- * CFCONV_TRACE=FILE; flushed at exit, loadable in Perfetto), and
- * `faults=SPEC` arms the fault injector (same effect as
- * CFCONV_FAULTS=SPEC). Pass @p supports_json = false from binaries
- * that have no report so a stray json= errors out instead of silently
- * doing nothing; pass @p supports_workload = true from traffic-driven
- * binaries (bench_serving) to additionally accept `seed=N` (workload
- * seed) and `stream=NAME` (arrival-stream kind); pass
- * @p supports_algo = true from algorithm-aware binaries
- * (bench_fig4_stride) to additionally accept `algo=NAME` (a canonical
- * conv::Algorithm name, validated against the registry); pass
- * @p supports_selection = true from model-sweep binaries
- * (bench_models_report) to additionally accept `model=NAME` and
- * `backend=NAME` filters. `metrics=FILE` (dump the process-wide
- * MetricsRegistry snapshot as deterministic JSON at exit) is accepted
- * everywhere. Unknown arguments and malformed values exit 2 with the
- * structured error naming the offender.
+ * readBenchArgs(), then apply the keys: arm the fault injector, size
+ * the pool, arm the trace recorder (flushed at exit, loadable in
+ * Perfetto) and dump the metrics at exit. Exit 2 on the first error,
+ * before anything is armed.
  */
-inline BenchArgs
-parseBenchArgs(int argc, char **argv, bool supports_json = true,
-               bool supports_workload = false,
-               bool supports_algo = false,
-               bool supports_selection = false)
+inline void
+startBench(const Config &args)
 {
-    BenchArgs args;
-    Status status = tryParseBenchArgs(argc, argv, supports_json, &args,
-                                      supports_workload, supports_algo,
-                                      supports_selection);
+    const BenchArgs bench = valueOrExit(readBenchArgs(args));
     // configure() errors already carry a "faults:" prefix.
-    if (status.ok() && !args.faultsSpec.empty())
-        status = fault::FaultInjector::instance()
-                     .configure(args.faultsSpec);
-    if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.toString().c_str());
-        std::exit(2);
-    }
-    if (args.threads > 0)
-        parallel::setThreads(args.threads);
-    if (!args.tracePath.empty())
-        trace::start(args.tracePath);
-    if (!args.metricsPath.empty()) {
+    if (!bench.faultsSpec.empty())
+        exitIfError(
+            fault::FaultInjector::instance().configure(bench.faultsSpec));
+    if (bench.threads > 0)
+        parallel::setThreads(bench.threads);
+    if (!bench.tracePath.empty())
+        trace::start(bench.tracePath);
+    if (!bench.metricsPath.empty()) {
         // Flush at exit so the dump sees everything the bench
         // recorded; the path lives in a function-local static because
         // atexit takes a plain function pointer. Touch the registry
@@ -255,13 +190,12 @@ parseBenchArgs(int argc, char **argv, bool supports_json = true,
         // our handler so the handler still sees a live registry.
         MetricsRegistry::instance();
         static std::string path;
-        path = args.metricsPath;
+        path = bench.metricsPath;
         std::atexit([] {
             writeMetricsJson(path,
                              MetricsRegistry::instance().snapshot());
         });
     }
-    return args;
 }
 
 /** Machine-parseable memo-cache summary for one backend; printed by

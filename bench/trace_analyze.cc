@@ -1,10 +1,10 @@
 /**
  * @file
  * Offline trace analytics CLI: load a recorded Chrome-trace file
- * (trace=FILE from any bench, or CFCONV_TRACE) and report what the
- * simulated-cycle timelines say — per-layer fill/compute overlap and
- * critical-path breakdown, serving-chip occupancy, resilience events,
- * and (wall=on, the default) thread-pool and memo-cache activity.
+ * (trace=FILE from any bench) and report what the simulated-cycle
+ * timelines say — per-layer fill/compute overlap and critical-path
+ * breakdown, serving-chip occupancy, resilience events, and (wall=on,
+ * the default) thread-pool and memo-cache activity.
  *
  *   trace_analyze IN.trace [json=FILE] [diff=OTHER.trace] [wall=on|off]
  *
@@ -14,32 +14,55 @@
  * single-trace "cfconv.trace_analysis" one. Output is a pure function
  * of the input trace bytes: same trace, same bytes out, regardless of
  * thread count or repetition (scripts/check_analyze.sh enforces it).
- * Bench-style argument handling: unknown or malformed arguments exit
- * 2 naming the offender.
+ * Arguments are read by common/config like the benches': an unknown
+ * key, a bad value or other than one trace exits 2 naming the
+ * offender.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "analyze/analysis.h"
 #include "analyze/analysis_report.h"
 #include "analyze/diff.h"
 #include "analyze/trace_model.h"
+#include "common/config.h"
 #include "common/report.h"
 
 using namespace cfconv;
 
 namespace {
 
-int
-usage(const char *argv0)
+struct Args
 {
-    std::fprintf(stderr,
-                 "usage: %s IN.trace [json=FILE] [diff=OTHER.trace] "
-                 "[wall=on|off]\n",
-                 argv0);
-    return 2;
+    std::string inPath;
+    std::string jsonPath;
+    std::string diffPath;
+    analyze::AnalyzeOptions options;
+};
+
+/** The command line: one trace operand and the json=, diff= and wall=
+ *  keys; INVALID_ARGUMENT naming the first bad argument. */
+StatusOr<Args>
+readArgs(int argc, char **argv)
+{
+    std::vector<std::string> traces;
+    CFCONV_ASSIGN_OR_RETURN(const Config config,
+                            Config::fromArgs(argc, argv, &traces));
+    Args args;
+    CFCONV_ASSIGN_OR_RETURN(args.jsonPath, config.getString("json", ""));
+    CFCONV_ASSIGN_OR_RETURN(args.diffPath, config.getString("diff", ""));
+    CFCONV_ASSIGN_OR_RETURN(args.options.includeWall,
+                            config.getBool("wall", true));
+    CFCONV_RETURN_IF_ERROR(config.checkAllRead());
+    if (traces.size() != 1)
+        return invalidArgumentError(
+            "want one input trace, got %zu (usage: %s IN.trace "
+            "[json=FILE] [diff=OTHER.trace] [wall=on|off])",
+            traces.size(), argv[0]);
+    args.inPath = traces[0];
+    return args;
 }
 
 } // namespace
@@ -47,50 +70,12 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    std::string inPath;
-    std::string jsonPath;
-    std::string diffPath;
-    analyze::AnalyzeOptions options;
-
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "json=", 5) == 0 &&
-            argv[i][5] != '\0') {
-            jsonPath = argv[i] + 5;
-        } else if (std::strncmp(argv[i], "diff=", 5) == 0 &&
-                   argv[i][5] != '\0') {
-            diffPath = argv[i] + 5;
-        } else if (std::strncmp(argv[i], "wall=", 5) == 0) {
-            const std::string v = argv[i] + 5;
-            if (v == "on")
-                options.includeWall = true;
-            else if (v == "off")
-                options.includeWall = false;
-            else {
-                std::fprintf(stderr,
-                             "INVALID_ARGUMENT: bad wall=%s (want "
-                             "on|off)\n",
-                             v.c_str());
-                return 2;
-            }
-        } else if (std::strchr(argv[i], '=') != nullptr) {
-            std::fprintf(stderr,
-                         "INVALID_ARGUMENT: unknown argument \"%s\" "
-                         "(supported: json=FILE, diff=OTHER.trace, "
-                         "wall=on|off)\n",
-                         argv[i]);
-            return 2;
-        } else if (inPath.empty()) {
-            inPath = argv[i];
-        } else {
-            std::fprintf(stderr,
-                         "INVALID_ARGUMENT: more than one input trace "
-                         "(\"%s\" and \"%s\")\n",
-                         inPath.c_str(), argv[i]);
-            return 2;
-        }
+    const StatusOr<Args> args = readArgs(argc, argv);
+    if (!args.ok()) {
+        std::fprintf(stderr, "%s\n", args.status().toString().c_str());
+        return 2;
     }
-    if (inPath.empty())
-        return usage(argv[0]);
+    const auto &[inPath, jsonPath, diffPath, options] = *args;
 
     auto doc = analyze::parseTraceFile(inPath);
     if (!doc.ok()) {

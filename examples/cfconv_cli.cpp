@@ -7,15 +7,22 @@
  *
  * Usage:
  *   cfconv_cli n=8 ci=64 hw=56 co=128 k=3 s=1 p=1 [d=1]
- *              [target=tpu|gpu|both] [algo=cf|cl|explicit|gemm]
+ *              [target=tpu|gpu|both] [algo=channel-first]
  *              [tiles=0] [reuse=1] [s2d=0]
+ *
+ * algo= takes a conv::Algorithm name (channel-first, channel-last,
+ * explicit-im2col, indirect, smm) or gemm, the lowered GEMM alone, on
+ * both targets. A value that does not parse, an unknown key, a layer
+ * tensor::checkLayer rejects or one the algorithm does not support
+ * exits 2 with a message naming it.
  */
 
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 
-#include "common/logging.h"
+#include "common/config.h"
+#include "conv/algorithm.h"
 #include "gpusim/gpu_sim.h"
 #include "tpusim/energy.h"
 #include "tpusim/tpu_sim.h"
@@ -26,49 +33,65 @@ namespace {
 
 struct CliArgs
 {
-    Index n = 8, ci = 64, hw = 56, co = 128, k = 3, s = 1, p = 1,
-          d = 1;
-    std::string target = "both";
-    std::string algo = "cf";
+    tensor::ConvParams layer;
+    std::string target;
+    /** The lowering to simulate; nullopt for the lowered GEMM alone. */
+    std::optional<conv::AlgorithmId> algo;
     Index tiles = 0;
     bool reuse = true;
     bool s2d = false;
 };
 
-bool
-parseArg(const char *arg, CliArgs &out)
+/** The command line; INVALID_ARGUMENT naming the first bad key, or
+ *  the layer field tensor::checkLayer rejects. */
+StatusOr<CliArgs>
+readArgs(int argc, char **argv)
 {
-    long long v;
-    char buf[64];
-    if (std::sscanf(arg, "n=%lld", &v) == 1) { out.n = v; return true; }
-    if (std::sscanf(arg, "ci=%lld", &v) == 1) { out.ci = v; return true; }
-    if (std::sscanf(arg, "hw=%lld", &v) == 1) { out.hw = v; return true; }
-    if (std::sscanf(arg, "co=%lld", &v) == 1) { out.co = v; return true; }
-    if (std::sscanf(arg, "k=%lld", &v) == 1) { out.k = v; return true; }
-    if (std::sscanf(arg, "s=%lld", &v) == 1) { out.s = v; return true; }
-    if (std::sscanf(arg, "p=%lld", &v) == 1) { out.p = v; return true; }
-    if (std::sscanf(arg, "d=%lld", &v) == 1) { out.d = v; return true; }
-    if (std::sscanf(arg, "tiles=%lld", &v) == 1) {
-        out.tiles = v;
-        return true;
-    }
-    if (std::sscanf(arg, "reuse=%lld", &v) == 1) {
-        out.reuse = v != 0;
-        return true;
-    }
-    if (std::sscanf(arg, "s2d=%lld", &v) == 1) {
-        out.s2d = v != 0;
-        return true;
-    }
-    if (std::sscanf(arg, "target=%63s", buf) == 1) {
-        out.target = buf;
-        return true;
-    }
-    if (std::sscanf(arg, "algo=%63s", buf) == 1) {
-        out.algo = buf;
-        return true;
-    }
-    return false;
+    CFCONV_ASSIGN_OR_RETURN(const Config config,
+                            Config::fromArgs(argc, argv));
+    CliArgs args;
+    tensor::ConvParams &p = args.layer;
+    CFCONV_ASSIGN_OR_RETURN(p.batch, config.getInt("n", 8));
+    CFCONV_ASSIGN_OR_RETURN(p.inChannels, config.getInt("ci", 64));
+    CFCONV_ASSIGN_OR_RETURN(p.inH, config.getInt("hw", 56));
+    CFCONV_ASSIGN_OR_RETURN(p.outChannels, config.getInt("co", 128));
+    CFCONV_ASSIGN_OR_RETURN(p.kernelH, config.getInt("k", 3));
+    CFCONV_ASSIGN_OR_RETURN(p.strideH, config.getInt("s", 1));
+    CFCONV_ASSIGN_OR_RETURN(p.padH, config.getInt("p", 1));
+    CFCONV_ASSIGN_OR_RETURN(p.dilationH, config.getInt("d", 1));
+    p.inW = p.inH;
+    p.kernelW = p.kernelH;
+    p.strideW = p.strideH;
+    p.padW = p.padH;
+    p.dilationW = p.dilationH;
+    CFCONV_ASSIGN_OR_RETURN(args.target,
+                            config.getString("target", "both"));
+    CFCONV_ASSIGN_OR_RETURN(const std::string algo,
+                            config.getString("algo", "channel-first"));
+    CFCONV_ASSIGN_OR_RETURN(args.tiles, config.getInt("tiles", 0));
+    CFCONV_ASSIGN_OR_RETURN(args.reuse, config.getBool("reuse", true));
+    CFCONV_ASSIGN_OR_RETURN(args.s2d, config.getBool("s2d", false));
+    CFCONV_RETURN_IF_ERROR(config.checkAllRead());
+
+    if (args.target != "tpu" && args.target != "gpu" &&
+        args.target != "both")
+        return invalidArgumentError("bad target=%s (want tpu, gpu or both)",
+                                    args.target.c_str());
+    if (args.tiles < 0)
+        return invalidArgumentError(
+            "bad tiles=%lld (want 0, the inferred strategy, or >= 1)",
+            static_cast<long long>(args.tiles));
+    CFCONV_RETURN_IF_ERROR(tensor::checkLayer(p));
+    if (algo == "gemm")
+        return args;
+    const StatusOr<conv::AlgorithmId> id = conv::parseAlgorithmName(algo);
+    if (!id.ok())
+        return invalidArgumentError("bad algo=%s (%s, or gemm)",
+                                    algo.c_str(),
+                                    id.status().message().c_str());
+    CFCONV_RETURN_IF_ERROR(conv::findAlgorithm(*id)->supports(p, 1));
+    args.algo = *id;
+    return args;
 }
 
 } // namespace
@@ -76,45 +99,31 @@ parseArg(const char *arg, CliArgs &out)
 int
 main(int argc, char **argv)
 {
-    CliArgs args;
-    for (int i = 1; i < argc; ++i) {
-        if (!parseArg(argv[i], args)) {
-            std::fprintf(stderr,
-                         "usage: %s n= ci= hw= co= k= s= p= d= "
-                         "target=tpu|gpu|both "
-                         "algo=cf|cl|explicit|gemm tiles= reuse=0|1 "
-                         "s2d=0|1\n",
-                         argv[0]);
-            return 1;
-        }
+    const StatusOr<CliArgs> parsed = readArgs(argc, argv);
+    if (!parsed.ok()) {
+        std::fprintf(stderr, "cfconv_cli: %s\n",
+                     parsed.status().toString().c_str());
+        return 2;
     }
-
-    const auto layer = tensor::makeConv(args.n, args.ci, args.hw,
-                                        args.co, args.k, args.s,
-                                        args.p, args.d);
+    const CliArgs &args = *parsed;
+    const tensor::ConvParams &layer = args.layer;
     std::printf("layer:  %s\n", layer.toString().c_str());
     std::printf("GEMM:   M=%lld K=%lld N=%lld (%.3f GFLOPs)\n",
                 (long long)layer.gemmM(), (long long)layer.gemmK(),
                 (long long)layer.gemmN(),
                 static_cast<double>(layer.flops()) / 1e9);
 
-    if (args.target == "tpu" || args.target == "both") {
+    if (args.target != "gpu") {
         tpusim::TpuSim sim((tpusim::TpuConfig::tpuV2()));
         tpusim::TpuRunOptions o;
-        if (args.algo == "cl")
-            o.algorithm = conv::AlgorithmId::ChannelLast;
-        else if (args.algo == "explicit")
-            o.algorithm = conv::AlgorithmId::ExplicitIm2col;
-        else
-            CFCONV_FATAL_IF(args.algo != "cf" && args.algo != "gemm",
-                            "unknown algo '%s'", args.algo.c_str());
+        o.algorithm = args.algo.value_or(conv::AlgorithmId::ChannelFirst);
         o.multiTileOverride = args.tiles;
         o.spaceToDepthFirstLayer = args.s2d;
 
-        const auto r = args.algo == "gemm"
-            ? sim.runGemm(layer.gemmM(), layer.gemmK(), layer.gemmN(),
-                          layer.dataType)
-            : sim.runConv(layer, o);
+        const auto r = args.algo
+            ? sim.runConv(layer, o)
+            : sim.runGemm(layer.gemmM(), layer.gemmK(), layer.gemmN(),
+                          layer.dataType);
         const auto e = tpusim::layerEnergy(sim.config(), r);
         std::printf("\nTPU-v2: %.2f us | %.2f TFLOPS | util %.0f%% | "
                     "multi-tile %lld\n",
@@ -131,20 +140,17 @@ main(int argc, char **argv)
                     100.0 * e.macPj / e.totalPj);
     }
 
-    if (args.target == "gpu" || args.target == "both") {
+    if (args.target != "tpu") {
         gpusim::GpuSim sim((gpusim::GpuConfig::v100()));
         gpusim::GpuRunOptions o;
-        if (args.algo == "cl") {
-            o.algorithm = conv::AlgorithmId::ChannelLast;
-            o.vendorTuned = true;
-        } else if (args.algo == "explicit") {
-            o.algorithm = conv::AlgorithmId::ExplicitIm2col;
-        }
+        o.algorithm = args.algo.value_or(conv::AlgorithmId::ChannelFirst);
+        // Implicit channel-last runs at cuDNN-grade efficiency.
+        o.vendorTuned = o.algorithm == conv::AlgorithmId::ChannelLast;
         o.interTileReuse = args.reuse;
-        const auto r = args.algo == "gemm"
-            ? sim.runGemm(layer.gemmM(), layer.gemmK(), layer.gemmN(),
-                          o.vendorTuned, /*operands_in_dram=*/false)
-            : sim.runConv(layer, o);
+        const auto r = args.algo
+            ? sim.runConv(layer, o)
+            : sim.runGemm(layer.gemmM(), layer.gemmK(), layer.gemmN(),
+                          o.vendorTuned, /*operands_in_dram=*/false);
         std::printf("\nV100:   %.2f us | %.2f TFLOPS | %s-bound | "
                     "DRAM %.2f MB%s\n",
                     r.seconds * 1e6, r.tflops,

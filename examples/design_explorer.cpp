@@ -12,13 +12,14 @@
  *
  * A config file (see configs/) is applied first; command-line keys
  * override it. array=, word= and gbps= set the config keys array,
- * word_elems and dram_gbps and meet the same checks: a bad value, or
- * an unknown model, prints a status naming its key and exits 2.
+ * word_elems and dram_gbps and meet the same checks. model= takes any
+ * spelling models::findModel does ("vgg16", "VGG16", "resnet50",
+ * "ResNet"). A bad value, an unknown key or an unknown model prints a
+ * status naming its key and exits 2.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -33,42 +34,50 @@ using namespace cfconv;
 
 namespace {
 
-StatusOr<models::ModelSpec>
-pickModel(const std::string &name, Index batch)
-{
-    auto zoo = models::allModels(batch);
-    zoo.push_back(models::mobilenetv1(batch));
-    for (auto &m : zoo) {
-        std::string lower = m.name;
-        for (auto &c : lower)
-            c = static_cast<char>(std::tolower(c));
-        if (lower == name)
-            return m;
-    }
-    return invalidArgumentError(
-        "unknown model '%s' (try alexnet, vgg16, resnet, ...)",
-        name.c_str());
-}
-
-/** Command-line prefixes and the config keys they set. */
+/** Command-line keys and the config keys they set. */
 constexpr std::pair<const char *, const char *> kKeyArgs[] = {
-    {"array=", "array"}, {"word=", "word_elems"}, {"gbps=", "dram_gbps"}};
+    {"array", "array"}, {"word", "word_elems"}, {"gbps", "dram_gbps"}};
 
-/** Apply the keys of @p parsed to @p cfg; @return false, with the
- *  status on stderr, when they do not parse or do not apply. */
-bool
-applyKeys(const StatusOr<Config> &parsed, tpusim::TpuConfig &cfg)
+struct ExplorerArgs
 {
-    const StatusOr<tpusim::TpuConfig> applied =
-        parsed.ok() ? tpusim::tpuConfigFrom(*parsed, cfg)
-                    : StatusOr<tpusim::TpuConfig>(parsed.status());
-    if (!applied.ok()) {
-        std::fprintf(stderr, "design_explorer: %s\n",
-                     applied.status().toString().c_str());
-        return false;
+    tpusim::TpuConfig cfg = tpusim::TpuConfig::tpuV2();
+    models::ModelSpec model;
+    std::string jsonPath;
+};
+
+/** The command line: the config file, then the hardware keys over it,
+ *  then the model; the Status names the first bad key. */
+StatusOr<ExplorerArgs>
+readArgs(int argc, char **argv)
+{
+    CFCONV_ASSIGN_OR_RETURN(const Config config,
+                            Config::fromArgs(argc, argv));
+    CFCONV_ASSIGN_OR_RETURN(const std::string cfg_path,
+                            config.getString("config", ""));
+    CFCONV_ASSIGN_OR_RETURN(const std::string model_name,
+                            config.getString("model", "vgg16"));
+    ExplorerArgs args;
+    CFCONV_ASSIGN_OR_RETURN(args.jsonPath, config.getString("json", ""));
+    Config keys; // the hardware keys under their config-file names
+    for (const auto &[arg, key] : kKeyArgs) {
+        CFCONV_ASSIGN_OR_RETURN(const std::string value,
+                                config.getString(arg, ""));
+        if (!value.empty())
+            keys.set(key, value);
     }
-    cfg = *applied;
-    return true;
+    CFCONV_RETURN_IF_ERROR(config.checkAllRead());
+
+    if (!cfg_path.empty()) {
+        CFCONV_ASSIGN_OR_RETURN(const Config file,
+                                Config::fromFile(cfg_path));
+        CFCONV_ASSIGN_OR_RETURN(args.cfg,
+                                tpusim::tpuConfigFrom(file, args.cfg));
+    }
+    CFCONV_ASSIGN_OR_RETURN(args.cfg, tpusim::tpuConfigFrom(keys, args.cfg));
+    CFCONV_ASSIGN_OR_RETURN(const models::ModelFactory factory,
+                            models::findModel(model_name));
+    args.model = factory(8);
+    return args;
 }
 
 } // namespace
@@ -76,52 +85,13 @@ applyKeys(const StatusOr<Config> &parsed, tpusim::TpuConfig &cfg)
 int
 main(int argc, char **argv)
 {
-    tpusim::TpuConfig cfg = tpusim::TpuConfig::tpuV2();
-    std::string key_args; // the command-line keys, in config syntax
-    std::string model_name = "vgg16";
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        bool is_key = false;
-        for (const auto &[prefix, key] : kKeyArgs)
-            if (std::strncmp(argv[i], prefix, std::strlen(prefix)) == 0) {
-                key_args += std::string(key) + " = " +
-                            (argv[i] + std::strlen(prefix)) + "\n";
-                is_key = true;
-            }
-        if (is_key)
-            continue;
-        if (std::strncmp(argv[i], "model=", 6) == 0) {
-            model_name = argv[i] + 6;
-            continue;
-        }
-        if (std::strncmp(argv[i], "config=", 7) == 0) {
-            if (!applyKeys(Config::fromFile(argv[i] + 7), cfg))
-                return 2;
-            continue;
-        }
-        if (std::strncmp(argv[i], "json=", 5) == 0 &&
-            argv[i][5] != '\0') {
-            json_path = argv[i] + 5;
-            continue;
-        }
-        std::fprintf(stderr,
-                     "usage: %s [array=N] [word=N] [gbps=X] [model=M] "
-                     "[config=FILE] [json=FILE]\n",
-                     argv[0]);
-        return 1;
-    }
-
-    // Command-line keys override the config file.
-    if (!applyKeys(Config::fromString(key_args), cfg))
-        return 2;
-
-    const StatusOr<models::ModelSpec> picked = pickModel(model_name, 8);
-    if (!picked.ok()) {
+    const StatusOr<ExplorerArgs> parsed = readArgs(argc, argv);
+    if (!parsed.ok()) {
         std::fprintf(stderr, "design_explorer: %s\n",
-                     picked.status().toString().c_str());
+                     parsed.status().toString().c_str());
         return 2;
     }
-    const models::ModelSpec &model = *picked;
+    const auto &[cfg, model, json_path] = *parsed;
     const sim::TpuAccelerator accelerator("tpu-explorer", cfg);
     const sim::RunRecord r =
         sim::ModelRunner(accelerator).runModel(model);

@@ -10,12 +10,17 @@
  * caches collapse repeated shapes; their hit/miss totals go to
  * stderr so the CSV on stdout stays clean.
  *
- * Usage: report_models [batch]   (CSV on stdout)
+ * Usage: report_models [batch]   (CSV on stdout; batch 8 by default)
+ *
+ * The batch is a whole decimal integer >= 1 (parseDecimal); anything
+ * else, a second operand or any key=value argument exits 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
+#include <vector>
 
+#include "common/config.h"
 #include "models/model_zoo.h"
 #include "sim/accelerator.h"
 
@@ -33,13 +38,37 @@ cacheReport(const sim::Accelerator &accelerator)
     std::fprintf(stderr, "\n");
 }
 
+/** The batch operand, 8 when absent; INVALID_ARGUMENT naming it. */
+StatusOr<Index>
+readBatch(int argc, char **argv)
+{
+    std::vector<std::string> operands;
+    CFCONV_ASSIGN_OR_RETURN(const Config config,
+                            Config::fromArgs(argc, argv, &operands));
+    CFCONV_RETURN_IF_ERROR(config.checkAllRead());
+    if (operands.empty())
+        return Index{8};
+    const std::optional<long long> batch = parseDecimal(operands[0]);
+    if (operands.size() > 1 || !batch || *batch < 1)
+        return invalidArgumentError(
+            "bad batch '%s' (usage: report_models [batch], batch a whole "
+            "integer >= 1)",
+            operands.back().c_str());
+    return static_cast<Index>(*batch);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const Index batch =
-        argc > 1 ? std::strtoll(argv[1], nullptr, 10) : 8;
+    const StatusOr<Index> batch_or = readBatch(argc, argv);
+    if (!batch_or.ok()) {
+        std::fprintf(stderr, "report_models: %s\n",
+                     batch_or.status().toString().c_str());
+        return 2;
+    }
+    const Index batch = *batch_or;
     const auto tpu = sim::makeAccelerator("tpu-v2");
     const auto gpu = sim::makeAccelerator("gpu-v100");
 
@@ -48,9 +77,8 @@ main(int argc, char **argv)
                 "tpu_dram_mb,tpu_pj_per_mac,"
                 "gpu_us,gpu_tflops,gpu_bound\n");
 
-    auto zoo = models::allModels(batch);
-    zoo.push_back(models::mobilenetv1(batch));
-    for (const auto &model : zoo) {
+    for (const models::NamedModel &entry : models::kModels) {
+        const models::ModelSpec model = entry.factory(batch);
         for (const auto &layer : model.layers) {
             const auto &p = layer.params;
             sim::RunOptions options;

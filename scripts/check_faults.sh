@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Chaos gate for the fault-injection harness and the resilient
 # ModelRunner. Five checks:
-#   1. fault-free parity  — with CFCONV_FAULTS unset, two bench runs
+#   1. fault-free parity  — with no faults= argument, two bench runs
 #      emit byte-identical record arrays at schema v6 whose resilience
 #      blocks are all inactive (chaos plumbing is inert when disarmed);
 #   2. chaos determinism  — two runs with the same seeded fault spec
@@ -13,7 +13,7 @@
 #   4. self-healing parity — cache corruption and worker stalls
 #      change no simulated numbers (records match fault-free byte for
 #      byte after the resilience block is stripped);
-#   5. spec hygiene       — a malformed CFCONV_FAULTS aborts with exit
+#   5. spec hygiene       — a malformed faults= spec aborts with exit
 #      code 2 before any simulation runs, and the sram.bank_read site
 #      is exercised through its deterministic unit test.
 set -euo pipefail
@@ -116,12 +116,12 @@ echo "corruption self-heals, stalls stay latency-only"
 
 echo "==== check_faults: spec hygiene ===="
 set +e
-CFCONV_FAULTS="seed=1; no.such_site=1" "$BENCH" \
-    "json=$workdir/bad.json" >/dev/null 2>"$workdir/bad.err"
+"$BENCH" "json=$workdir/bad.json" "faults=seed=1; no.such_site=1" \
+    >/dev/null 2>"$workdir/bad.err"
 bad_rc=$?
 set -e
 if [ "$bad_rc" -ne 2 ]; then
-    echo "malformed CFCONV_FAULTS exited $bad_rc, want 2" >&2
+    echo "malformed faults= spec exited $bad_rc, want 2" >&2
     exit 1
 fi
 grep -q 'no.such_site' "$workdir/bad.err" || {

@@ -12,14 +12,10 @@ namespace cfconv {
 std::string
 contentChecksum(const std::string &content)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : content) {
-        h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-        h *= 0x100000001b3ULL;
-    }
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
+                  static_cast<unsigned long long>(
+                      hashBytes(content.data(), content.size())));
     return buf;
 }
 

@@ -1,5 +1,6 @@
 #include "common/config.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -18,7 +19,21 @@ strip(const std::string &s)
     return s.substr(begin, end - begin + 1);
 }
 
+/** What a command-line key is made of. */
+constexpr const char *kKeyChars = "abcdefghijklmnopqrstuvwxyz0123456789_";
+
 } // namespace
+
+std::optional<long long>
+parseDecimal(std::string_view text)
+{
+    long long value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end)
+        return std::nullopt;
+    return value;
+}
 
 StatusOr<Config>
 Config::fromString(const std::string &text)
@@ -68,20 +83,46 @@ Config::fromFile(const std::string &path)
     return parsed;
 }
 
+StatusOr<Config>
+Config::fromArgs(int argc, const char *const *argv,
+                 std::vector<std::string> *operands)
+{
+    Config config;
+    config.fromArgs_ = true;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const size_t eq = arg.find('=');
+        if (eq == 0 || eq == std::string::npos ||
+            arg.find_first_not_of(kKeyChars) < eq) {
+            if (operands == nullptr)
+                return invalidArgumentError(
+                    "argument '%s' is not key=value", arg.c_str());
+            operands->push_back(arg);
+            continue;
+        }
+        const std::string key = arg.substr(0, eq);
+        if (!config.values_.emplace(key, arg.substr(eq + 1)).second)
+            return invalidArgumentError(
+                "argument '%s' repeats the key %s", arg.c_str(),
+                key.c_str());
+    }
+    return config;
+}
+
 const std::string *
 Config::find(const std::string &key) const
 {
+    asked_.insert(key);
     auto it = values_.find(key);
-    if (it == values_.end())
-        return nullptr;
-    used_.insert(key);
-    return &it->second;
+    return it == values_.end() ? nullptr : &it->second;
 }
 
-bool
-Config::has(const std::string &key) const
+std::string
+Config::quoted(const std::string &key) const
 {
-    return values_.count(key) > 0;
+    return (fromArgs_ ? "argument: '" + key + "="
+                      : "config: '" + key + " = ") +
+           values_.at(key) + "'";
 }
 
 StatusOr<long long>
@@ -90,13 +131,10 @@ Config::getInt(const std::string &key, long long fallback) const
     const std::string *v = find(key);
     if (!v)
         return fallback;
-    char *end = nullptr;
-    const long long parsed = std::strtoll(v->c_str(), &end, 0);
-    if (end == v->c_str() || *end != '\0')
-        return invalidArgumentError(
-            "config: '%s = %s' is not an integer", key.c_str(),
-            v->c_str());
-    return parsed;
+    if (const std::optional<long long> parsed = parseDecimal(*v))
+        return *parsed;
+    return invalidArgumentError("%s is not an integer",
+                                quoted(key).c_str());
 }
 
 StatusOr<double>
@@ -108,8 +146,8 @@ Config::getDouble(const std::string &key, double fallback) const
     char *end = nullptr;
     const double parsed = std::strtod(v->c_str(), &end);
     if (end == v->c_str() || *end != '\0')
-        return invalidArgumentError("config: '%s = %s' is not a number",
-                                    key.c_str(), v->c_str());
+        return invalidArgumentError("%s is not a number",
+                                    quoted(key).c_str());
     return parsed;
 }
 
@@ -119,30 +157,42 @@ Config::getBool(const std::string &key, bool fallback) const
     const std::string *v = find(key);
     if (!v)
         return fallback;
-    if (*v == "true" || *v == "1" || *v == "yes")
+    if (*v == "true" || *v == "1" || *v == "yes" || *v == "on")
         return true;
-    if (*v == "false" || *v == "0" || *v == "no")
+    if (*v == "false" || *v == "0" || *v == "no" || *v == "off")
         return false;
-    return invalidArgumentError("config: '%s = %s' is not a boolean",
-                                key.c_str(), v->c_str());
+    return invalidArgumentError("%s is not a boolean",
+                                quoted(key).c_str());
 }
 
-std::string
+StatusOr<std::string>
 Config::getString(const std::string &key,
                   const std::string &fallback) const
 {
     const std::string *v = find(key);
-    return v ? *v : fallback;
+    if (!v)
+        return fallback;
+    if (v->empty())
+        return invalidArgumentError("%s has no value",
+                                    quoted(key).c_str());
+    return *v;
 }
 
-std::set<std::string>
-Config::unusedKeys() const
+Status
+Config::checkAllRead() const
 {
-    std::set<std::string> unused;
-    for (const auto &[key, value] : values_)
-        if (used_.count(key) == 0)
-            unused.insert(key);
-    return unused;
+    for (const auto &[key, value] : values_) {
+        if (asked_.count(key) > 0)
+            continue;
+        std::string known;
+        for (const std::string &asked : asked_)
+            known += (known.empty() ? "" : ", ") + asked;
+        return invalidArgumentError("unknown key '%s' (%s; known: %s)",
+                                    key.c_str(), quoted(key).c_str(),
+                                    known.empty() ? "none"
+                                                  : known.c_str());
+    }
+    return okStatus();
 }
 
 } // namespace cfconv

@@ -1,22 +1,31 @@
 /**
  * @file
- * Minimal key=value configuration files for the simulators: lets
- * experiments live in checked-in .cfg files instead of recompiles.
- * Syntax: one `key = value` per line, `#` comments, blank lines
- * ignored. Unknown keys are detectable so configs fail loudly. Every
- * failure is a Status that names the line, key or path.
+ * Minimal key=value configuration, the one reader of the simulators'
+ * checked-in .cfg files and of every binary's command line. Files hold
+ * one `key = value` per line, `#` comments and blank lines; a command
+ * line holds one `key=value` per argument. Typed getters name the key
+ * and the value they reject, and checkAllRead() catches typos. Every
+ * failure is a Status that names the line, key, argument or path.
  */
 
 #ifndef CFCONV_COMMON_CONFIG_H
 #define CFCONV_COMMON_CONFIG_H
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
 namespace cfconv {
+
+/** @p text read whole as a decimal integer (std::from_chars: no base
+ *  prefix, '+' or spaces), else nullopt: the one integer rule of config
+ *  files, command lines and CFCONV_THREADS. */
+std::optional<long long> parseDecimal(std::string_view text);
 
 /** A parsed key=value configuration. */
 class Config
@@ -32,32 +41,51 @@ class Config
      *  errors as fromString() annotated with the path. */
     static StatusOr<Config> fromFile(const std::string &path);
 
-    bool has(const std::string &key) const;
+    /** Parse argv[1..argc) as `key=value` arguments, a key being
+     *  [a-z0-9_]+. Any other argument (a path, a `--flag`) is an operand,
+     *  appended to @p operands when given, otherwise INVALID_ARGUMENT,
+     *  as is a repeated key. */
+    static StatusOr<Config>
+    fromArgs(int argc, const char *const *argv,
+             std::vector<std::string> *operands = nullptr);
+
+    bool has(const std::string &key) const { return values_.count(key); }
+
+    /** Set @p key to @p value, as a file line `key = value` would. */
+    void
+    set(const std::string &key, const std::string &value)
+    {
+        values_[key] = value;
+    }
 
     /** Typed getters: @p fallback when the key is absent,
      *  INVALID_ARGUMENT naming key and value when it does not parse as
-     *  the requested type. */
+     *  the requested type. An integer is parseDecimal()'s; a boolean is
+     *  true/1/yes/on or false/0/no/off; a string is any non-empty
+     *  value. */
     StatusOr<long long> getInt(const std::string &key,
                                long long fallback) const;
     StatusOr<double> getDouble(const std::string &key,
                                double fallback) const;
     StatusOr<bool> getBool(const std::string &key, bool fallback) const;
-    std::string getString(const std::string &key,
-                          const std::string &fallback) const;
+    StatusOr<std::string> getString(const std::string &key,
+                                    const std::string &fallback) const;
 
-    /**
-     * Keys present in the file but never read through a getter; call
-     * after configuration to catch typos (`arary = 256`).
-     */
-    std::set<std::string> unusedKeys() const;
+    /** OK when a getter read every key; otherwise INVALID_ARGUMENT
+     *  naming the first unread key, a typo such as `arary = 256`, with
+     *  the keys the getters asked for. Call once every key was asked. */
+    Status checkAllRead() const;
 
     size_t size() const { return values_.size(); }
 
   private:
     const std::string *find(const std::string &key) const;
+    /** @p key and its value as their source spells them. */
+    std::string quoted(const std::string &key) const;
 
     std::map<std::string, std::string> values_;
-    mutable std::set<std::string> used_;
+    mutable std::set<std::string> asked_;
+    bool fromArgs_ = false;
 };
 
 } // namespace cfconv

@@ -1,8 +1,8 @@
 #include "common/fault.h"
 
-#include <cstdio>
 #include <cstdlib>
 
+#include "common/config.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -35,12 +35,10 @@ parseDouble(const std::string &key, const std::string &value)
 StatusOr<long long>
 parseInt(const std::string &key, const std::string &value)
 {
-    char *end = nullptr;
-    const long long parsed = std::strtoll(value.c_str(), &end, 0);
-    if (end == value.c_str() || *end != '\0')
-        return invalidArgumentError("faults: '%s=%s' is not an integer",
-                                    key.c_str(), value.c_str());
-    return parsed;
+    if (const std::optional<long long> parsed = parseDecimal(value))
+        return *parsed;
+    return invalidArgumentError("faults: '%s=%s' is not an integer",
+                                key.c_str(), value.c_str());
 }
 
 std::vector<std::string>
@@ -290,35 +288,5 @@ FaultInjector::policy() const
     std::lock_guard<std::mutex> lock(mu_);
     return policy_;
 }
-
-Status
-configureFromEnv()
-{
-    const char *env = std::getenv("CFCONV_FAULTS");
-    if (!env || env[0] == '\0')
-        return okStatus();
-    return FaultInjector::instance().configure(env);
-}
-
-namespace {
-
-/** Arms the injector from CFCONV_FAULTS before main() in every binary
- *  linking cfconv_common; a malformed spec is a hard configuration
- *  error (exiting beats silently running an un-chaos'd experiment). */
-bool
-armFromEnv()
-{
-    const Status status = configureFromEnv();
-    if (!status.ok()) {
-        std::fprintf(stderr, "CFCONV_FAULTS: %s\n",
-                     status.toString().c_str());
-        std::exit(2);
-    }
-    return FaultInjector::instance().armed();
-}
-
-[[maybe_unused]] const bool g_envArmed = armFromEnv();
-
-} // namespace
 
 } // namespace cfconv::fault

@@ -11,10 +11,10 @@
  * a RunRecord produced under a fixed fault seed is byte-identical
  * across runs and thread counts.
  *
- * Arming: the CFCONV_FAULTS environment variable (parsed before
- * main() in anything linking cfconv_common; a malformed spec exits
- * with a diagnostic) or the bench `faults=SPEC` argument. Disabled
- * path: one relaxed atomic load per site check, no allocation.
+ * Arming: FaultInjector::configure(), which the `faults=SPEC`
+ * argument of every bench calls (a malformed spec exits 2 naming the
+ * offender). Disabled path: one relaxed atomic load per site check,
+ * no allocation.
  *
  * Spec grammar (semicolon-separated `key=value` items):
  *
@@ -145,10 +145,6 @@ class FaultInjector
     std::map<std::string, std::uint64_t> injected_;
     ResiliencePolicy policy_;
 };
-
-/** Configure from CFCONV_FAULTS when set and non-empty. @return the
- *  parse status (OK when the variable is unset). */
-Status configureFromEnv();
 
 } // namespace cfconv::fault
 

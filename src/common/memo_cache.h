@@ -8,8 +8,8 @@
  * under the common/parallel sweep runners; hit/miss counters are
  * exported through the common/stats StatGroup machinery. Each backend
  * instantiates one singleton (tpusim/layer_cache, gpusim/kernel_cache)
- * over its own result struct; all instances honor the same
- * CFCONV_LAYER_CACHE=0 kill switch (results are identical either way).
+ * over its own result struct; setEnabled(false) turns one off
+ * (results are identical either way).
  */
 
 #ifndef CFCONV_COMMON_MEMO_CACHE_H
@@ -18,7 +18,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <shared_mutex>
@@ -68,10 +67,7 @@ class MemoCache
   public:
     explicit MemoCache(std::string stat_prefix)
         : statPrefix_(std::move(stat_prefix))
-    {
-        if (const char *env = std::getenv("CFCONV_LAYER_CACHE"))
-            enabled_.store(env[0] != '0');
-    }
+    {}
 
     MemoCache(const MemoCache &) = delete;
     MemoCache &operator=(const MemoCache &) = delete;

@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/config.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/trace.h"
@@ -141,8 +140,10 @@ class ThreadPool
     defaultThreads()
     {
         if (const char *env = std::getenv("CFCONV_THREADS")) {
-            if (const Index n = parseThreadCount(env))
-                return n;
+            // parseDecimal(), as the threads= argument reads it.
+            const std::optional<long long> n = parseDecimal(env);
+            if (n && *n >= 1)
+                return static_cast<Index>(*n);
             warn("CFCONV_THREADS=\"%s\" is not a positive integer; "
                  "using hardware concurrency",
                  env);
@@ -297,15 +298,6 @@ Index
 threads()
 {
     return ThreadPool::instance().threads();
-}
-
-Index
-parseThreadCount(const char *text)
-{
-    const char *end = text + std::strlen(text);
-    Index n = 0;
-    const auto [stop, error] = std::from_chars(text, end, n);
-    return error == std::errc() && stop == end && n >= 1 ? n : 0;
 }
 
 void

@@ -24,13 +24,6 @@ namespace cfconv::parallel {
 Index threads();
 
 /**
- * The lane count @p text spells when the whole of it is an integer
- * >= 1, as CFCONV_THREADS and the benches' `threads=N` take it; 0 for
- * anything else ("4x", "2.5", "0", "", out of range).
- */
-Index parseThreadCount(const char *text);
-
-/**
  * Override the lane count. @p n = 1 forces fully serial execution;
  * @p n = 0 restores the default (CFCONV_THREADS env or hardware
  * concurrency). Restarts the pool, so call it between parallel

@@ -278,10 +278,6 @@ class Recorder
     const std::chrono::steady_clock::time_point epoch_;
 };
 
-/** Arms the recorder from CFCONV_TRACE before main() in every binary
- *  linking cfconv_common, so tests and examples trace without plumbing. */
-[[maybe_unused]] const bool g_envArmed = startFromEnv();
-
 } // namespace
 
 void
@@ -294,16 +290,6 @@ bool
 stop()
 {
     return Recorder::instance().stop();
-}
-
-bool
-startFromEnv()
-{
-    const char *env = std::getenv("CFCONV_TRACE");
-    if (!env || env[0] == '\0')
-        return false;
-    start(env);
-    return true;
 }
 
 std::string

@@ -22,9 +22,8 @@
  * only while enabled) and flushed to the output file once, at stop()
  * or process exit.
  *
- * Activation: trace::start(path) (the bench `trace=FILE` argument) or
- * the CFCONV_TRACE=FILE environment variable, which arms the recorder
- * before main() in any binary linking cfconv_common.
+ * Activation: trace::start(path), which the `trace=FILE` argument of
+ * every bench calls.
  */
 
 #ifndef CFCONV_COMMON_TRACE_H
@@ -89,10 +88,6 @@ void start(const std::string &path);
  *  to the start() path. Safe to call multiple times; only the first
  *  call after start() writes. @return false on I/O failure. */
 bool stop();
-
-/** Arm from the CFCONV_TRACE environment variable when set to a
- *  non-empty path. @return true when tracing was armed. */
-bool startFromEnv();
 
 /** The path the next stop() will write to (empty when never armed). */
 std::string outputPath();
@@ -210,18 +205,18 @@ void resetForTest();
 
 } // namespace cfconv::trace
 
-#define CFCONV_TRACE_CAT2(a, b) a##b
-#define CFCONV_TRACE_CAT(a, b) CFCONV_TRACE_CAT2(a, b)
+#define CFCONV_SCOPE_CAT2(a, b) a##b
+#define CFCONV_SCOPE_CAT(a, b) CFCONV_SCOPE_CAT2(a, b)
 
 /** Scoped wall-clock span with a static name. */
 #define TRACE_SCOPE(category, name)                                        \
-    ::cfconv::trace::Scope CFCONV_TRACE_CAT(cfconv_trace_scope_,           \
+    ::cfconv::trace::Scope CFCONV_SCOPE_CAT(cfconv_trace_scope_,           \
                                             __COUNTER__)(category, name)
 
 /** Scoped wall-clock span whose name expression is evaluated only when
  *  the recorder is armed (so formatting costs nothing when disabled). */
 #define TRACE_SCOPE_DYN(category, name_expr)                               \
-    ::cfconv::trace::Scope CFCONV_TRACE_CAT(cfconv_trace_scope_,           \
+    ::cfconv::trace::Scope CFCONV_SCOPE_CAT(cfconv_trace_scope_,           \
                                             __COUNTER__)(                  \
         category, ::cfconv::trace::enabled()                               \
                       ? std::string(name_expr)                             \

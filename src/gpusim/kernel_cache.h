@@ -6,7 +6,8 @@
  * GpuRunOptions), so model sweeps over networks with repeated layer
  * shapes (ResNet's bottleneck blocks, the Fig 17/18 grids) hit the
  * cache exactly like the TPU side's tpusim/layer_cache. Disable with
- * CFCONV_LAYER_CACHE=0 (results are identical either way).
+ * KernelCache::instance().setEnabled(false) (results are identical
+ * either way).
  */
 
 #ifndef CFCONV_GPUSIM_KERNEL_CACHE_H

@@ -1,5 +1,7 @@
 #include "models/model_zoo.h"
 
+#include <strings.h>
+
 #include "common/logging.h"
 
 namespace cfconv::models {
@@ -287,6 +289,20 @@ allModels(Index batch)
     return {alexnet(batch),  densenet121(batch), googlenet(batch),
             resnet50(batch), vgg16(batch),       yolov2(batch),
             zfnet(batch)};
+}
+
+StatusOr<ModelFactory>
+findModel(const std::string &name)
+{
+    std::string valid;
+    for (const NamedModel &model : kModels) {
+        if (name == model.name ||
+            strcasecmp(name.c_str(), model.factory(1).name.c_str()) == 0)
+            return model.factory;
+        valid += (valid.empty() ? "" : ", ") + std::string(model.name);
+    }
+    return notFoundError("unknown model '%s' (valid: %s)", name.c_str(),
+                         valid.c_str());
 }
 
 std::vector<ConvLayerSpec>

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "tensor/conv_params.h"
 
 namespace cfconv::models {
@@ -60,6 +61,30 @@ ModelSpec yolov2(Index batch);
 
 /** All seven models at @p batch, in the paper's presentation order. */
 std::vector<ModelSpec> allModels(Index batch);
+
+using ModelFactory = ModelSpec (*)(Index batch);
+
+/** A zoo model under its factory's name, e.g. "resnet50". */
+struct NamedModel
+{
+    const char *name;
+    ModelFactory factory;
+};
+
+/** allModels()'s seven in its order, then MobileNetV1. */
+inline constexpr NamedModel kModels[] = {
+    {"alexnet", &alexnet},   {"densenet121", &densenet121},
+    {"googlenet", &googlenet}, {"resnet50", &resnet50},
+    {"vgg16", &vgg16},       {"yolov2", &yolov2},
+    {"zfnet", &zfnet},       {"mobilenetv1", &mobilenetv1},
+};
+
+/**
+ * The factory of the zoo model @p name names: its factory name
+ * ("resnet50") or, in any case, its ModelSpec::name ("ResNet",
+ * "resnet"). NOT_FOUND listing the factory names otherwise.
+ */
+StatusOr<ModelFactory> findModel(const std::string &name);
 
 /**
  * The "representative ResNet layers (W_I, C_I, C_O, W_F)" of Fig 4 /

@@ -8,59 +8,17 @@
 
 namespace cfconv::serve {
 
-namespace {
-
-struct ZooEntry
-{
-    const char *name;
-    models::ModelSpec (*factory)(Index batch);
-};
-
-/** The servable-by-name zoo (mirrors models/model_zoo.h). */
-constexpr ZooEntry kZoo[] = {
-    {"alexnet", &models::alexnet},
-    {"zfnet", &models::zfnet},
-    {"vgg16", &models::vgg16},
-    {"resnet50", &models::resnet50},
-    {"googlenet", &models::googlenet},
-    {"densenet121", &models::densenet121},
-    {"yolov2", &models::yolov2},
-    {"mobilenetv1", &models::mobilenetv1},
-};
-
-} // namespace
-
-std::vector<std::string>
-knownModelClasses()
-{
-    std::vector<std::string> names;
-    for (const ZooEntry &entry : kZoo)
-        names.emplace_back(entry.name);
-    return names;
-}
-
 StatusOr<ModelClass>
 makeModelClass(const std::string &name, double weight, Index priority,
                double sloSeconds)
 {
-    for (const ZooEntry &entry : kZoo)
-        if (name == entry.name) {
-            ModelClass cls;
-            cls.name = name;
-            cls.factory = entry.factory;
-            cls.weight = weight;
-            cls.priority = priority;
-            cls.sloSeconds = sloSeconds;
-            return cls;
-        }
-    std::string known;
-    for (const ZooEntry &entry : kZoo) {
-        if (!known.empty())
-            known += ", ";
-        known += entry.name;
-    }
-    return notFoundError("unknown model class '%s' (valid: %s)",
-                         name.c_str(), known.c_str());
+    ModelClass cls;
+    CFCONV_ASSIGN_OR_RETURN(cls.factory, models::findModel(name));
+    cls.name = name;
+    cls.weight = weight;
+    cls.priority = priority;
+    cls.sloSeconds = sloSeconds;
+    return cls;
 }
 
 StatusOr<ModelMix>

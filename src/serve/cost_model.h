@@ -35,7 +35,7 @@ struct ModelClass
 {
     std::string name;
     /** Batch-parameterized spec factory (the model-zoo signature). */
-    models::ModelSpec (*factory)(Index batch) = nullptr;
+    models::ModelFactory factory = nullptr;
     /** Traffic mix weight (normalized by the workload generator). */
     double weight = 1.0;
     /** Priority tier: lower serves first, and brownout sheds the
@@ -50,13 +50,11 @@ struct ModelClass
 /** The mixed model zoo one serving scenario serves. */
 using ModelMix = std::vector<ModelClass>;
 
-/** Zoo model names servable by name (makeModelClass). */
-std::vector<std::string> knownModelClasses();
-
 /**
- * Build a ModelClass from a zoo model name. NOT_FOUND listing the
- * valid names when @p name is not in the zoo — the serving layer's
- * front door for user-specified mixes.
+ * Build a ModelClass named @p name from the zoo model it names
+ * (models::findModel). NOT_FOUND listing the valid names when @p name
+ * is not in the zoo — the serving layer's front door for
+ * user-specified mixes.
  */
 StatusOr<ModelClass> makeModelClass(const std::string &name,
                                     double weight = 1.0,

@@ -6,8 +6,9 @@
  * TpuRunOptions), so each unique shape is simulated once — ResNet's
  * repeated bottleneck blocks, the Fig 13/14/15 validation grids, and
  * model sweeps at a fixed config all collapse onto cache hits.
- * Disable with CFCONV_LAYER_CACHE=0 (results are identical either
- * way). The GPU counterpart lives in gpusim/kernel_cache.
+ * Disable with LayerCache::instance().setEnabled(false) (results are
+ * identical either way). The GPU counterpart lives in
+ * gpusim/kernel_cache.
  */
 
 #ifndef CFCONV_TPUSIM_LAYER_CACHE_H

@@ -103,10 +103,7 @@ tpuConfigFrom(const Config &config, TpuConfig base)
     CFCONV_ASSIGN_OR_RETURN(c.mxus,
                             intInRange(config, "mxus", c.mxus, 1));
 
-    const auto unused = config.unusedKeys();
-    if (!unused.empty())
-        return invalidArgumentError("tpu config: unknown key '%s'",
-                                    unused.begin()->c_str());
+    CFCONV_RETURN_IF_ERROR(config.checkAllRead());
     return c;
 }
 

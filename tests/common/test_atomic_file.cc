@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/atomic_file.h"
+#include "common/rng.h"
 
 namespace cfconv {
 namespace {
@@ -35,6 +36,19 @@ TEST(ContentChecksum, DeterministicAndContentSensitive)
     EXPECT_EQ(a, contentChecksum("hello"));
     EXPECT_NE(a, contentChecksum("hello!"));
     EXPECT_NE(contentChecksum(""), contentChecksum("\n"));
+}
+
+TEST(ContentChecksum, IsTheFnv1aOfTheBytes)
+{
+    // Pinned: trailers written by earlier builds must keep verifying.
+    EXPECT_EQ(contentChecksum("hello"), "a430d84680aabd0b");
+    EXPECT_EQ(contentChecksum(""), "cbf29ce484222325");
+    const std::string text = "tuned\n";
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(
+                      hashBytes(text.data(), text.size())));
+    EXPECT_EQ(contentChecksum(text), hex);
 }
 
 TEST(AtomicWriteFile, RoundTripsAndReplacesExisting)

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "tensor/conv_params.h"
@@ -45,7 +47,7 @@ TEST(Config, ParsesTypedValues)
     EXPECT_EQ(c.size(), 4u);
     EXPECT_EQ(c.getInt("array", 0).value(), 256);
     EXPECT_DOUBLE_EQ(c.getDouble("clock_ghz", 0.0).value(), 0.94);
-    EXPECT_EQ(c.getString("name", ""), "tpu-v3ish");
+    EXPECT_EQ(c.getString("name", "").value(), "tpu-v3ish");
     EXPECT_TRUE(c.getBool("overlap", false).value());
 }
 
@@ -55,7 +57,7 @@ TEST(Config, FallbacksForMissingKeys)
     EXPECT_EQ(c.getInt("missing", 42).value(), 42);
     EXPECT_DOUBLE_EQ(c.getDouble("missing", 2.5).value(), 2.5);
     EXPECT_FALSE(c.getBool("missing", false).value());
-    EXPECT_EQ(c.getString("missing", "x"), "x");
+    EXPECT_EQ(c.getString("missing", "x").value(), "x");
     EXPECT_FALSE(c.has("missing"));
     EXPECT_TRUE(c.has("a"));
 }
@@ -85,9 +87,80 @@ TEST(Config, TracksUnusedKeys)
 {
     const Config c = parse("a = 1\nb = 2\n");
     EXPECT_EQ(c.getInt("a", 0).value(), 1);
-    const auto unused = c.unusedKeys();
-    ASSERT_EQ(unused.size(), 1u);
-    EXPECT_EQ(*unused.begin(), "b");
+    expectInvalid(c.checkAllRead(),
+                  "unknown key 'b' (config: 'b = 2'; known: a)");
+    EXPECT_EQ(c.getInt("b", 0).value(), 2);
+    EXPECT_TRUE(c.checkAllRead().ok());
+}
+
+TEST(Config, IntegersAreWholeDecimals)
+{
+    // Leading zeros do not make octal; a base prefix, a trailing
+    // letter, a space or an empty value is not an integer.
+    EXPECT_EQ(parse("array = 010\n").getInt("array", 0).value(), 10);
+    EXPECT_EQ(parse("array = -3\n").getInt("array", 0).value(), -3);
+    for (const char *bad : {"0x40", "4x", "+4", "1e3"})
+        expectInvalid(
+            parse(std::string("array = ") + bad + "\n")
+                .getInt("array", 0)
+                .status(),
+            std::string("'array = ") + bad + "' is not an integer");
+    // A file strips its values, so the space and the empty value come
+    // from the command line.
+    for (const char *bad : {"array= 4", "array="}) {
+        const char *argv[] = {"prog", bad};
+        const StatusOr<Config> args = Config::fromArgs(2, argv);
+        ASSERT_TRUE(args.ok()) << args.status().toString();
+        expectInvalid(args->getInt("array", 0).status(),
+                      std::string("argument: '") + bad +
+                          "' is not an integer");
+    }
+    EXPECT_EQ(parseDecimal("010"), 10);
+    EXPECT_EQ(parseDecimal("99999999999999999999"), std::nullopt);
+}
+
+TEST(Config, ArgumentsAreKeyValuePairs)
+{
+    const char *argv[] = {"prog", "n=8", "algo=channel-last", "json=a=b",
+                          "s2d=on"};
+    const StatusOr<Config> args = Config::fromArgs(5, argv);
+    ASSERT_TRUE(args.ok()) << args.status().toString();
+    EXPECT_EQ(args->getInt("n", 0).value(), 8);
+    EXPECT_EQ(args->getString("algo", "").value(), "channel-last");
+    EXPECT_EQ(args->getString("json", "").value(), "a=b");
+    EXPECT_TRUE(args->getBool("s2d", false).value());
+    EXPECT_TRUE(args->checkAllRead().ok());
+
+    // An argument without '=', or with a key that is not a name, is
+    // an error unless the caller takes operands.
+    for (const char *bad : {"8", "--benchmark_filter=BM_X", "=4"}) {
+        const char *one[] = {"prog", bad};
+        expectInvalid(Config::fromArgs(2, one).status(),
+                      std::string("argument '") + bad +
+                          "' is not key=value");
+        std::vector<std::string> operands;
+        ASSERT_TRUE(Config::fromArgs(2, one, &operands).ok()) << bad;
+        EXPECT_EQ(operands, std::vector<std::string>{bad});
+    }
+}
+
+TEST(Config, ArgumentsRejectARepeatedKey)
+{
+    const char *argv[] = {"prog", "threads=2", "threads=4"};
+    expectInvalid(Config::fromArgs(3, argv).status(),
+                  "argument 'threads=4' repeats the key threads");
+}
+
+TEST(Config, AnUnreadArgumentIsNamedWithTheKnownKeys)
+{
+    const char *argv[] = {"prog", "arary=256", "word=4"};
+    const StatusOr<Config> args = Config::fromArgs(3, argv);
+    ASSERT_TRUE(args.ok());
+    EXPECT_EQ(args->getInt("array", 128).value(), 128);
+    EXPECT_EQ(args->getInt("word", 8).value(), 4);
+    expectInvalid(args->checkAllRead(),
+                  "unknown key 'arary' (argument: 'arary=256'; known: "
+                  "array, word)");
 }
 
 TEST(Config, MissingFileIsFatal)

@@ -13,8 +13,10 @@
 
 #include "common/parallel.h"
 #include "conv/algorithm.h"
+#include "gpusim/kernel_cache.h"
 #include "models/model_zoo.h"
 #include "sim/model_runner.h"
+#include "sim/report.h"
 #include "tensor/conv_ref.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col_explicit.h"
@@ -187,6 +189,42 @@ TEST_F(ParallelDeterminism, CachedRunConvMatchesUncached)
 
     cache.clear();
     cache.setEnabled(was_enabled);
+}
+
+TEST_F(ParallelDeterminism, DisabledCachesLeaveModelRecordsUnchanged)
+{
+    // Turning both memo caches off through setEnabled(false) changes
+    // no byte of a model's RunRecord document: uncached, cold-cache
+    // and warm-cache runs serialize alike on every backend family.
+    auto &layers = tpusim::LayerCache::instance();
+    auto &kernels = gpusim::KernelCache::instance();
+    const bool layers_were = layers.enabled();
+    const bool kernels_were = kernels.enabled();
+    const models::ModelSpec model = models::resnet50(2);
+    for (const char *name :
+         {"tpu-v2", "tpu-v3ish", "gpu-v100", "gpu-v100-cudnn"}) {
+        const auto accelerator = sim::makeAccelerator(name);
+        const auto document = [&] {
+            return sim::runRecordsJson(
+                {sim::ModelRunner(*accelerator).runModel(model)},
+                sim::ReportMeta{});
+        };
+        layers.setEnabled(false);
+        kernels.setEnabled(false);
+        const std::string uncached = document();
+        layers.setEnabled(true);
+        kernels.setEnabled(true);
+        layers.clear();
+        kernels.clear();
+        const std::string cold = document();
+        const auto hits = layers.hits() + kernels.hits();
+        const std::string warm = document();
+        EXPECT_GT(layers.hits() + kernels.hits(), hits) << name;
+        EXPECT_EQ(uncached, cold) << name;
+        EXPECT_EQ(uncached, warm) << name;
+    }
+    layers.setEnabled(layers_were);
+    kernels.setEnabled(kernels_were);
 }
 
 TEST_F(ParallelDeterminism, CacheKeySeparatesDifferentRuns)

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <iterator>
+#include <string>
+
 #include "models/model_zoo.h"
 
 namespace cfconv::models {
@@ -18,6 +22,38 @@ TEST(ModelZoo, AllSevenModelsPresent)
     EXPECT_EQ(zoo[4].name, "VGG16");
     EXPECT_EQ(zoo[5].name, "YOLO");
     EXPECT_EQ(zoo[6].name, "ZFNet");
+}
+
+TEST(ModelZoo, TableIsAllModelsThenMobileNet)
+{
+    const auto zoo = allModels(1);
+    ASSERT_EQ(std::size(kModels), zoo.size() + 1);
+    for (size_t i = 0; i < zoo.size(); ++i)
+        EXPECT_EQ(kModels[i].factory(1).name, zoo[i].name) << i;
+    EXPECT_EQ(kModels[zoo.size()].factory(1).name, "MobileNet");
+}
+
+TEST(ModelZoo, FindModelTakesEverySpelling)
+{
+    // The factory name (serving's classes=), the display name
+    // (bench_models_report's model=) and its lowercase form
+    // (design_explorer's model=) all name the same model.
+    for (const NamedModel &entry : kModels) {
+        const std::string display = entry.factory(1).name;
+        std::string lower = display;
+        for (char &c : lower)
+            c = static_cast<char>(std::tolower(c));
+        for (const std::string &name : {std::string(entry.name), display,
+                                        lower}) {
+            const StatusOr<ModelFactory> found = findModel(name);
+            ASSERT_TRUE(found.ok()) << found.status().toString();
+            EXPECT_EQ(*found, entry.factory) << name;
+        }
+    }
+    const Status unknown = findModel("lenet").status();
+    EXPECT_EQ(unknown.code(), StatusCode::kNotFound);
+    EXPECT_NE(unknown.message().find("'lenet'"), std::string::npos);
+    EXPECT_NE(unknown.message().find("resnet50"), std::string::npos);
 }
 
 TEST(ModelZoo, EveryLayerValidates)
