@@ -142,8 +142,11 @@ BENCHMARK(BM_AlgorithmExecute)->Apply([](benchmark::internal::Benchmark *b) {
 });
 
 /** The layers BM_TileFill times, at batch 8: the ResNet-50 7x7/2 stem
- *  (C_I 3: short rows, scattered bursts), VGG16 conv1_2 (C 64 at
- *  224x224) and a 3x3 with C 64 at 56x56. */
+ *  (C_I 3: short scattered bursts inside one DRAM row), VGG16 conv1_2
+ *  (C 64 at 224x224: footprint rows of up to 224 DRAM rows, more than
+ *  a turn of the banks), a 3x3 with C 64 at 56x56, and YOLOv2 conv2
+ *  (C 32 at 208x208: 104-row footprint rows, which end inside the
+ *  first turn). */
 const std::vector<std::pair<const char *, tensor::ConvParams>> &
 fillLayers()
 {
@@ -152,6 +155,7 @@ fillLayers()
             {"stem7x7/s2", makeConv(8, 3, 224, 64, 7, 2, 3)},
             {"vgg16.conv1_2", makeConv(8, 64, 224, 64, 3, 1, 1)},
             {"3x3/56x56", makeConv(8, 64, 56, 64, 3, 1, 1)},
+            {"yolov2.conv2", makeConv(8, 32, 208, 64, 3, 1, 1)},
         };
     return layers;
 }
@@ -182,7 +186,7 @@ BM_TileFill(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() *
                             static_cast<int64_t>(bytes));
 }
-BENCHMARK(BM_TileFill)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TileFill)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
 
 /** One timed GEMM data point of the per-backend sweep. */
 struct GemmPoint

@@ -1,7 +1,7 @@
 #include "common/config.h"
 
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -31,6 +31,17 @@ parseDecimal(std::string_view text)
     const char *end = text.data() + text.size();
     const auto [stop, error] = std::from_chars(text.data(), end, value);
     if (error != std::errc() || stop != end)
+        return std::nullopt;
+    return value;
+}
+
+std::optional<double>
+parseDecimalDouble(std::string_view text)
+{
+    double value = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc() || stop != end || !std::isfinite(value))
         return std::nullopt;
     return value;
 }
@@ -143,12 +154,10 @@ Config::getDouble(const std::string &key, double fallback) const
     const std::string *v = find(key);
     if (!v)
         return fallback;
-    char *end = nullptr;
-    const double parsed = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0')
-        return invalidArgumentError("%s is not a number",
-                                    quoted(key).c_str());
-    return parsed;
+    if (const std::optional<double> parsed = parseDecimalDouble(*v))
+        return *parsed;
+    return invalidArgumentError("%s is not a number",
+                                quoted(key).c_str());
 }
 
 StatusOr<bool>

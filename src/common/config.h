@@ -27,6 +27,12 @@ namespace cfconv {
  *  files, command lines and CFCONV_THREADS. */
 std::optional<long long> parseDecimal(std::string_view text);
 
+/** @p text read whole as a finite decimal number (std::from_chars:
+ *  digits with an optional '-', point and exponent; no base prefix,
+ *  '+', spaces, inf or nan), else nullopt: the one number rule of
+ *  config files, command lines, fault specs and serving class specs. */
+std::optional<double> parseDecimalDouble(std::string_view text);
+
 /** A parsed key=value configuration. */
 class Config
 {

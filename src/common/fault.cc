@@ -1,6 +1,6 @@
 #include "common/fault.h"
 
-#include <cstdlib>
+#include <set>
 
 #include "common/config.h"
 #include "common/metrics.h"
@@ -24,12 +24,10 @@ strip(const std::string &s)
 StatusOr<double>
 parseDouble(const std::string &key, const std::string &value)
 {
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0')
-        return invalidArgumentError("faults: '%s=%s' is not a number",
-                                    key.c_str(), value.c_str());
-    return parsed;
+    if (const std::optional<double> parsed = parseDecimalDouble(value))
+        return *parsed;
+    return invalidArgumentError("faults: '%s=%s' is not a number",
+                                key.c_str(), value.c_str());
 }
 
 StatusOr<long long>
@@ -79,6 +77,7 @@ struct ParsedSpec
 Status
 parseSpec(const std::string &spec, ParsedSpec *out)
 {
+    std::set<std::string> keys;
     for (const std::string &raw_item : split(spec, ';')) {
         const std::string item = strip(raw_item);
         if (item.empty())
@@ -92,6 +91,9 @@ parseSpec(const std::string &spec, ParsedSpec *out)
         if (key.empty())
             return invalidArgumentError("faults: empty key in '%s'",
                                         item.c_str());
+        if (!keys.insert(key).second)
+            return invalidArgumentError("faults: '%s' repeats the key %s",
+                                        item.c_str(), key.c_str());
         if (key == "seed") {
             CFCONV_ASSIGN_OR_RETURN(const long long seed,
                                     parseInt(key, value));

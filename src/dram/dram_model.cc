@@ -41,6 +41,31 @@ DramModel::DramModel(const DramConfig &config) : config_(config)
 namespace {
 
 /**
+ * The settle point of a long request: the pieces the walk serves one by
+ * one before no later piece of the request can stall on its bank. A
+ * bank's ready time never passes its channel's bus time, and a bus only
+ * moves forward. Let K = ceil(maxLat / fullBurst), where maxLat =
+ * tPrecharge + tActivate + tCas is the slowest access. Once every
+ * channel has carried K full rows of the request, a bank the request
+ * has not touched yet is at least maxLat behind its bus. A bank it has
+ * touched has since waited for its channel's other banksPerChannel - 1
+ * pieces, all full rows, which cover maxLat whenever
+ * (banksPerChannel - 1) * fullBurst >= maxLat. The first piece may be
+ * partial, so the walk serves 1 + channels * K pieces; when the banks
+ * do not cover a miss it serves every piece (@return 0).
+ */
+Index
+settlePieces(const DramConfig &config, Cycles full_burst)
+{
+    const Cycles max_lat = config.tPrecharge + config.tActivate + config.tCas;
+    if (static_cast<Cycles>(config.banksPerChannel - 1) * full_burst <
+        max_lat)
+        return 0;
+    return 1 + config.channels *
+                   static_cast<Index>(divCeil(max_lat, full_burst));
+}
+
+/**
  * One service() call's state: every bank and bus, the counters, and a
  * cursor on the DRAM row the last access touched. The cursor steps to
  * the next row by adding, so only a request that starts outside its
@@ -82,22 +107,24 @@ class Walk
     /** One column access moving @p bytes of the cursor row. */
     void access(Bytes bytes);
 
-    /** Serve one request of @p bytes at @p addr, piece by piece. */
+    /** Serve one request of @p bytes at @p addr: piece by piece up to
+     *  the settle point, the rest through closeTail(). */
     void request(Bytes addr, Bytes bytes);
 
-    /** Skip the whole turns of the banks in the first @p bytes - 1
-     *  bytes from the cursor row on; @return the bytes skipped. */
-    Bytes skipTurns(Bytes bytes);
+    /** Serve the last @p bytes of a request past the settle point, from
+     *  the cursor row on, as the per-piece walk would. Out of line, so
+     *  that the walk of short requests stays as compact as it was. */
+    [[gnu::noinline]] void closeTail(Bytes bytes);
 
     const DramConfig &config_;
     const Index nBanks_;
     const Cycles fullBurst_;
     /**
-     * A long request runs bus-bound once it has turned the banks
-     * twice: a bank's next access waits on the channel's other
-     * banksPerChannel - 1 full bursts, which cover the miss latency.
+     * The pieces a request walks one by one before the rest of it runs
+     * bus-bound, or 0 (never reached) when the banks do not settle:
+     * see settlePieces().
      */
-    const bool turnsSettle_;
+    const Index settle_;
     std::vector<BankState> banks_;
     std::vector<Cycles> busFree_;
 
@@ -110,9 +137,7 @@ class Walk
 Walk::Walk(const DramConfig &config)
     : config_(config), nBanks_(config.channels * config.banksPerChannel),
       fullBurst_(burst(config.rowBytes)),
-      turnsSettle_(static_cast<Cycles>(config.banksPerChannel - 1) *
-                       fullBurst_ >=
-                   config.tPrecharge + config.tActivate + config.tCas),
+      settle_(settlePieces(config, fullBurst_)),
       banks_(static_cast<size_t>(nBanks_)),
       busFree_(static_cast<size_t>(config.channels), 0)
 {}
@@ -197,38 +222,100 @@ Walk::request(Bytes addr, Bytes bytes)
             return;
         step();
         row_off = 0;
-        if (turnsSettle_ && pieces == 2 * nBanks_)
-            bytes -= skipTurns(bytes);
+        if (pieces == settle_) [[unlikely]] {
+            closeTail(bytes);
+            return;
+        }
     }
 }
 
-Bytes
-Walk::skipTurns(Bytes bytes)
+void
+Walk::closeTail(Bytes bytes)
 {
-    // Two turns in, every channel's last banksPerChannel accesses were
-    // full-row misses sent back to back on its bus, and so is every
-    // further one: each whole turn moves every bank and bus by one
-    // channel's worth of full bursts and every open row by one. The
-    // request's last piece stays on the generic path.
-    const Bytes turn_bytes = static_cast<Bytes>(nBanks_) * config_.rowBytes;
-    const Bytes turns = (bytes - 1) / turn_bytes;
-    if (turns == 0)
-        return 0;
-    const Cycles shift = static_cast<Cycles>(turns) *
-                         static_cast<Cycles>(config_.banksPerChannel) *
-                         fullBurst_;
-    for (BankState &bank : banks_) {
-        bank.ready += shift;
-        bank.openRow += static_cast<Index>(turns);
+    // No piece of the tail stalls (settlePieces()), so each bus moves by
+    // its pieces' bursts. The tail is full rows, then a last piece of 1
+    // to rowBytes bytes.
+    const Bytes full_rows = (bytes - 1) / config_.rowBytes;
+    const Index pieces = static_cast<Index>(full_rows) + 1;
+    const Index channels = config_.channels;
+    const Index first_chan = chan_;
+    accesses += pieces;
+
+    // f(bank, bank row) for the n <= nBanks consecutive DRAM rows from
+    // bank b, bank row r on.
+    BankState *const banks = banks_.data();
+    const auto over_rows = [this, banks](Index b, Index r, Index n,
+                                         auto f) {
+        const Index run = std::min(n, nBanks_ - b);
+        for (Index k = 0; k < run; ++k)
+            f(banks[b + k], r);
+        for (Index k = 0; k < n - run; ++k)
+            f(banks[k], r + 1);
+    };
+
+    // A bank's later touches in the request are one row further on
+    // each, so only a first touch can hit, and only on a bank the
+    // walked pieces did not reach.
+    Index tail_hits = 0;
+    over_rows(bank_, row_, std::min(pieces, nBanks_ - settle_),
+              [&tail_hits](const BankState &bank, Index r) {
+                  tail_hits += bank.openRow == r ? 1 : 0;
+              });
+    hits += tail_hits;
+
+    // Point the cursor at the last piece; back(n) is the bank and bank
+    // row of the n-th piece from the end.
+    const Index last = bank_ + pieces - 1;
+    bank_ = last % nBanks_;
+    row_ += last / nBanks_;
+    chan_ = bank_ % channels;
+    rowStart_ += full_rows * config_.rowBytes;
+    const auto back = [this](Index n) {
+        Index b = bank_ + 1 - n, r = row_;
+        if (b < 0) {
+            b += nBanks_;
+            --r;
+        }
+        return std::pair<Index, Index>(b, r);
+    };
+
+    // The last min(pieces, nBanks) pieces are the last touches of every
+    // bank the tail touches: each open row is written once.
+    const Index touched = std::min(pieces, nBanks_);
+    const auto [open_bank, open_row] = back(touched);
+    over_rows(open_bank, open_row, touched,
+              [](BankState &bank, Index r) { bank.openRow = r; });
+
+    // A bank maxLat or more behind its bus never delays an access
+    // again, so only the last settle-point pieces leave an exact ready
+    // time: K = ceil(maxLat / fullBurst) on each channel, and one more
+    // on the last piece's channel, where that piece may be partial. The
+    // pieces before them move the buses by their full bursts, every
+    // channels-th one to each channel from the tail's first on.
+    Cycles *const buses = busFree_.data();
+    const Index exact = std::min(pieces, settle_);
+    const Index bulk = pieces - exact;
+    Index chan = first_chan;
+    for (Index i = 0; i < channels; ++i) {
+        buses[chan] += static_cast<Cycles>(bulk / channels +
+                                           (i < bulk % channels ? 1 : 0)) *
+                       fullBurst_;
+        if (++chan == channels)
+            chan = 0;
     }
-    for (Cycles &bus : busFree_) {
-        bus += shift;
-        finish = std::max(finish, bus);
+    Index bank = back(exact).first;
+    chan = bank % channels;
+    for (Index i = 1; i < exact; ++i) {
+        banks[bank].ready = buses[chan] += fullBurst_;
+        if (++bank == nBanks_)
+            bank = 0;
+        if (++chan == channels)
+            chan = 0;
     }
-    accesses += static_cast<Index>(turns) * nBanks_;
-    rowStart_ += turns * turn_bytes;
-    row_ += static_cast<Index>(turns);
-    return turns * turn_bytes;
+    banks[bank].ready = buses[chan] +=
+        burst(bytes - full_rows * config_.rowBytes);
+    for (Index c = 0; c < channels; ++c)
+        finish = std::max(finish, buses[c]);
 }
 
 void

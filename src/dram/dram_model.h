@@ -7,11 +7,15 @@
  * It has one policy, the one an HBM stack streams with: rows stay open
  * until a conflict, and consecutive rows rotate across the banks.
  *
- * The model prices every row piece of every request, but its host cost
- * scales with the DRAM rows a stream touches, not with its requests or
- * pieces: a strided run is one Request, requests that stay inside the
- * row the run has open are priced in closed form, and a request long
- * enough to run bus-bound skips its whole turns of the banks.
+ * The model prices every row piece of every request exactly as a
+ * per-piece walk would, but its host cost stays well below one step per
+ * piece: a strided run is one Request, requests that stay inside the
+ * row the run has open are priced in closed form, and a long request is
+ * walked only up to its settle point: 1 + channels x ceil(conflict
+ * latency / full-row burst) pieces, 25 on HBM2. Where banksPerChannel
+ * - 1 full-row bursts cover a conflict, no later piece can stall on its
+ * bank, so the rest is closed per channel and per bank (DESIGN.md §5,
+ * closed form 2).
  */
 
 #ifndef CFCONV_DRAM_DRAM_MODEL_H

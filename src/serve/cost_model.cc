@@ -1,8 +1,8 @@
 #include "serve/cost_model.h"
 
 #include <array>
-#include <cstdlib>
 
+#include "common/config.h"
 #include "common/logging.h"
 #include "sim/model_runner.h"
 
@@ -53,16 +53,16 @@ parseClassSpecs(const std::string &spec)
                 "class spec entry '%s': expected "
                 "name[:weight[:priority[:sloMs]]]",
                 token.c_str());
-        const auto number = [&](const std::string &text,
-                                double &out) -> bool {
-            char *rest = nullptr;
-            out = std::strtod(text.c_str(), &rest);
-            return rest != nullptr && *rest == '\0' && !text.empty();
+        const auto read = [](const auto parsed, auto &out) {
+            if (parsed)
+                out = *parsed;
+            return parsed.has_value();
         };
-        double weight = 1.0, priority = 0.0, sloMs = 0.0;
-        if ((parts.size() > 1 && !number(parts[1], weight)) ||
-            (parts.size() > 2 && !number(parts[2], priority)) ||
-            (parts.size() > 3 && !number(parts[3], sloMs)))
+        double weight = 1.0, sloMs = 0.0;
+        long long priority = 0;
+        if ((parts.size() > 1 && !read(parseDecimalDouble(parts[1]), weight)) ||
+            (parts.size() > 2 && !read(parseDecimal(parts[2]), priority)) ||
+            (parts.size() > 3 && !read(parseDecimalDouble(parts[3]), sloMs)))
             return invalidArgumentError(
                 "class spec entry '%s': malformed number",
                 token.c_str());
@@ -70,7 +70,7 @@ parseClassSpecs(const std::string &spec)
             return invalidArgumentError(
                 "class spec entry '%s': weight must be > 0",
                 token.c_str());
-        if (priority < 0.0)
+        if (priority < 0)
             return invalidArgumentError(
                 "class spec entry '%s': priority must be >= 0",
                 token.c_str());

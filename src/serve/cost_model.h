@@ -64,8 +64,10 @@ StatusOr<ModelClass> makeModelClass(const std::string &name,
 /**
  * Parse a comma-separated class-spec list into a ModelMix:
  * "name[:weight[:priority[:sloMs]]]", e.g.
- * "alexnet:3:0:50,zfnet:1:1:100". INVALID_ARGUMENT naming the
- * offending token on malformed numbers; NOT_FOUND on unknown models.
+ * "alexnet:3:0:50,zfnet:1:1:100": weight and sloMs are decimal numbers
+ * (parseDecimalDouble), priority a whole decimal (parseDecimal).
+ * INVALID_ARGUMENT naming the offending token on malformed numbers;
+ * NOT_FOUND on unknown models.
  */
 StatusOr<ModelMix> parseClassSpecs(const std::string &spec);
 

@@ -319,6 +319,10 @@ TpuSim::schedulePlan(const ConvParams &params, const im2col::PassPlan &plan,
     } else {
         // Per-tap fills: each tap's footprint is priced once for the
         // whole layer, then split across its depth slices and M tiles.
+        // Resident activations live in the unified on-chip memory
+        // between layers (32 MB); tile replication happens inside the
+        // vector memories, not over DRAM, so only a streamed layer's
+        // taps are priced.
         std::vector<Cycles> tap_cycles;
         std::vector<Bytes> tap_bytes;
         for (const im2col::FilterTile &tap : plan.taps) {
@@ -328,10 +332,13 @@ TpuSim::schedulePlan(const ConvParams &params, const im2col::PassPlan &plan,
             tap_bytes.push_back(bytes);
             // Contiguous feeds are closed-form at a high burst
             // efficiency; gathers go through the (banked) DRAM model.
-            tap_cycles.push_back(
-                plan.feed == im2col::FeedLocality::Contiguous
-                    ? dramCycles(bytes, 0.95)
-                    : tileFillCoreCycles(params, tap, options.dramLayout));
+            if (resident)
+                tap_cycles.push_back(0);
+            else if (plan.feed == im2col::FeedLocality::Contiguous)
+                tap_cycles.push_back(dramCycles(bytes, 0.95));
+            else
+                tap_cycles.push_back(
+                    tileFillCoreCycles(params, tap, options.dramLayout));
         }
         const auto scaled = [](auto full, double frac) {
             return static_cast<decltype(full)>(
@@ -358,13 +365,8 @@ TpuSim::schedulePlan(const ConvParams &params, const im2col::PassPlan &plan,
                 const Index m_cur =
                     std::min(m_tile, m_total - mt * m_tile);
                 Unit u;
-                // Resident activations live in the unified on-chip
-                // memory between layers (32 MB); tile replication
-                // happens inside the vector memories, not over DRAM.
-                u.fill = resident
-                    ? 0
-                    : scaled(fill_core, static_cast<double>(m_cur) /
-                                            static_cast<double>(m_total));
+                u.fill = scaled(fill_core, static_cast<double>(m_cur) /
+                                               static_cast<double>(m_total));
                 addCompute(u, m_cur, pass.depth(), n_total);
                 units.push_back(u);
             }

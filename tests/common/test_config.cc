@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -117,6 +118,37 @@ TEST(Config, IntegersAreWholeDecimals)
     }
     EXPECT_EQ(parseDecimal("010"), 10);
     EXPECT_EQ(parseDecimal("99999999999999999999"), std::nullopt);
+}
+
+TEST(Config, NumbersAreWholeDecimals)
+{
+    // A point and an exponent are decimal; a hex float, a sign or a
+    // space, a trailing letter, inf, nan or an out-of-range exponent
+    // is not a number.
+    EXPECT_EQ(parse("k = 010.5\n").getDouble("k", 0.0).value(), 10.5);
+    EXPECT_EQ(parse("k = -2e3\n").getDouble("k", 0.0).value(), -2000.0);
+    for (const char *bad :
+         {"0x1p10", "+900", "900x", "inf", "nan", "1e999", "0x40"})
+        expectInvalid(
+            parse(std::string("k = ") + bad + "\n")
+                .getDouble("k", 0.0)
+                .status(),
+            std::string("'k = ") + bad + "' is not a number");
+    for (const char *bad : {"gbps= 900", "gbps=900 ", "gbps="}) {
+        const char *argv[] = {"prog", bad};
+        const StatusOr<Config> args = Config::fromArgs(2, argv);
+        ASSERT_TRUE(args.ok()) << args.status().toString();
+        expectInvalid(args->getDouble("gbps", 0.0).status(),
+                      std::string("argument: '") + bad +
+                          "' is not a number");
+    }
+    // The numbers of the checked-in configs, the benchmark's fault
+    // spec and serving classes read as strtod read them.
+    for (const char *text : {"0.7", "0.94", "701.44", "901.12", "128",
+                             "32", "0.3", "0.01", "0.5", "2", "50",
+                             "100", "250"})
+        EXPECT_EQ(parseDecimalDouble(text), std::strtod(text, nullptr))
+            << text;
 }
 
 TEST(Config, ArgumentsAreKeyValuePairs)

@@ -89,6 +89,43 @@ TEST_F(FaultTest, RejectsMalformedSpecsAndKeepsPreviousConfig)
     EXPECT_DOUBLE_EQ(injector.rate(kSramBankRead, ""), 0.25);
 }
 
+TEST_F(FaultTest, RejectsARepeatedKeyAndANonDecimalNumber)
+{
+    auto &injector = FaultInjector::instance();
+    ASSERT_TRUE(injector.configure("seed=3; accel.step_timeout=0.5").ok());
+    // A scoped key is a key of its own; a repeated one is an error
+    // naming it, as on a command line or in a config file.
+    EXPECT_TRUE(injector
+                    .configure("accel.step_timeout=0.25; "
+                               "accel.step_timeout@tpu-v2=1")
+                    .ok());
+    for (const char *spec :
+         {"seed=1; accel.step_timeout@tpu-v2=1; "
+          "accel.step_timeout@tpu-v2=0",
+          "seed=1; seed=2", "failover=gpu-v100; failover=tpu-v2"}) {
+        const Status repeated = injector.configure(spec);
+        EXPECT_EQ(repeated.code(), StatusCode::kInvalidArgument) << spec;
+        EXPECT_NE(repeated.message().find("repeats the key"),
+                  std::string::npos)
+            << repeated.toString();
+    }
+    EXPECT_NE(injector
+                  .configure("accel.step_timeout@tpu-v2=1; "
+                             "accel.step_timeout@tpu-v2=0")
+                  .message()
+                  .find("accel.step_timeout@tpu-v2"),
+              std::string::npos);
+    for (const char *spec : {"accel.step_timeout=0x1p-1",
+                             "accel.step_timeout=+0.5",
+                             "accel.step_timeout=nan", "backoff_us=inf"})
+        EXPECT_EQ(injector.configure(spec).code(),
+                  StatusCode::kInvalidArgument)
+            << spec;
+    // The last good spec stays armed.
+    EXPECT_DOUBLE_EQ(injector.rate(kAccelStepTimeout, "tpu-v2"), 1.0);
+    EXPECT_DOUBLE_EQ(injector.rate(kAccelStepTimeout, "gpu-v100"), 0.25);
+}
+
 TEST_F(FaultTest, DecisionsArePureFunctionsOfSeedSiteScopeKey)
 {
     auto &injector = FaultInjector::instance();

@@ -22,7 +22,7 @@ namespace {
 
 using NamedConfig = std::pair<std::string, DramConfig>;
 
-/** Configs on both sides of the turn-skip condition
+/** Configs on both sides of the settle condition
  *  (banksPerChannel - 1) * fullBurst >= miss latency. */
 std::vector<NamedConfig>
 walkConfigs()
@@ -169,6 +169,123 @@ TEST(DramModel, ServiceEqualsThePerPieceOracle)
                 ADD_FAILURE() << name << ", stream " << s << ": "
                               << alike.message();
             }
+        }
+    }
+}
+
+/** A full row's data-bus cycles under @p config. */
+Cycles
+fullBurst(const DramConfig &config)
+{
+    return std::max<Cycles>(
+        2, divCeil<Bytes>(config.rowBytes, config.busBytesPerCycle));
+}
+
+/** Whether the banks of @p config settle: banksPerChannel - 1 full
+ *  bursts cover the slowest access, a conflict. */
+bool
+settles(const DramConfig &config)
+{
+    return static_cast<Cycles>(config.banksPerChannel - 1) *
+               fullBurst(config) >=
+           config.tPrecharge + config.tActivate + config.tCas;
+}
+
+/** The settle point: the pieces of a long request served one by one
+ *  before its tail runs bus-bound, 1 + channels * ceil(slowest access /
+ *  full burst). */
+Index
+settlePoint(const DramConfig &config)
+{
+    const Cycles slowest =
+        config.tPrecharge + config.tActivate + config.tCas;
+    return 1 + config.channels * static_cast<Index>(
+                                     divCeil(slowest, fullBurst(config)));
+}
+
+/** Bytes of a request of @p pieces row pieces whose first starts
+ *  @p offset bytes into its row and whose last moves @p last bytes. */
+Bytes
+requestBytes(Bytes row, Index pieces, Bytes offset, Bytes last)
+{
+    if (pieces == 1)
+        return std::min(last, row - offset);
+    return row - offset + static_cast<Bytes>(pieces - 2) * row + last;
+}
+
+TEST(DramModel, LongRequestTailEqualsThePerPieceOracle)
+{
+    // Requests of every length around the walk's boundaries, from every
+    // bank of a turn, after prefixes that leave banks hot: a bank the
+    // long request reaches (its first piece, or the pieces at and just
+    // before the settle point) holds the previous row of that bank,
+    // opened by a request that ends there and a sub-row run in the same
+    // row, so its ready time is its bus's. The suffixes go on from the
+    // tail's last row and read the request's first rows again, in both
+    // orders, so the state the tail leaves shows.
+    for (const auto &[name, config] : walkConfigs()) {
+        if (!settles(config) && name != "2x2-slow-rows")
+            continue;
+        const Bytes row = config.rowBytes;
+        const Index banks = config.channels * config.banksPerChannel;
+        const Index settle = settlePoint(config);
+        // The walk's boundaries: the settle point, the end of the tail's
+        // exact window (as long again), the banks the walk leaves
+        // fresh, a tail of one turn, two turns.
+        std::set<Index> lengths; // in pieces
+        for (const Index at : {settle, 2 * settle, banks, settle + banks,
+                               2 * banks})
+            for (const Index d : {-1, 0, 1})
+                if (at + d >= 1)
+                    lengths.insert(at + d);
+        lengths.insert(3 * banks + 3);
+
+        int failures = 0;
+        const auto expect_alike = [&](const std::vector<Request> &stream,
+                                      Index pieces) {
+            const ::testing::AssertionResult alike =
+                servicesAlike(config, stream);
+            if (!alike && ++failures <= 3)
+                ADD_FAILURE() << name << ", " << pieces << " pieces at ["
+                              << stream[stream.size() - 4].addr << ", +"
+                              << stream[stream.size() - 4].bytes
+                              << "] in a stream of " << stream.size()
+                              << ": " << alike.message();
+        };
+        for (Index start = 0; start < banks && failures < 3; ++start) {
+            const Index r0 = 4 * banks + start; // the first piece's row
+            const Bytes r0_addr = static_cast<Bytes>(r0) * row;
+            const auto hot = [&](Index h) {
+                const Bytes prev = static_cast<Bytes>(h - banks) * row;
+                return std::vector<Request>{{prev - 2 * row + 3, 3 * row - 3},
+                                            {prev + 8, 16, 3, 40}};
+            };
+            const std::vector<std::vector<Request>> prefixes = {
+                {},
+                hot(r0),
+                hot(r0 + settle - 1),
+                hot(r0 + settle),
+                {{r0_addr + row, static_cast<Bytes>(banks - 1) * row}}};
+            for (const Index length : lengths)
+                for (const Bytes offset : {Bytes{0}, Bytes{1}, row - 1})
+                    for (const Bytes last : {row, row / 2 + 1}) {
+                        const Request request = {
+                            r0_addr + offset,
+                            requestBytes(row, length, offset, last)};
+                        const Bytes end = request.addr + request.bytes;
+                        const Request on[] = {{end, 4, 3, 8},
+                                              {end + 24, row + 1}};
+                        const Request back = {r0_addr, 2 * row};
+                        for (std::vector<Request> stream : prefixes) {
+                            stream.push_back(request);
+                            std::vector<Request> back_first = stream;
+                            stream.insert(stream.end(), {on[0], on[1], back});
+                            back_first.insert(back_first.end(),
+                                              {back, on[0], on[1]});
+                            expect_alike(stream, length);
+                            expect_alike(back_first, length);
+                        }
+                    }
         }
     }
 }

@@ -353,6 +353,25 @@ TEST(ModelClasses, ParseClassSpecsRoundTripsAndNamesOffenders)
     EXPECT_FALSE(parseClassSpecs("").ok());
 }
 
+TEST(ModelClasses, ClassSpecNumbersAreWholeDecimals)
+{
+    const auto mix = parseClassSpecs("alexnet:0.5:2:2.5e1");
+    ASSERT_TRUE(mix.ok()) << mix.status().toString();
+    EXPECT_EQ(mix.value()[0].weight, 0.5);
+    EXPECT_EQ(mix.value()[0].priority, 2);
+    EXPECT_EQ(mix.value()[0].sloSeconds, 25e-3);
+    for (const char *bad :
+         {"alexnet:0x2", "alexnet: 2", "alexnet:+2", "alexnet:2:1:inf",
+          "alexnet:2:", "alexnet:2:1.5", "alexnet:2:1e30"}) {
+        const auto rejected = parseClassSpecs(bad);
+        EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+            << bad;
+        EXPECT_NE(rejected.status().message().find("malformed number"),
+                  std::string::npos)
+            << rejected.status().toString();
+    }
+}
+
 TEST(ServingSim, PerClassSloSplitsGoodputAccounting)
 {
     // Class 0 gets a generous SLO, class 1 an impossible one: every

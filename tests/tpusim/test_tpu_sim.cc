@@ -216,6 +216,64 @@ TEST(TpuSim, DramTrafficFollowsResidency)
               big.filterBytes() + big.outputBytes());
 }
 
+/** Every field of @p got equals its counterpart in @p want. */
+::testing::AssertionResult
+sameRecord(const TpuLayerResult &got, const TpuLayerResult &want)
+{
+    if (got.cycles == want.cycles && got.seconds == want.seconds &&
+        got.tflops == want.tflops && got.dramBytes == want.dramBytes &&
+        got.multiTile == want.multiTile &&
+        got.portUtilization == want.portUtilization &&
+        got.peakOnChipBytes == want.peakOnChipBytes &&
+        got.vecMemOps == want.vecMemOps &&
+        got.computeCycles == want.computeCycles &&
+        got.fillCycles == want.fillCycles &&
+        got.exposedFillCycles == want.exposedFillCycles &&
+        got.trace.size() == want.trace.size())
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << got.cycles << " cycles, " << got.fillCycles
+           << " fill cycles, " << got.dramBytes << " DRAM bytes; want "
+           << want.cycles << ", " << want.fillCycles << ", "
+           << want.dramBytes;
+}
+
+TEST(TpuSim, ResidentLayerRecordIgnoresItsDramLayout)
+{
+    // A resident layer's input stays in the unified on-chip memory
+    // (Sec. IV-B), so its per-tap fills never cross DRAM and its record
+    // cannot depend on the IFMap's DRAM layout. A streamed layer's
+    // banked fills do: HWC rows are long bursts, CHW rows short ones.
+    const TpuSim s = sim();
+    const auto run = [&s](const ConvParams &p, conv::AlgorithmId algo,
+                          tensor::Layout layout) {
+        TpuRunOptions options;
+        options.algorithm = algo;
+        options.dramLayout = layout;
+        return s.runConv(p, options);
+    };
+    const ConvParams resident = makeConv(8, 64, 56, 64, 3, 1, 1);
+    for (const conv::AlgorithmId algo :
+         {conv::AlgorithmId::ChannelFirst, conv::AlgorithmId::Indirect}) {
+        const TpuLayerResult hwcn =
+            run(resident, algo, tensor::Layout::HWCN);
+        for (const tensor::Layout layout :
+             {tensor::Layout::NHWC, tensor::Layout::NCHW,
+              tensor::Layout::CHWN})
+            EXPECT_TRUE(sameRecord(run(resident, algo, layout), hwcn))
+                << conv::algorithmName(algo) << ", "
+                << tensor::layoutName(layout);
+    }
+    const ConvParams vgg16_conv1_2 = makeConv(8, 64, 224, 64, 3, 1, 1);
+    EXPECT_NE(
+        run(vgg16_conv1_2, conv::AlgorithmId::ChannelFirst,
+            tensor::Layout::HWCN)
+            .fillCycles,
+        run(vgg16_conv1_2, conv::AlgorithmId::ChannelFirst,
+            tensor::Layout::NCHW)
+            .fillCycles);
+}
+
 TEST(TpuSim, RejectsBadGemm)
 {
     EXPECT_THROW(sim().runGemm(0, 128, 128), FatalError);
