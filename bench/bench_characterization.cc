@@ -15,7 +15,7 @@
 #include "common/parallel.h"
 #include "common/table.h"
 #include "gpusim/gpu_sim.h"
-#include "im2col/grouped.h"
+#include "im2col/pass_plan.h"
 #include "sim/model_runner.h"
 #include "tpusim/energy.h"
 #include "tpusim/tpu_sim.h"
@@ -86,17 +86,15 @@ main(int argc, char **argv)
         "weakness");
     Table t2("Row occupancy and functional-FLOP efficiency vs groups");
     t2.setHeader({"groups", "C_I/G", "row occupancy", "TPU TFLOPS"});
+    const auto layer = tensor::makeConv(batch, 128, hw, 128, 3, 1, 1);
     for (Index groups : {1L, 2L, 4L, 16L, 64L, 128L}) {
-        im2col::GroupedConvParams gp;
-        gp.base = tensor::makeConv(batch, 128, hw, 128, 3, 1, 1);
-        gp.groups = groups;
-        gp.validate();
-        const double occ = im2col::groupedRowOccupancy(gp, 128);
+        const double occ = im2col::groupedRowOccupancy(layer, groups, 128);
         // TPU cost: block-diagonal packed passes.
-        const auto r = tpu.runGroupedConv(gp.base, groups);
+        const auto r = tpu.runGroupedConv(layer, groups);
         const double tflops = r.tflops;
         t2.addRow({cell("%lld", (long long)groups),
-                   cell("%lld", (long long)(128 / groups)),
+                   cell("%lld", (long long)tensor::groupSlice(layer, groups)
+                                    .inChannels),
                    cell("%.1f%%", 100.0 * occ),
                    cell("%.2f", tflops)});
         if (groups == 128)

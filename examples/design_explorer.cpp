@@ -15,13 +15,15 @@
  * word_elems and dram_gbps and meet the same checks. model= takes any
  * spelling models::findModel does ("vgg16", "VGG16", "resnet50",
  * "ResNet"). A bad value, an unknown key or an unknown model prints a
- * status naming its key and exits 2.
+ * status naming its key and exits 2; a bad hardware value names the
+ * argument as typed ("argument 'gbps= 900': ...").
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/config.h"
 #include "common/table.h"
@@ -58,12 +60,17 @@ readArgs(int argc, char **argv)
                             config.getString("model", "vgg16"));
     ExplorerArgs args;
     CFCONV_ASSIGN_OR_RETURN(args.jsonPath, config.getString("json", ""));
-    Config keys; // the hardware keys under their config-file names
+    // Each hardware argument as typed, and its key under the config
+    // name tpuConfigFrom checks.
+    std::vector<std::pair<std::string, Config>> keys;
     for (const auto &[arg, key] : kKeyArgs) {
         CFCONV_ASSIGN_OR_RETURN(const std::string value,
                                 config.getString(arg, ""));
-        if (!value.empty())
-            keys.set(key, value);
+        if (value.empty())
+            continue;
+        Config one;
+        one.set(key, value);
+        keys.emplace_back(std::string(arg) + "=" + value, std::move(one));
     }
     CFCONV_RETURN_IF_ERROR(config.checkAllRead());
 
@@ -73,7 +80,12 @@ readArgs(int argc, char **argv)
         CFCONV_ASSIGN_OR_RETURN(args.cfg,
                                 tpusim::tpuConfigFrom(file, args.cfg));
     }
-    CFCONV_ASSIGN_OR_RETURN(args.cfg, tpusim::tpuConfigFrom(keys, args.cfg));
+    for (const auto &[typed, one] : keys) {
+        StatusOr<tpusim::TpuConfig> cfg = tpusim::tpuConfigFrom(one, args.cfg);
+        if (!cfg.ok())
+            return cfg.status().withContext("argument '" + typed + "'");
+        args.cfg = *cfg;
+    }
     CFCONV_ASSIGN_OR_RETURN(const models::ModelFactory factory,
                             models::findModel(model_name));
     args.model = factory(8);

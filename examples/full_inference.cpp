@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "conv/algorithm.h"
-#include "im2col/grouped.h"
+#include "im2col/pass_plan.h"
 #include "sim/accelerator.h"
 #include "tensor/conv_ref.h"
 #include "tensor/nn_ops.h"
@@ -21,16 +21,17 @@ using tensor::Tensor;
 
 namespace {
 
-/** Implicit conv + parity check against the direct reference. */
+/** Implicit conv, run @p groups-way grouped, + parity check against
+ *  the direct reference. */
 Tensor
 checkedConv(const tensor::ConvParams &p, const Tensor &input,
-            const Tensor &filter, double &worst_diff)
+            const Tensor &filter, double &worst_diff, Index groups = 1)
 {
     const Tensor out =
         conv::findAlgorithm(conv::AlgorithmId::ChannelFirst)
-            ->execute(p, input, filter);
+            ->execute(p, input, filter, groups);
     const double diff = static_cast<double>(
-        out.maxAbsDiff(tensor::convDirect(p, input, filter)));
+        out.maxAbsDiff(tensor::convDirect(p, input, filter, groups)));
     worst_diff = std::max(worst_diff, diff);
     return out;
 }
@@ -80,15 +81,13 @@ main()
 
     // Stage 3: depthwise 3x3 + pointwise 32 -> 64 (separable block)
     // with a residual around the depthwise.
-    im2col::GroupedConvParams dw;
-    dw.base = tensor::makeConv(batch, 32, 16, 32, 3, 1, 1);
-    dw.groups = 32;
-    dw.validate();
-    Tensor wd(32, 1, 3, 3);
+    const auto dw = tensor::makeConv(batch, 32, 16, 32, 3, 1, 1);
+    const Index dw_groups = 32;
+    Tensor wd = tensor::makeFilter(dw, dw_groups);
     wd.fillRandom(4);
     const Tensor residual = x;
     x = tensor::relu(tensor::add(
-        im2col::convGroupedImplicit(dw, x, wd), residual));
+        checkedConv(dw, x, wd, worst, dw_groups), residual));
     auto p3 = tensor::makeConv(batch, 32, 16, 64, 1);
     conv_stack.push_back(p3);
     Tensor w3 = tensor::makeFilter(p3);
@@ -97,7 +96,7 @@ main()
     std::printf("separable: %lldx%lldx%lld (depthwise occupancy on a "
                 "128-row array: %.1f%%)\n",
                 (long long)x.c(), (long long)x.h(), (long long)x.w(),
-                100.0 * im2col::groupedRowOccupancy(dw, 128));
+                100.0 * im2col::groupedRowOccupancy(dw, dw_groups, 128));
 
     // Stage 4: strided conv 64 -> 64 s2, global average pool, logits.
     auto p4 = tensor::makeConv(batch, 64, 16, 64, 3, 2, 1);

@@ -59,11 +59,13 @@ done
 NOAVX2_DIR=build-noavx2
 echo "==== CFCONV_ENABLE_AVX2=OFF, CFCONV_KERNEL=generic ($NOAVX2_DIR) ===="
 cmake -B "$NOAVX2_DIR" -S . -DCFCONV_ENABLE_AVX2=OFF >/dev/null
-# design_explorer, cfconv_cli, report_models and bench_autotune are the
-# ctest entries outside the test binary.
+# design_explorer, cfconv_cli, report_models, bench_autotune and the
+# five examples run_all.sh runs are the ctest entries outside the test
+# binary.
 cmake --build "$NOAVX2_DIR" \
     --target cfconv_tests design_explorer cfconv_cli report_models \
-    bench_autotune -j "$(nproc)" >/dev/null
+    bench_autotune quickstart training_step full_inference resnet_on_tpu \
+    strided_conv_gpu -j "$(nproc)" >/dev/null
 CFCONV_KERNEL=generic ctest --test-dir "$NOAVX2_DIR" \
     --output-on-failure -j "$(nproc)" || {
     echo "FAILED with CFCONV_ENABLE_AVX2=OFF" >&2

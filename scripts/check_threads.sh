@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Thread-safety smoke gate: run the parallel-determinism tests, the
 # thread-pool unit tests, every suite that reaches the host engine
-# (AlgoParity, ImplicitConv, GatherGemm, MultiTileConv, SparseConv,
-# Deformable and Grouped: every conv execute(), bit-identical at 1 to 4
-# threads) and the functional-model suites that reach the producers'
+# (AlgoParity, AlgoFuzz, ImplicitConv, GatherGemm, MultiTileConv,
+# SparseConv, Deformable and Grouped: every conv execute(), grouped
+# ones included, bit-identical at 1 to 4 threads) and the
+# functional-model suites that reach the producers'
 # parallel copies (FunctionalCore, FunctionalTiming and BlockKernel:
 # the pixel gather's HWC copy and explicit im2col's lowering) at 1
 # thread, 2 threads, and the machine's full core count. All three runs
@@ -29,7 +30,7 @@ for threads in 1 2 "$NPROC"; do
     echo "==== CFCONV_THREADS=$threads ===="
     CFCONV_THREADS="$threads" \
         ctest --test-dir "$BUILD_DIR" --output-on-failure \
-        -R 'Parallel|AlgoParity|ImplicitConv|GatherGemm|MultiTileConv|SparseConv|Deformable|Grouped|FunctionalCore|FunctionalTiming|BlockKernel' || {
+        -R 'Parallel|AlgoParity|AlgoFuzz|ImplicitConv|GatherGemm|MultiTileConv|SparseConv|Deformable|Grouped|FunctionalCore|FunctionalTiming|BlockKernel' || {
         echo "FAILED at CFCONV_THREADS=$threads" >&2
         exit 1
     }

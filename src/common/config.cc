@@ -9,6 +9,11 @@ namespace cfconv {
 
 namespace {
 
+/** What a command-line key is made of. */
+constexpr const char *kKeyChars = "abcdefghijklmnopqrstuvwxyz0123456789_";
+
+} // namespace
+
 std::string
 strip(const std::string &s)
 {
@@ -19,10 +24,22 @@ strip(const std::string &s)
     return s.substr(begin, end - begin + 1);
 }
 
-/** What a command-line key is made of. */
-constexpr const char *kKeyChars = "abcdefghijklmnopqrstuvwxyz0123456789_";
-
-} // namespace
+std::vector<std::string>
+splitList(const std::string &text, char sep)
+{
+    std::vector<std::string> out;
+    size_t begin = 0;
+    while (begin <= text.size()) {
+        const size_t end = text.find(sep, begin);
+        if (end == std::string::npos) {
+            out.push_back(text.substr(begin));
+            break;
+        }
+        out.push_back(text.substr(begin, end - begin));
+        begin = end + 1;
+    }
+    return out;
+}
 
 std::optional<long long>
 parseDecimal(std::string_view text)

@@ -33,6 +33,15 @@ std::optional<long long> parseDecimal(std::string_view text);
  *  config files, command lines, fault specs and serving class specs. */
 std::optional<double> parseDecimalDouble(std::string_view text);
 
+/** @p s without its leading and trailing spaces, tabs and carriage
+ *  returns: the one trim of config lines, fault specs and their lists. */
+std::string strip(const std::string &s);
+
+/** @p text cut at every @p sep, empty pieces kept ("a,,b" gives "a",
+ *  "" and "b"; "" gives one empty piece): the one list splitter of
+ *  fault specs and serving class specs, which name an empty piece. */
+std::vector<std::string> splitList(const std::string &text, char sep);
+
 /** A parsed key=value configuration. */
 class Config
 {

@@ -11,16 +11,6 @@ namespace cfconv::fault {
 
 namespace {
 
-std::string
-strip(const std::string &s)
-{
-    const size_t begin = s.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return "";
-    const size_t end = s.find_last_not_of(" \t\r");
-    return s.substr(begin, end - begin + 1);
-}
-
 StatusOr<double>
 parseDouble(const std::string &key, const std::string &value)
 {
@@ -37,23 +27,6 @@ parseInt(const std::string &key, const std::string &value)
         return *parsed;
     return invalidArgumentError("faults: '%s=%s' is not an integer",
                                 key.c_str(), value.c_str());
-}
-
-std::vector<std::string>
-split(const std::string &text, char sep)
-{
-    std::vector<std::string> out;
-    size_t begin = 0;
-    while (begin <= text.size()) {
-        const size_t end = text.find(sep, begin);
-        if (end == std::string::npos) {
-            out.push_back(text.substr(begin));
-            break;
-        }
-        out.push_back(text.substr(begin, end - begin));
-        begin = end + 1;
-    }
-    return out;
 }
 
 bool
@@ -78,7 +51,7 @@ Status
 parseSpec(const std::string &spec, ParsedSpec *out)
 {
     std::set<std::string> keys;
-    for (const std::string &raw_item : split(spec, ';')) {
+    for (const std::string &raw_item : splitList(spec, ';')) {
         const std::string item = strip(raw_item);
         if (item.empty())
             continue;
@@ -131,7 +104,7 @@ parseSpec(const std::string &spec, ParsedSpec *out)
                     value.c_str());
             out->policy.maxBackoffSeconds = us * 1e-6;
         } else if (key == "failover") {
-            for (const std::string &raw_name : split(value, ',')) {
+            for (const std::string &raw_name : splitList(value, ',')) {
                 const std::string name = strip(raw_name);
                 if (name.empty())
                     return invalidArgumentError(

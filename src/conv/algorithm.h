@@ -156,19 +156,23 @@ class Algorithm
         const;
 
     /**
-     * Functional execution: @p input is (N, C_I, H_I, W_I), @p filter
-     * is (C_O, C_I, H_F, W_F); returns the (N, C_O, H_O, W_O) OFMap in
-     * NCHW layout, bit-identical at any parallel::threads() count and
-     * within accumulation-order float tolerance of tensor::convDirect.
-     * One body for every algorithm: check @p input, take plan(), pack
-     * B in columns() order, and run the plan with pointers() on the one
-     * host engine, im2col::gatherGemm(). Callers must check supports()
-     * first; executing an unsupported layer, a layer that fails
-     * ConvParams::validate(), or an operand whose dims do not match
-     * @p params is a fatal() user error.
+     * Functional execution, run @p groups-way grouped: @p input is
+     * (N, C_I, H_I, W_I), @p filter is (C_O, C_I/G, H_F, W_F); returns
+     * the (N, C_O, H_O, W_O) OFMap in NCHW layout, bit-identical at any
+     * parallel::threads() count and within accumulation-order float
+     * tolerance of tensor::convDirect(params, input, filter, groups).
+     * One body for every algorithm: check the operands, take the plan,
+     * pack B in columns() order, and run the plan with pointers() on
+     * the one host engine, im2col::gatherGemm(). A grouped layer runs
+     * each group's channel slice (tensor::groupSlice()) that way, on
+     * copies of its input channels and filter rows; @p groups = 1 runs
+     * the layer itself, with no copy. Callers must check
+     * supports(params, groups) first: executing a layer it refuses, or
+     * an operand whose dims do not match @p params, is a fatal() user
+     * error.
      */
     Tensor execute(const ConvParams &params, const Tensor &input,
-                   const Tensor &filter) const;
+                   const Tensor &filter, Index groups = 1) const;
 
   private:
     /** plan() body for a layer supports() accepted. */

@@ -55,6 +55,20 @@ wholeGemmPlan(const ConvParams &params, FeedLocality feed)
     return plan;
 }
 
+/** A copy of @p src's [n0, n0 + n) x [c0, c0 + c) x H x W block, in
+ *  NCHW: one group's input channels or filter rows. */
+Tensor
+block(const Tensor &src, Index n0, Index n, Index c0, Index c)
+{
+    Tensor out(n, c, src.h(), src.w());
+    for (Index i = 0; i < n; ++i)
+        for (Index j = 0; j < c; ++j)
+            for (Index h = 0; h < src.h(); ++h)
+                for (Index w = 0; w < src.w(); ++w)
+                    out.at(i, j, h, w) = src.at(n0 + i, c0 + j, h, w);
+    return out;
+}
+
 // ---------------------------------------------------------------------------
 // Channel-first implicit im2col (the paper's algorithm, Sec. III).
 // ---------------------------------------------------------------------------
@@ -331,15 +345,38 @@ Algorithm::columns(const ConvParams &params, const PassPlan &plan) const
 
 Tensor
 Algorithm::execute(const ConvParams &params, const Tensor &input,
-                   const Tensor &filter) const
+                   const Tensor &filter, Index groups) const
 {
+    const Status supported = supports(params, groups);
+    CFCONV_FATAL_IF(!supported.ok(), "%s", supported.message().c_str());
     tensor::checkInput(params, input);
-    const StatusOr<PassPlan> plan = this->plan(params);
-    CFCONV_FATAL_IF(!plan.ok(), "%s", plan.status().message().c_str());
-    const std::vector<float> strips =
-        im2col::packFilter(params, filter, columns(params, *plan));
-    return im2col::gatherGemm(params, input, *plan, strips,
-                              pointers(params, input, *plan));
+    tensor::checkFilter(params, filter, groups);
+    // The slice of a layer supports() accepts is one too, so its plan
+    // needs no second check.
+    const ConvParams slice = tensor::groupSlice(params, groups);
+    const PassPlan plan = buildPlan(slice);
+    const std::vector<tensor::ColCoord> cols = columns(slice, plan);
+    const auto run = [&](const Tensor &in, const Tensor &f) {
+        return im2col::gatherGemm(slice, in, plan,
+                                  im2col::packFilter(slice, f, cols),
+                                  pointers(slice, in, plan));
+    };
+    if (groups == 1)
+        return run(input, filter);
+
+    Tensor out(params.batch, params.outChannels, params.outH(),
+               params.outW());
+    const Index cig = slice.inChannels, cog = slice.outChannels;
+    for (Index g = 0; g < groups; ++g) {
+        const Tensor part =
+            run(block(input, 0, params.batch, g * cig, cig),
+                block(filter, g * cog, cog, 0, cig));
+        for (Index n = 0; n < params.batch; ++n)
+            std::copy_n(part.data() + part.offsetOf(n, 0, 0, 0),
+                        cog * part.h() * part.w(),
+                        out.data() + out.offsetOf(n, g * cog, 0, 0));
+    }
+    return out;
 }
 
 const std::vector<const Algorithm *> &

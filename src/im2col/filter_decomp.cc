@@ -1,6 +1,7 @@
 #include "im2col/filter_decomp.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -108,26 +109,51 @@ tileOverlap(const ConvParams &params, const FilterTile &a,
            static_cast<double>(std::min(pa, pb));
 }
 
+namespace {
+
+/**
+ * The input coordinates in [0, @p in) that output coordinates
+ * [0, @p out) read through taps [0, @p kernel) along one axis, counted
+ * per residue of the stride. Tap r reads lattice points
+ * j * stride + rho_r for j in [q_r, q_r + out), where r * dilation - pad
+ * = q_r * stride + rho_r, clipped to [0, (in - 1 - rho_r) / stride].
+ * Taps period = stride / gcd(stride, dilation) apart share a residue,
+ * and within one q_r rises with r, so a running end merges them.
+ */
+Index
+axisUnion(Index in, Index out, Index kernel, Index stride, Index pad,
+          Index dilation)
+{
+    const Index period = stride / std::gcd(stride, dilation);
+    Index count = 0;
+    for (Index r0 = 0; r0 < std::min(period, kernel); ++r0) {
+        const Index rho = ((r0 * dilation - pad) % stride + stride) % stride;
+        if (rho >= in)
+            continue;
+        const Index j_max = (in - 1 - rho) / stride;
+        Index end = 0; // one past the last lattice index counted
+        for (Index r = r0; r < kernel; r += period) {
+            const Index q = (r * dilation - pad - rho) / stride;
+            const Index lo = std::max(q, end);
+            const Index hi = std::min(q + out - 1, j_max);
+            if (hi >= lo) {
+                count += hi - lo + 1;
+                end = hi + 1;
+            }
+        }
+    }
+    return count;
+}
+
+} // namespace
+
 Index
 inputUnionPositions(const ConvParams &params)
 {
-    std::vector<bool> h_used(static_cast<size_t>(params.inH), false);
-    std::vector<bool> w_used(static_cast<size_t>(params.inW), false);
-    for (Index r = 0; r < params.kernelH; ++r)
-        for (Index oh = 0; oh < params.outH(); ++oh) {
-            const Index ih = params.inputRow(oh, r);
-            if (ih >= 0 && ih < params.inH)
-                h_used[static_cast<size_t>(ih)] = true;
-        }
-    for (Index s = 0; s < params.kernelW; ++s)
-        for (Index ow = 0; ow < params.outW(); ++ow) {
-            const Index iw = params.inputCol(ow, s);
-            if (iw >= 0 && iw < params.inW)
-                w_used[static_cast<size_t>(iw)] = true;
-        }
-    const Index h_cnt = std::count(h_used.begin(), h_used.end(), true);
-    const Index w_cnt = std::count(w_used.begin(), w_used.end(), true);
-    return h_cnt * w_cnt;
+    return axisUnion(params.inH, params.outH(), params.kernelH,
+                     params.strideH, params.padH, params.dilationH) *
+           axisUnion(params.inW, params.outW(), params.kernelW,
+                     params.strideW, params.padW, params.dilationW);
 }
 
 Bytes

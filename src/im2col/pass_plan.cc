@@ -49,4 +49,15 @@ tpuMultiTileParam(Index array_rows, const ConvParams &params)
     return std::max<Index>(1, std::min(by_channels, params.kernelW));
 }
 
+double
+groupedRowOccupancy(const ConvParams &params, Index groups,
+                    Index array_rows)
+{
+    params.validate(groups);
+    const ConvParams slice = tensor::groupSlice(params, groups);
+    const Index t = tpuMultiTileParam(array_rows, slice);
+    return std::min(1.0, static_cast<double>(t * slice.inChannels) /
+                             static_cast<double>(array_rows));
+}
+
 } // namespace cfconv::im2col

@@ -93,6 +93,18 @@ PassPlan channelFirstPlan(const ConvParams &params,
  */
 Index tpuMultiTileParam(Index array_rows, const ConvParams &params);
 
+/**
+ * Systolic-row occupancy of one group's pass under the TPU strategy,
+ * for @p params run @p groups-way grouped: min(1, T * (C_I/G) / rows),
+ * T the tpuMultiTileParam() of the group's slice. It describes the
+ * unpacked schedule, one group per pass; tpusim::TpuSim packs slices
+ * block-diagonally. Depthwise layers expose the under-utilization the
+ * multi-tile optimization fights. Fatal unless tensor::checkLayer()
+ * accepts the layer with @p groups.
+ */
+double groupedRowOccupancy(const ConvParams &params, Index groups,
+                           Index array_rows);
+
 } // namespace cfconv::im2col
 
 #endif // CFCONV_IM2COL_PASS_PLAN_H

@@ -23,19 +23,10 @@ add(ModelSpec &m, const std::string &name, Index batch, Index ci,
 
 } // namespace
 
-ConvParams
-ConvLayerSpec::sliceParams() const
-{
-    ConvParams p = params;
-    p.inChannels = params.inChannels / groups;
-    p.outChannels = params.outChannels / groups;
-    return p;
-}
-
 Flops
 ConvLayerSpec::flops() const
 {
-    return params.flops() / static_cast<Flops>(groups);
+    return tensor::groupedFlops(params, groups);
 }
 
 Flops

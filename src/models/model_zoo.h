@@ -27,10 +27,8 @@ struct ConvLayerSpec
     Index count = 1;   ///< how many times the shape occurs in the model
     Index groups = 1;  ///< grouped convolution factor (C_I for depthwise)
 
-    /** Geometry of one group slice (params itself when groups == 1). */
-    ConvParams sliceParams() const;
-
-    /** MAC FLOPs of one instance, accounting for grouping. */
+    /** MAC FLOPs of one instance, accounting for grouping
+     *  (tensor::groupedFlops()). */
     Flops flops() const;
 };
 

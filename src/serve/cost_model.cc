@@ -27,27 +27,13 @@ parseClassSpecs(const std::string &spec)
     if (spec.empty())
         return invalidArgumentError("empty class spec");
     ModelMix mix;
-    size_t start = 0;
-    while (start <= spec.size()) {
-        size_t end = spec.find(',', start);
-        if (end == std::string::npos)
-            end = spec.size();
-        const std::string token = spec.substr(start, end - start);
-        start = end + 1;
+    for (const std::string &token : splitList(spec, ',')) {
         if (token.empty())
             return invalidArgumentError(
                 "class spec '%s': empty entry", spec.c_str());
 
         // Split "name[:weight[:priority[:sloMs]]]".
-        std::vector<std::string> parts;
-        size_t p = 0;
-        while (p <= token.size()) {
-            size_t colon = token.find(':', p);
-            if (colon == std::string::npos)
-                colon = token.size();
-            parts.push_back(token.substr(p, colon - p));
-            p = colon + 1;
-        }
+        const std::vector<std::string> parts = splitList(token, ':');
         if (parts.size() > 4)
             return invalidArgumentError(
                 "class spec entry '%s': expected "
@@ -83,8 +69,6 @@ parseClassSpecs(const std::string &spec)
             makeModelClass(parts[0], weight,
                            static_cast<Index>(priority), sloMs * 1e-3));
         mix.push_back(std::move(cls));
-        if (end == spec.size())
-            break;
     }
     return mix;
 }

@@ -2,7 +2,6 @@
 
 #include "gpusim/energy.h"
 #include "gpusim/kernel_cache.h"
-#include "models/model_zoo.h"
 
 namespace cfconv::sim {
 
@@ -23,15 +22,10 @@ GpuAccelerator::runLayer(const ConvParams &params,
                          const RunOptions &options) const
 {
     // Grouped layers: one kernel per group slice (real stacks fuse
-    // these, but the slice count dominates the estimate). The slice
-    // geometry comes from ConvLayerSpec::sliceParams, which divides by
-    // the group count.
+    // these, but the slice count dominates the estimate).
     params.validate(options.groups);
-    models::ConvLayerSpec spec;
-    spec.params = params;
-    spec.groups = options.groups;
     const gpusim::GpuKernelResult r =
-        sim_.runConv(spec.sliceParams(), options_);
+        sim_.runConv(tensor::groupSlice(params, options.groups), options_);
     const double groups = static_cast<double>(options.groups);
 
     LayerRecord rec;
@@ -39,7 +33,7 @@ GpuAccelerator::runLayer(const ConvParams &params,
     rec.groups = options.groups;
     rec.seconds = r.seconds * groups;
     rec.dramBytes = r.dramBytes * static_cast<Bytes>(options.groups);
-    rec.flops = spec.flops();
+    rec.flops = tensor::groupedFlops(params, options.groups);
     rec.tflops = static_cast<double>(rec.flops) / rec.seconds / 1e12;
     rec.utilization = rec.tflops / peakTflops();
     rec.extras["memoryBound"] = r.memoryBound ? 1.0 : 0.0;

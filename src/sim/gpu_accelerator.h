@@ -3,9 +3,8 @@
  * sim::Accelerator adapter over the GPU tensor-core simulator.
  * Backend-specific run knobs (kernel algorithm, inter-tile reuse,
  * vendor tuning) are fixed at construction; grouped layers run one
- * kernel per group slice exactly as GpuSim::runModel always has
- * (sliced via models::ConvLayerSpec::sliceParams so the two paths can
- * never drift), and GPU-only result fields are exported through
+ * kernel per group slice (tensor::groupSlice(), the one group rule),
+ * and GPU-only result fields are exported through
  * LayerRecord::extras ("memoryBound", "computeSeconds",
  * "memorySeconds", "transformSeconds").
  */

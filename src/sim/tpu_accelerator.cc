@@ -31,7 +31,7 @@ TpuAccelerator::runLayer(const ConvParams &params,
     rec.tflops = r.tflops;
     rec.utilization = rec.tflops / peakTflops();
     rec.dramBytes = r.dramBytes;
-    rec.flops = params.flops() / static_cast<Flops>(options.groups);
+    rec.flops = tensor::groupedFlops(params, options.groups);
     rec.extras["multiTile"] = static_cast<double>(r.multiTile);
     rec.extras["portUtilization"] = r.portUtilization;
     rec.extras["exposedFillFrac"] = r.cycles

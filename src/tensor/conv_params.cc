@@ -141,6 +141,23 @@ ConvParams::validate(Index groups) const
         fatal("%s", checkLayer(*this, groups).message().c_str());
 }
 
+ConvParams
+groupSlice(const ConvParams &params, Index groups)
+{
+    CFCONV_ASSERT(groups >= 1, "(groupSlice on a group count checkLayer "
+                               "refuses)");
+    ConvParams slice = params;
+    slice.inChannels = params.inChannels / groups;
+    slice.outChannels = params.outChannels / groups;
+    return slice;
+}
+
+Flops
+groupedFlops(const ConvParams &params, Index groups)
+{
+    return params.flops() / static_cast<Flops>(groups);
+}
+
 std::string
 ConvParams::toString() const
 {

@@ -149,7 +149,7 @@ struct ConvParams
     /**
      * fatal() with checkLayer()'s message unless checkLayer(*this,
      * @p groups) is OK: the edge where the value-returning entries
-     * (makeConv, conv::Algorithm::execute(), Accelerator::runLayer)
+     * (makeConv, convDirect(), Accelerator::runLayer)
      * turn an invalid layer into a FatalError. Holds no rule of its
      * own.
      */
@@ -182,6 +182,20 @@ struct ConvParams
  * compares and builds no string.
  */
 Status checkLayer(const ConvParams &params, Index groups = 1);
+
+/**
+ * One group of @p params run @p groups-way grouped (filter
+ * decomposition, Sec. III-B: a grouped layer is G independent
+ * convolutions over channel slices): C_I/G input and C_O/G output
+ * channels, every other field unchanged; @p params itself at
+ * @p groups = 1. The one rule for a group's geometry; call it on a
+ * layer checkLayer(params, groups) accepts.
+ */
+ConvParams groupSlice(const ConvParams &params, Index groups);
+
+/** MAC FLOPs of @p params run @p groups-way grouped: the G slices'
+ *  groupSlice().flops(), which is flops() / G. */
+Flops groupedFlops(const ConvParams &params, Index groups);
 
 /** Convenience builder for square-geometry layers used all over tests. */
 ConvParams makeConv(Index batch, Index in_channels, Index in_hw,

@@ -16,11 +16,13 @@ namespace {
  * a contiguous input span, dispatched to the active micro-kernel
  * backend. Accumulation per output element stays in the reference
  * (ci, r, s) order, so the only difference from the per-element plane
- * is FMA/vector rounding.
+ * is FMA/vector rounding. Both planes take a group's geometry
+ * (groupSlice()) and read its input channels from @p ci0 on.
  */
 void
 convPlaneFast(const ConvParams &params, const Tensor &input,
-              const Tensor &filter, Tensor &out, Index n, Index co)
+              const Tensor &filter, Tensor &out, Index n, Index co,
+              Index ci0)
 {
     const Index ho = params.outH(), wo = params.outW();
     float *out_plane = out.data() + out.offsetOf(n, co, 0, 0);
@@ -32,7 +34,7 @@ convPlaneFast(const ConvParams &params, const Tensor &input,
                 if (ih < 0 || ih >= params.inH)
                     continue;
                 const float *in_row =
-                    input.data() + input.offsetOf(n, ci, ih, 0);
+                    input.data() + input.offsetOf(n, ci0 + ci, ih, 0);
                 float *out_row = out_plane + oh * wo;
                 for (Index s = 0; s < params.kernelW; ++s) {
                     const float f = filter.at(co, ci, r, s);
@@ -79,7 +81,8 @@ hasNonFiniteWeight(const ConvParams &params, const Tensor &filter,
 /** The per-element plane loop through atPadded(): any operand layout. */
 void
 convPlanePerElement(const ConvParams &params, const Tensor &input,
-                    const Tensor &filter, Tensor &out, Index n, Index co)
+                    const Tensor &filter, Tensor &out, Index n, Index co,
+                    Index ci0)
 {
     const Index ho = params.outH(), wo = params.outW();
     for (Index oh = 0; oh < ho; ++oh) {
@@ -92,7 +95,7 @@ convPlanePerElement(const ConvParams &params, const Tensor &input,
                     for (Index s = 0; s < params.kernelW; ++s) {
                         const Index iw = ow * params.strideW -
                             params.padW + s * params.dilationW;
-                        acc += input.atPadded(n, ci, ih, iw) *
+                        acc += input.atPadded(n, ci0 + ci, ih, iw) *
                                filter.at(co, ci, r, s);
                     }
                 }
@@ -106,10 +109,12 @@ convPlanePerElement(const ConvParams &params, const Tensor &input,
 
 Tensor
 convDirect(const ConvParams &params, const Tensor &input,
-           const Tensor &filter)
+           const Tensor &filter, Index groups)
 {
+    params.validate(groups);
     checkInput(params, input);
-    checkFilter(params, filter);
+    checkFilter(params, filter, groups);
+    const ConvParams slice = groupSlice(params, groups);
 
     Tensor out(params.batch, params.outChannels, params.outH(),
                params.outW(), Layout::NCHW);
@@ -128,10 +133,13 @@ convDirect(const ConvParams &params, const Tensor &input,
             for (Index plane = plane0; plane < plane1; ++plane) {
                 const Index n = plane / params.outChannels;
                 const Index co = plane % params.outChannels;
-                if (nchw && !hasNonFiniteWeight(params, filter, co))
-                    convPlaneFast(params, input, filter, out, n, co);
+                const Index ci0 =
+                    co / slice.outChannels * slice.inChannels;
+                if (nchw && !hasNonFiniteWeight(slice, filter, co))
+                    convPlaneFast(slice, input, filter, out, n, co, ci0);
                 else
-                    convPlanePerElement(params, input, filter, out, n, co);
+                    convPlanePerElement(slice, input, filter, out, n, co,
+                                        ci0);
             }
         });
     return out;
@@ -145,10 +153,10 @@ makeInput(const ConvParams &params, Layout layout)
 }
 
 Tensor
-makeFilter(const ConvParams &params)
+makeFilter(const ConvParams &params, Index groups)
 {
-    return Tensor(params.outChannels, params.inChannels, params.kernelH,
-                  params.kernelW, Layout::NCHW);
+    return Tensor(params.outChannels, groupSlice(params, groups).inChannels,
+                  params.kernelH, params.kernelW, Layout::NCHW);
 }
 
 } // namespace cfconv::tensor

@@ -106,11 +106,12 @@ checkInput(const ConvParams &params, const Tensor &input)
 }
 
 void
-checkFilter(const ConvParams &params, const Tensor &filter)
+checkFilter(const ConvParams &params, const Tensor &filter, Index groups)
 {
     checkOperandDims(params, "filter",
                      {{"C_O", filter.n(), params.outChannels},
-                      {"C_I", filter.c(), params.inChannels},
+                      {groups == 1 ? "C_I" : "C_I/G", filter.c(),
+                       groupSlice(params, groups).inChannels},
                       {"H_F", filter.h(), params.kernelH},
                       {"W_F", filter.w(), params.kernelW}});
 }

@@ -101,8 +101,10 @@ void checkOperandDims(const ConvParams &params, const char *operand,
 void checkInput(const ConvParams &params, const Tensor &input);
 
 /** The one filter check of every conv pass: @p filter must be
- *  (C_O, C_I, H_F, W_F) of @p params (see checkOperandDims()). */
-void checkFilter(const ConvParams &params, const Tensor &filter);
+ *  (C_O, C_I/G, H_F, W_F) of @p params run @p groups-way grouped, the
+ *  C_I of groupSlice() (see checkOperandDims()). */
+void checkFilter(const ConvParams &params, const Tensor &filter,
+                 Index groups = 1);
 
 /**
  * col2im: scatter-accumulate a lowered matrix back into input geometry.

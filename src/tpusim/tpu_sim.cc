@@ -440,15 +440,16 @@ TpuSim::runGroupedConv(const ConvParams &base, Index groups,
     if (groups == 1)
         return runConv(base, options);
 
-    const Index cig = base.inChannels / groups;
-    const Index cog = base.outChannels / groups;
+    const ConvParams slice = tensor::groupSlice(base, groups);
+    const Index cig = slice.inChannels;
+    const Index cog = slice.outChannels;
     // Block-diagonal packing: each pass holds `pack` group slices.
     const Index pack = std::max<Index>(
         1, std::min(config_.array.rows / std::max<Index>(1, cig),
                     config_.array.cols / std::max<Index>(1, cog)));
     const Index packed = std::min(pack, groups);
 
-    ConvParams eq = base;
+    ConvParams eq = slice;
     eq.inChannels = packed * cig;
     eq.outChannels = packed * cog;
     TpuLayerResult r = runConv(eq, options);
@@ -464,8 +465,8 @@ TpuSim::runGroupedConv(const ConvParams &base, Index groups,
 
     // Useful work is the grouped FLOP count; the block-diagonal zeros
     // are wasted array capacity.
-    const Flops useful = base.flops() / static_cast<Flops>(groups);
-    r.tflops = static_cast<double>(useful) / r.seconds / 1e12;
+    r.tflops = static_cast<double>(tensor::groupedFlops(base, groups)) /
+               r.seconds / 1e12;
     return r;
 }
 

@@ -206,6 +206,17 @@ TEST(Config, MissingFileIsFatal)
         << status.toString();
 }
 
+TEST(Config, SplitListKeepsEveryPieceAndStripTrims)
+{
+    using Pieces = std::vector<std::string>;
+    EXPECT_EQ(splitList("a,,b", ','), (Pieces{"a", "", "b"}));
+    EXPECT_EQ(splitList("", ','), (Pieces{""}));
+    EXPECT_EQ(splitList("a:", ':'), (Pieces{"a", ""}));
+    EXPECT_EQ(splitList(";seed=1", ';'), (Pieces{"", "seed=1"}));
+    EXPECT_EQ(strip(" \t key = 1\r"), "key = 1");
+    EXPECT_EQ(strip(" \t\r"), "");
+}
+
 TEST(TpuConfigFrom, AppliesOverrides)
 {
     const Config c = parse(

@@ -28,7 +28,6 @@
 #include "conv/algorithm.h"
 #include "gpusim/kernel_cache.h"
 #include "im2col/conv_backward.h"
-#include "im2col/grouped.h"
 #include "sim/accelerator.h"
 #include "sim/variants.h"
 #include "tensor/conv_ref.h"
@@ -417,21 +416,12 @@ TEST(AlgoParity, EveryExecuteNamesAMismatchedInputDimension)
 TEST(AlgoParity, EveryReferencePassNamesAMismatchedOperand)
 {
     // The passes execute() is checked against, forward and backward,
-    // share its operand checks and name the same dimensions. A grouped
-    // layer's filter holds C_I/G channels: one group here.
-    const im2col::GroupedConvParams one{kOperandLayer, 1};
+    // share its operand checks and name the same dimensions (a grouped
+    // filter's C_I/G: GroupedConv.RejectsWrongFilterShape).
     const std::vector<OperandDoor> doors = {
         {"convDirect", {"input", "filter"},
          [](const Tensor &in, const Tensor &f, const Tensor &) {
              tensor::convDirect(kOperandLayer, in, f);
-         }},
-        {"convGroupedDirect", {"input", "filter"},
-         [&one](const Tensor &in, const Tensor &f, const Tensor &) {
-             im2col::convGroupedDirect(one, in, f);
-         }},
-        {"convGroupedImplicit", {"input", "filter"},
-         [&one](const Tensor &in, const Tensor &f, const Tensor &) {
-             im2col::convGroupedImplicit(one, in, f);
          }},
         {"convBackwardDataDirect", {"filter", "grad_out"},
          [](const Tensor &, const Tensor &f, const Tensor &dy) {

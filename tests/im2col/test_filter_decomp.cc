@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "im2col/filter_decomp.h"
 #include "tensor/conv_params.h"
 
@@ -125,6 +129,66 @@ TEST(InputUnion, PartialCoverageWhenStrideExceedsKernel)
     // k1 s2 touches only every other row/column.
     const ConvParams p = makeConv(1, 1, 8, 1, 1, 2);
     EXPECT_EQ(inputUnionPositions(p), 16);
+}
+
+/** The union by marking every input row and column some (output,
+ *  tap) pair reads: the oracle of the closed form. */
+Index
+markedUnionPositions(const ConvParams &params)
+{
+    std::vector<bool> h_used(static_cast<size_t>(params.inH), false);
+    std::vector<bool> w_used(static_cast<size_t>(params.inW), false);
+    for (Index r = 0; r < params.kernelH; ++r)
+        for (Index oh = 0; oh < params.outH(); ++oh) {
+            const Index ih = params.inputRow(oh, r);
+            if (ih >= 0 && ih < params.inH)
+                h_used[static_cast<size_t>(ih)] = true;
+        }
+    for (Index s = 0; s < params.kernelW; ++s)
+        for (Index ow = 0; ow < params.outW(); ++ow) {
+            const Index iw = params.inputCol(ow, s);
+            if (iw >= 0 && iw < params.inW)
+                w_used[static_cast<size_t>(iw)] = true;
+        }
+    return std::count(h_used.begin(), h_used.end(), true) *
+           std::count(w_used.begin(), w_used.end(), true);
+}
+
+TEST(InputUnion, ClosedFormMatchesTheMarkingLoop)
+{
+    // Every valid axis with H_I <= 40, k <= 7, d <= 4, s <= 5 and
+    // p <= 6, along H and along W, the other axis a fixed 3x3/2 on 9.
+    Index checked = 0;
+    for (Index in = 1; in <= 40; ++in)
+        for (Index k = 1; k <= 7; ++k)
+            for (Index d = 1; d <= 4; ++d)
+                for (Index s = 1; s <= 5; ++s)
+                    for (Index pad = 0; pad <= 6; ++pad) {
+                        ConvParams along_h;
+                        along_h.inH = in;
+                        along_h.kernelH = k;
+                        along_h.strideH = s;
+                        along_h.padH = pad;
+                        along_h.dilationH = d;
+                        along_h.inW = 9;
+                        along_h.kernelW = 3;
+                        along_h.strideW = 2;
+                        along_h.padW = 1;
+                        if (!tensor::checkLayer(along_h).ok())
+                            continue;
+                        ++checked;
+                        ConvParams along_w = along_h;
+                        std::swap(along_w.inH, along_w.inW);
+                        std::swap(along_w.kernelH, along_w.kernelW);
+                        std::swap(along_w.strideH, along_w.strideW);
+                        std::swap(along_w.padH, along_w.padW);
+                        std::swap(along_w.dilationH, along_w.dilationW);
+                        for (const ConvParams &p : {along_h, along_w})
+                            EXPECT_EQ(inputUnionPositions(p),
+                                      markedUnionPositions(p))
+                                << p.toString();
+                    }
+    EXPECT_EQ(checked, 35510);
 }
 
 TEST(InputUnion, BytesScaleWithDtypeChannelsBatch)

@@ -44,8 +44,9 @@ TEST(MobileNet, GroupedFlopsAreSliceScaled)
     const ModelSpec m = mobilenetv1(1);
     for (const auto &l : m.layers) {
         if (l.groups > 1) {
-            EXPECT_EQ(l.flops(), l.sliceParams().flops() *
-                                     static_cast<Flops>(l.groups))
+            EXPECT_EQ(l.flops(),
+                      tensor::groupSlice(l.params, l.groups).flops() *
+                          static_cast<Flops>(l.groups))
                 << l.name;
         } else {
             EXPECT_EQ(l.flops(), l.params.flops());

@@ -6,7 +6,6 @@
 
 #include "gpusim/gpu_sim.h"
 #include "gpusim/kernel_cache.h"
-#include "models/model_zoo.h"
 #include "sim/gpu_accelerator.h"
 #include "sim/tpu_accelerator.h"
 #include "sim/variants.h"
@@ -102,23 +101,22 @@ TEST(GpuAdapter, MatchesRawSimulatorExactly)
 
 TEST(GpuAdapter, GroupedLayerRunsOneKernelPerSlice)
 {
-    models::ConvLayerSpec spec;
-    spec.params = makeConv(8, 32, 14, 32, 3, 1, 1);
-    spec.groups = 32;
+    const auto params = makeConv(8, 32, 14, 32, 3, 1, 1);
+    const Index groups = 32;
     const gpusim::GpuSim raw((gpusim::GpuConfig::v100()));
     const gpusim::GpuKernelResult slice =
-        raw.runConv(spec.sliceParams());
+        raw.runConv(makeConv(8, 1, 14, 1, 3, 1, 1));
 
     const GpuAccelerator accelerator("gpu-v100",
                                      gpusim::GpuConfig::v100());
     RunOptions options;
-    options.groups = spec.groups;
-    const LayerRecord got = accelerator.runLayer(spec.params, options);
+    options.groups = groups;
+    const LayerRecord got = accelerator.runLayer(params, options);
     EXPECT_DOUBLE_EQ(got.seconds,
-                     slice.seconds * static_cast<double>(spec.groups));
-    EXPECT_EQ(got.flops, spec.flops());
+                     slice.seconds * static_cast<double>(groups));
+    EXPECT_EQ(got.flops, params.flops() / groups);
     // The record describes the full layer, not the slice.
-    EXPECT_EQ(got.geometry, spec.params.toString());
+    EXPECT_EQ(got.geometry, params.toString());
 }
 
 // --- memo-cache key fidelity -------------------------------------
