@@ -75,7 +75,7 @@ main(int argc, char **argv)
     std::vector<double> gains;
     for (const auto &layer : models::stridedLayers(batch)) {
         const auto base = sim.runConv(layer.params, naive);
-        if (!base.memoryBound)
+        if (!base.breakdown.memoryBound())
             continue; // the paper selects memory-exposed layers
         const auto opt = sim.runConv(layer.params, reuse);
         gains.push_back(base.seconds / opt.seconds);

@@ -154,7 +154,7 @@ main(int argc, char **argv)
         std::printf("\nV100:   %.2f us | %.2f TFLOPS | %s-bound | "
                     "DRAM %.2f MB%s\n",
                     r.seconds * 1e6, r.tflops,
-                    r.memoryBound ? "memory" : "compute",
+                    r.breakdown.memoryBound() ? "memory" : "compute",
                     static_cast<double>(r.dramBytes) / 1e6,
                     r.transformSeconds > 0.0 ? " (incl. transform)"
                                              : "");

@@ -16,7 +16,8 @@
  * spelling models::findModel does ("vgg16", "VGG16", "resnet50",
  * "ResNet"). A bad value, an unknown key or an unknown model prints a
  * status naming its key and exits 2; a bad hardware value names the
- * argument as typed ("argument 'gbps= 900': ...").
+ * argument as typed ("argument 'gbps= 900': ..."), and a bad line of
+ * the config file names the file ("argument 'config=FILE': ...").
  */
 
 #include <algorithm>
@@ -77,8 +78,12 @@ readArgs(int argc, char **argv)
     if (!cfg_path.empty()) {
         CFCONV_ASSIGN_OR_RETURN(const Config file,
                                 Config::fromFile(cfg_path));
-        CFCONV_ASSIGN_OR_RETURN(args.cfg,
-                                tpusim::tpuConfigFrom(file, args.cfg));
+        StatusOr<tpusim::TpuConfig> cfg =
+            tpusim::tpuConfigFrom(file, args.cfg);
+        if (!cfg.ok())
+            return cfg.status().withContext("argument 'config=" +
+                                            cfg_path + "'");
+        args.cfg = *cfg;
     }
     for (const auto &[typed, one] : keys) {
         StatusOr<tpusim::TpuConfig> cfg = tpusim::tpuConfigFrom(one, args.cfg);

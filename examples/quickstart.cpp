@@ -65,6 +65,6 @@ main()
     const gpusim::GpuKernelResult g = gpu.runConv(layer);
     std::printf("V100 (channel-first): %.1f us, %.1f TFLOPS, %s-bound\n",
                 g.seconds * 1e6, g.tflops,
-                g.memoryBound ? "memory" : "compute");
+                g.breakdown.memoryBound() ? "memory" : "compute");
     return 0;
 }

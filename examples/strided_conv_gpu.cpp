@@ -48,7 +48,7 @@ main()
             table.addRow({cell("%lld", (long long)stride), name,
                           cell("%.1f", r.seconds * 1e6),
                           cell("%.1f", r.tflops),
-                          r.memoryBound ? "memory" : "compute"});
+                          r.breakdown.memoryBound() ? "memory" : "compute"});
         };
         for (const auto &a : algos)
             addRow(a.name, sim.runConv(p, a.options));

@@ -9,13 +9,14 @@
 #     clock domains (pid 1 wall clock, pid 2 simulated cycles) and no
 #     negative duration; the v6 RunRecord written by the same run points
 #     back at the trace file and holds the layer latency histogram.
-#   - Analyzer: the cfconv.trace_analysis document has its schema +
-#     version, a non-empty timeline table, the fill/compute identity
-#     (span == compute + exposed_fill + idle), and the cross-backend
-#     diff aligns every layer. The analysis is a pure function of the
-#     trace bytes: repeated runs are byte-identical, and sim-domain
-#     analysis (wall=off) is byte-identical whether the trace was
-#     recorded at 1 or 4 threads.
+#   - Analyzer: trace_analyze prints its headline and writes the
+#     cfconv.trace_analysis document (its schema, version, timelines,
+#     identities and sections are checked in ctest,
+#     RecordedTraceTest.TpuRoundTripHasConvTimelinesAndWallStats), and
+#     the cross-backend diff aligns every layer. The analysis is a pure
+#     function of the trace bytes: repeated runs are byte-identical,
+#     and sim-domain analysis (wall=off) is byte-identical whether the
+#     trace was recorded at 1 or 4 threads.
 # Also exercises the metrics= bench dump and the exit-2 naming-offender
 # contract for bad CLI args. Requires python3, like every JSON gate.
 set -euo pipefail
@@ -92,45 +93,12 @@ print(f"{trace_path}: {len(events)} events, "
       f"{len(spans)} spans across {len(cats)} categories OK")
 EOF
 
-echo "==== check_analyze: analyze + schema ===="
+echo "==== check_analyze: analyze ===="
 "$analyze" "$workdir/tpu_t1.trace" "json=$workdir/analysis.json" \
     > "$workdir/report_a.txt"
 grep -q '^ANALYZE ' "$workdir/report_a.txt"
-
-python3 - "$workdir/analysis.json" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc.get("schema") == "cfconv.trace_analysis", doc.get("schema")
-assert doc.get("version") == 2, "unexpected analysis schema version"
-# Every analysis carries the resilience section, zeros on a stock trace.
-resilience = doc.get("resilience")
-assert isinstance(resilience, dict), "resilience section missing"
-assert resilience["faults"] == 0 and resilience["failovers"] == 0, (
-    f"stock trace reports chaos: {resilience}")
-assert resilience["serving"]["breakers"] == [], "stock trace breakers"
-
-timelines = doc.get("timelines")
-assert isinstance(timelines, list) and timelines, "no timelines"
-for t in timelines:
-    span = t["span_cycles"]
-    parts = (t["compute_cycles"] + t["exposed_fill_cycles"]
-             + t["idle_cycles"])
-    assert abs(span - parts) <= 1e-6 * max(span, 1.0), (
-        f"{t['key']}: span {span} != compute+exposed_fill+idle {parts}")
-    assert 0.0 <= t["overlap_ratio"] <= 1.0, t["key"]
-
-cp = doc["critical_path"]
-assert cp["span_cycles"] > 0, "empty critical path"
-fracs = (cp["compute_frac"] + cp["exposed_fill_frac"]
-         + cp["idle_frac"])
-assert abs(fracs - 1.0) <= 1e-6, f"critical-path fracs sum {fracs}"
-
-assert "wall" in doc, "wall section missing from wall-clock trace"
-print(f"{sys.argv[1]}: {len(timelines)} timelines OK")
-EOF
+grep -q '"schema": "cfconv.trace_analysis"' "$workdir/analysis.json"
+grep -q '"version": 3' "$workdir/analysis.json"
 
 # The metrics= satellite dumps the same schema as the RunRecord
 # metrics block: counters + histograms, deterministically ordered.
@@ -173,7 +141,7 @@ if printf '%s\n' "$diff_out" \
     exit 1
 fi
 grep -q '"schema": "cfconv.trace_analysis_diff"' "$workdir/diff.json"
-grep -q '"version": 2' "$workdir/diff.json"
+grep -q '"version": 3' "$workdir/diff.json"
 
 echo "==== check_analyze: naming offenders exit 2 ===="
 expect_exit2() {

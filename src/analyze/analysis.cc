@@ -106,7 +106,6 @@ struct RawTimeline
 {
     std::vector<Interval> fill;
     std::vector<Interval> compute;
-    bool macStyle = false;
 
     std::string contentKey() const
     {
@@ -132,7 +131,6 @@ analyzeTimeline(const std::string &key, const RawTimeline &raw)
     TimelineAnalysis t;
     t.key = key;
     t.signature = timelineSignature(key);
-    t.phases = raw.macStyle ? "fill/mac" : "fill/compute";
     t.fillSpans = raw.fill.size();
     t.computeSpans = raw.compute.size();
 
@@ -240,14 +238,13 @@ analyzeTrace(const TraceDocument &doc, const AnalyzeOptions &options)
     // ---- Classify rows: fill/compute pairs, serving chips, the rest.
     // Fill and compute rows pair by per-key allocation order: the
     // simulators allocate "<key> fill" immediately followed by
-    // "<key> compute" (or " mac"), so the k-th fill tid and the k-th
+    // "<key> compute", so the k-th fill tid and the k-th
     // compute tid under one key belong to the same simulated layer
     // even when several accelerator variants reuse the label.
     struct KeyRows
     {
         std::vector<const SimRow *> fill;
         std::vector<const SimRow *> compute;
-        bool macStyle = false;
     };
     std::map<std::string, KeyRows> keyed;
     std::map<std::string, std::vector<const SimRow *>> chipRows;
@@ -261,11 +258,7 @@ analyzeTrace(const TraceDocument &doc, const AnalyzeOptions &options)
         else if (endsWith(row.label, " compute"))
             keyed[row.label.substr(0, row.label.size() - 8)]
                 .compute.push_back(&row);
-        else if (endsWith(row.label, " mac")) {
-            auto &k = keyed[row.label.substr(0, row.label.size() - 4)];
-            k.compute.push_back(&row);
-            k.macStyle = true;
-        } else if (startsWith(row.label, "serve chip"))
+        else if (startsWith(row.label, "serve chip"))
             chipRows[row.label].push_back(&row);
         else if (row.label == "serve degradation")
             degradeRows.push_back(&row);
@@ -282,7 +275,6 @@ analyzeTrace(const TraceDocument &doc, const AnalyzeOptions &options)
         instances.reserve(n);
         for (size_t i = 0; i < n; ++i) {
             RawTimeline raw;
-            raw.macStyle = kr.macStyle;
             if (i < kr.fill.size()) {
                 raw.fill = kr.fill[i]->spans;
                 std::sort(raw.fill.begin(), raw.fill.end());

@@ -3,9 +3,10 @@
  * Offline analytics over a parsed trace (analyze/trace_model.h): the
  * paper's characterization methodology as code. From the
  * simulated-cycles clock domain it reconstructs each layer's
- * fill/compute timeline (the TPU's double-buffered unit pipeline, the
- * GPU's smem-fill/MAC step pipeline) and computes the numbers the
- * paper reads off Figs 9-14 by hand: how many fill cycles hide under
+ * fill/compute timeline (both simulators draw it through
+ * conv::OverlapSchedule: the TPU's double-buffered units, one GPU
+ * thread block's k-steps) and computes the numbers the paper reads
+ * off Figs 9-14 by hand: how many fill cycles hide under
  * compute (overlap ratio), how many are exposed on the critical path,
  * how much of the timeline is idle, and whether the layer is fill- or
  * compute-bound. Serving traces yield per-chip busy/down/idle
@@ -53,9 +54,9 @@ struct AnalyzeOptions
 
 /**
  * One reconstructed fill/compute timeline: a fill row paired with its
- * compute (TPU) or mac (GPU) row. All cycle fields are exact interval
- * arithmetic on the recorded spans; the identity
- * span == compute + exposedFill + idle holds by construction.
+ * compute row. All cycle fields are exact interval arithmetic on the
+ * recorded spans; the identity span == compute + exposedFill + idle
+ * holds by construction.
  */
 struct TimelineAnalysis
 {
@@ -63,7 +64,6 @@ struct TimelineAnalysis
     std::string signature; ///< cross-backend identity (see timelineSignature)
     std::string kind;      ///< "conv", "gemm", or "other"
     std::string style;     ///< lowering word from the label, e.g. "cf-conv"
-    std::string phases;    ///< "fill/compute" (TPU) or "fill/mac" (GPU)
     int instance = 0;      ///< ordinal among same-key timelines
 
     double spanCycles = 0.0;        ///< first start to last end

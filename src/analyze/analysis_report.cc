@@ -44,7 +44,6 @@ emitTimeline(JsonWriter &w, const TimelineAnalysis &t)
     w.field("signature", t.signature);
     w.field("kind", t.kind);
     w.field("style", t.style);
-    w.field("phases", t.phases);
     w.field("instance", static_cast<long long>(t.instance));
     w.field("span_cycles", t.spanCycles);
     w.field("compute_cycles", t.computeCycles);
@@ -357,14 +356,14 @@ printAnalysis(const TraceAnalysis &a, std::FILE *out)
 {
     if (!a.timelines.empty()) {
         Table table("Fill/compute timelines (simulated cycles)");
-        table.setHeader({"timeline", "phases", "span", "compute",
+        table.setHeader({"timeline", "span", "compute",
                          "fill", "overlap", "exposed", "idle",
                          "ovl%", "bound"});
         for (const auto &t : a.timelines) {
             std::string name = t.key;
             if (t.instance > 0)
                 name += " #" + std::to_string(t.instance + 1);
-            table.addRow({name, t.phases, cell("%.0f", t.spanCycles),
+            table.addRow({name, cell("%.0f", t.spanCycles),
                           cell("%.0f", t.computeCycles),
                           cell("%.0f", t.fillCycles),
                           cell("%.0f", t.overlapCycles),

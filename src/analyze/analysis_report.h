@@ -27,7 +27,7 @@ namespace cfconv::analyze {
  *  empty on stock traces. */
 inline constexpr const char kAnalysisSchema[] = "cfconv.trace_analysis";
 inline constexpr const char kDiffSchema[] = "cfconv.trace_analysis_diff";
-inline constexpr int kAnalysisSchemaVersion = 2;
+inline constexpr int kAnalysisSchemaVersion = 3;
 
 /** The full analysis as a "cfconv.trace_analysis" JSON document
  *  (trailing newline included). */

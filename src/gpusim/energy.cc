@@ -12,9 +12,9 @@ kernelEnergy(const GpuKernelResult &result)
                sram::kDramPjPerByte;
 
     // The shared-memory fill pipeline drains L2 at kL2GBps * kL2Util for
-    // memorySeconds of aggregate step time; that product is the bytes
-    // the TBs pulled on chip (DRAM misses are already billed above).
-    const double l2_bytes = result.memorySeconds * kL2GBps * 1e9 * kL2Util;
+    // the breakdown's fill time; that product is the bytes the TBs
+    // pulled on chip (DRAM misses are already billed above).
+    const double l2_bytes = result.breakdown.fill * kL2GBps * 1e9 * kL2Util;
     e.l2Pj = l2_bytes * kL2PjPerByte;
 
     const double macs = result.tflops * 1e12 * result.seconds / 2.0;

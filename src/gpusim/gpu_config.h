@@ -39,6 +39,7 @@ constexpr double kClStrideWasteCoeff = 0.8;
  * than bouncing every byte off DRAM.
  */
 constexpr double kTransformGBps = 2500.0;
+constexpr Index kChunkK = 64;              ///< GEMM depth of one k-step
 constexpr Bytes kTransactionBytes = 32;    ///< DRAM sector granularity
 constexpr double kKernelOverheadSec = 3.0e-6; ///< launch + epilogue per kernel
 /** Vendor kernels amortize launch work slightly better. */

@@ -59,15 +59,79 @@ convKernelLabel(const ConvParams &params, const im2col::PassPlan &plan,
     return buf;
 }
 
-std::string
-gemmKernelLabel(Index m, Index k, Index n)
+/**
+ * One representative thread block of an M x N kernel on the overlap
+ * schedule, each k-step's MACs paired with the step's own fill. Its
+ * wall-clock span and its timeline carry @p label.
+ */
+struct ThreadBlock
 {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "gemm %lldx%lldx%lld",
-                  static_cast<long long>(m), static_cast<long long>(k),
-                  static_cast<long long>(n));
-    return buf;
-}
+    ThreadBlock(const GpuConfig &gpu, Index m, Index n, bool vendor_tuned,
+                const std::string &label)
+        : config(gpu), span("gpusim", label),
+          schedule([&label] { return label; }),
+          overheadSec(vendor_tuned ? kCudnnKernelOverheadSec
+                                   : kKernelOverheadSec)
+    {
+        chooseTile(m, n, kResidentTbs, tm, tn);
+        const Index tbs = divCeil(m, tm) * divCeil(n, tn);
+        // Continuous throughput model: a ragged tail wave contributes
+        // its fraction rather than a whole extra wave.
+        waves = std::max(1.0, static_cast<double>(tbs) /
+                                  static_cast<double>(kResidentTbs));
+        macsPerCycle = static_cast<double>(kMacsPerSmPerCycle) /
+                       static_cast<double>(kTbPerSm) *
+                       (vendor_tuned ? kCudnnComputeEff : kComputeEff);
+        fillBytesPerCycle =
+            kL2GBps * 1e9 * kL2Util /
+            (static_cast<double>(std::min(tbs, kResidentTbs)) *
+             gpu.clockGhz * 1e9);
+        span.arg("waves", waves);
+        span.arg("threadBlocks", static_cast<double>(tbs));
+    }
+
+    /** One k-step: @p macs overlapped with the @p fill_bytes it loads. */
+    void
+    step(Flops macs, Bytes fill_bytes)
+    {
+        schedule.step(static_cast<double>(macs) / macsPerCycle,
+                      static_cast<double>(fill_bytes) / fillBytesPerCycle);
+    }
+
+    /** Write the output tile of @p elem-byte values back, then time
+     *  every wave in seconds plus the launch overhead, stalled up to
+     *  the time @p unique_bytes take at sustained DRAM bandwidth. */
+    GpuKernelResult
+    finish(Bytes elem, Bytes unique_bytes, Flops useful_flops)
+    {
+        step(0, static_cast<Bytes>(tm * tn) * elem);
+        GpuKernelResult r;
+        r.breakdown =
+            schedule.breakdown().scaled(waves, config.clockGhz * 1e9);
+        r.breakdown.overhead = overheadSec;
+        r.seconds =
+            waves * schedule.total() / (config.clockGhz * 1e9) + overheadSec;
+        const double roofline = static_cast<double>(unique_bytes) /
+                                    (config.dram.peakGBps() * 1e9 * kBwUtil) +
+                                overheadSec;
+        if (roofline > r.seconds) {
+            r.breakdown.stall = roofline - r.seconds;
+            r.seconds = roofline;
+        }
+        r.tflops = static_cast<double>(useful_flops) / r.seconds / 1e12;
+        return r;
+    }
+
+    const GpuConfig &config;
+    trace::Scope span;
+    conv::OverlapSchedule schedule;
+    double overheadSec;
+    Index tm = 0;
+    Index tn = 0;
+    double waves = 1.0;
+    double macsPerCycle = 0.0;
+    double fillBytesPerCycle = 0.0;
+};
 
 } // namespace
 
@@ -79,98 +143,6 @@ GpuSim::gatherWaste(Bytes contiguous_run_bytes, Index stride) const
     const double per_run = static_cast<double>(kTransactionBytes) /
                            static_cast<double>(contiguous_run_bytes);
     return std::min(static_cast<double>(stride), per_run);
-}
-
-GpuKernelResult
-GpuSim::runPipeline(Index m, Index n, const std::vector<Step> &steps,
-                    Flops useful_flops, double compute_eff,
-                    double overhead_sec, const std::string &label) const
-{
-    CFCONV_FATAL_IF(steps.empty(), "GpuSim: empty pipeline");
-    trace::Scope span("gpusim",
-                      trace::enabled() ? label : std::string());
-    Index tm, tn;
-    chooseTile(m, n, kResidentTbs, tm, tn);
-    const Index num_tbs = divCeil(m, tm) * divCeil(n, tn);
-    const Index concurrent = std::min(num_tbs, kResidentTbs);
-    // Continuous throughput model: a ragged tail wave contributes its
-    // fraction rather than a whole extra wave.
-    const double waves = std::max(
-        1.0, static_cast<double>(num_tbs) /
-                 static_cast<double>(kResidentTbs));
-
-    const double per_tb_macs =
-        static_cast<double>(kMacsPerSmPerCycle) /
-        static_cast<double>(kTbPerSm) * compute_eff;
-    const double per_tb_fill_bpc =
-        kL2GBps * 1e9 * kL2Util /
-        (static_cast<double>(concurrent) * config_.clockGhz * 1e9);
-
-    // One representative thread block's pipeline on the simulated-
-    // cycles clock: fills overlap the previous step's MACs, so the two
-    // phases get their own rows (they would collide on one track).
-    trace::SimTrack fill_row;
-    trace::SimTrack mac_row;
-    if (trace::enabled()) {
-        fill_row = trace::simTrack(label + " fill");
-        mac_row = trace::simTrack(label + " mac");
-    }
-    // Past this many k-steps the picture is periodic anyway.
-    constexpr size_t kMaxSteps = 512;
-    size_t emitted = 0;
-
-    double tb_cycles = 0.0;
-    double compute_cycles = 0.0;
-    double fill_cycles = 0.0;
-    Bytes tb_bytes = 0;
-    for (const auto &s : steps) {
-        const double c = static_cast<double>(s.macs) / per_tb_macs;
-        const double f =
-            static_cast<double>(s.fillBytes) / per_tb_fill_bpc;
-        if (mac_row.active() && emitted < kMaxSteps) {
-            const auto t0 = static_cast<std::uint64_t>(tb_cycles + 0.5);
-            if (c > 0.0)
-                trace::simSpan(mac_row, "mac", t0,
-                               static_cast<std::uint64_t>(c + 0.5));
-            if (f > 0.0)
-                trace::simSpan(fill_row, "smem fill", t0,
-                               static_cast<std::uint64_t>(f + 0.5));
-            ++emitted;
-        }
-        tb_cycles += std::max(c, f);
-        compute_cycles += c;
-        fill_cycles += f;
-        tb_bytes += s.fillBytes;
-    }
-    span.arg("waves", waves);
-    span.arg("threadBlocks", static_cast<double>(num_tbs));
-
-    GpuKernelResult r;
-    const double kernel_secs =
-        waves * tb_cycles / (config_.clockGhz * 1e9);
-    r.computeSeconds =
-        waves * compute_cycles / (config_.clockGhz * 1e9);
-    r.memorySeconds =
-        waves * fill_cycles / (config_.clockGhz * 1e9);
-    r.memoryBound = fill_cycles > compute_cycles;
-    r.seconds = kernel_secs + overhead_sec;
-    r.dramBytes = tb_bytes * static_cast<Bytes>(num_tbs);
-    r.tflops = static_cast<double>(useful_flops) / r.seconds / 1e12;
-    return r;
-}
-
-void
-GpuSim::applyDramRoofline(GpuKernelResult &r, Bytes unique_bytes,
-                          double overhead_sec, Flops flops) const
-{
-    const double dram_secs =
-        static_cast<double>(unique_bytes) /
-        (config_.dram.peakGBps() * 1e9 * kBwUtil);
-    if (dram_secs + overhead_sec > r.seconds) {
-        r.seconds = dram_secs + overhead_sec;
-        r.memoryBound = true;
-        r.tflops = static_cast<double>(flops) / r.seconds / 1e12;
-    }
 }
 
 GpuKernelResult
@@ -190,41 +162,28 @@ GpuSim::runGemm(Index m, Index k, Index n, bool vendor_tuned,
         if (cache.lookup(key, &cached))
             return cached;
     }
-    Index tm, tn;
-    chooseTile(m, n, kResidentTbs, tm, tn);
+    ThreadBlock tb(config_, m, n, vendor_tuned,
+                   trace::enabled() ? conv::gemmLabel(m, k, n)
+                                    : std::string());
     const Bytes elem = 2; // FP16 operands
-    const Index kc = 64;
-    std::vector<Step> steps;
-    for (Index k0 = 0; k0 < k; k0 += kc) {
-        const Index kc_eff = std::min(kc, k - k0);
-        Step s;
-        s.macs = static_cast<Flops>(tm) * static_cast<Flops>(tn) *
-                 static_cast<Flops>(kc_eff);
-        s.fillBytes =
-            static_cast<Bytes>((tm + tn) * kc_eff) * elem;
-        steps.push_back(s);
+    for (Index k0 = 0; k0 < k; k0 += kChunkK) {
+        const Index kc = std::min(kChunkK, k - k0);
+        tb.step(static_cast<Flops>(tb.tm) * static_cast<Flops>(tb.tn) *
+                    static_cast<Flops>(kc),
+                static_cast<Bytes>((tb.tm + tb.tn) * kc) * elem);
     }
-    // Epilogue: write the output tile.
-    steps.push_back({0, static_cast<Bytes>(tm * tn) * elem});
 
-    const Flops flops = 2ULL * static_cast<Flops>(m) *
-                        static_cast<Flops>(k) * static_cast<Flops>(n);
-    const double overhead =
-        vendor_tuned ? kCudnnKernelOverheadSec : kKernelOverheadSec;
-    GpuKernelResult r =
-        runPipeline(m, n, steps, flops,
-                    vendor_tuned ? kCudnnComputeEff : kComputeEff,
-                    overhead, gemmKernelLabel(m, k, n));
-
-    // Global DRAM roofline: unique operand + result bytes. Skipped for
+    // Global DRAM roofline: unique operand + result bytes. None for
     // the idealized reference GEMM whose operands are assumed resident.
     const Bytes unique =
         (static_cast<Bytes>(m) * static_cast<Bytes>(k) +
          static_cast<Bytes>(k) * static_cast<Bytes>(n) +
          static_cast<Bytes>(m) * static_cast<Bytes>(n)) *
         elem;
-    if (operands_in_dram)
-        applyDramRoofline(r, unique, overhead, flops);
+    const Flops flops = 2ULL * static_cast<Flops>(m) *
+                        static_cast<Flops>(k) * static_cast<Flops>(n);
+    GpuKernelResult r =
+        tb.finish(elem, operands_in_dram ? unique : 0, flops);
     r.dramBytes = unique;
     if (cache.enabled())
         cache.insert(key, r);
@@ -274,20 +233,14 @@ GpuSim::runConvUncached(const ConvParams &params,
         // the transform adds the IFMap read and the workspace write.
         GpuKernelResult gemm =
             runGemm(m, params.gemmK(), n, options.vendorTuned);
-        const double transform = explicitTransformSeconds(params);
-        gemm.transformSeconds = transform;
-        gemm.seconds += transform;
+        gemm.transformSeconds = explicitTransformSeconds(params);
+        gemm.breakdown.exposedFill += gemm.transformSeconds;
+        gemm.seconds += gemm.transformSeconds;
         gemm.tflops =
             static_cast<double>(params.flops()) / gemm.seconds / 1e12;
         gemm.dramBytes += plan.transformBytes;
         return gemm;
     }
-
-    Index tm, tn;
-    chooseTile(m, n, kResidentTbs, tm, tn);
-    const Index kc = 64;
-    const double eff =
-        options.vendorTuned ? kCudnnComputeEff : kComputeEff;
 
     // DRAM-transaction waste of the A-operand gathers, by feed locality.
     double waste = 1.0;
@@ -320,29 +273,28 @@ GpuSim::runConvUncached(const ConvParams &params,
     // regardless of stride/dilation, and contiguous feeds are one long
     // sequential run: both are waste-free.
 
-    // Each TB walks the plan's taps in kc-deep k-steps. Shared-memory
-    // fills are paid per k-step regardless of reuse; what inter-tile
-    // reuse changes is which of those fills hit L2 instead of DRAM (the
-    // unique-traffic roofline below). A side table (the indirection
-    // buffer: tm pointers per tap per TB) streams with the first chunk
-    // of every tap.
-    std::vector<Step> steps;
-    for (const im2col::PlanPass &pass : plan.passes(kc)) {
+    // Each TB walks the plan's taps in kChunkK-deep k-steps.
+    // Shared-memory fills are paid per k-step regardless of reuse; what
+    // inter-tile reuse changes is which of those fills hit L2 instead of
+    // DRAM (the unique-traffic roofline below). A side table (the
+    // indirection buffer: tm pointers per tap per TB) streams with the
+    // first chunk of every tap.
+    ThreadBlock tb(config_, m, n, options.vendorTuned,
+                   trace::enabled() ? convKernelLabel(params, plan, options)
+                                    : std::string());
+    for (const im2col::PlanPass &pass : plan.passes(kChunkK)) {
         const Index depth = pass.depth();
-        Step s;
-        s.macs = static_cast<Flops>(tm) * static_cast<Flops>(tn) *
-                 static_cast<Flops>(depth);
-        const double a_bytes = static_cast<double>(tm * depth) *
+        const double a_bytes = static_cast<double>(tb.tm * depth) *
                                static_cast<double>(elem) * waste;
-        s.fillBytes = static_cast<Bytes>(a_bytes) +
-                      static_cast<Bytes>(depth * tn) * elem;
+        Bytes fill = static_cast<Bytes>(a_bytes) +
+                     static_cast<Bytes>(depth * tb.tn) * elem;
         if (pass.offset == 0)
-            s.fillBytes += static_cast<Bytes>(tm * pass.taps) *
-                           plan.metadataBytesPerRowTap;
-        steps.push_back(s);
+            fill += static_cast<Bytes>(tb.tm * pass.taps) *
+                    plan.metadataBytesPerRowTap;
+        tb.step(static_cast<Flops>(tb.tm) * static_cast<Flops>(tb.tn) *
+                    static_cast<Flops>(depth),
+                fill);
     }
-    // Epilogue: output tile writeback.
-    steps.push_back({0, static_cast<Bytes>(tm * tn) * elem});
 
     Bytes unique_input;
     if (plan.feed == im2col::FeedLocality::TileGather) {
@@ -366,16 +318,9 @@ GpuSim::runConvUncached(const ConvParams &params,
             plan.metadataBytes(m);
     }
 
-    const double overhead = options.vendorTuned ? kCudnnKernelOverheadSec
-                                                : kKernelOverheadSec;
-    GpuKernelResult r = runPipeline(m, n, steps, params.flops(), eff,
-                                    overhead,
-                                    convKernelLabel(params, plan, options));
-
-    // Global DRAM roofline over unique traffic.
     const Bytes unique = unique_input + params.filterBytes() +
                          params.outputBytes();
-    applyDramRoofline(r, unique, overhead, params.flops());
+    GpuKernelResult r = tb.finish(elem, unique, params.flops());
     r.dramBytes = unique;
     return r;
 }

@@ -7,16 +7,16 @@
  * channel-first kernel (Sec. V, with optional inter-tile reuse), a
  * cuDNN-like implicit channel-last kernel (stride-sensitive fills), the
  * IndirectConv and SMM-Conv kernels, and explicit im2col (transform
- * kernel + GEMM).
+ * kernel + GEMM). One thread block's k-steps run on
+ * conv::OverlapSchedule, the overlap rule TpuSim shares (a memo-cache
+ * hit draws no timeline).
  */
 
 #ifndef CFCONV_GPUSIM_GPU_SIM_H
 #define CFCONV_GPUSIM_GPU_SIM_H
 
-#include <string>
-#include <vector>
-
 #include "conv/algorithm.h"
+#include "conv/schedule.h"
 #include "gpusim/gpu_config.h"
 #include "tensor/conv_params.h"
 
@@ -40,10 +40,10 @@ struct GpuKernelResult
     double seconds = 0.0;
     double tflops = 0.0;       ///< useful FLOPs / second
     Bytes dramBytes = 0;       ///< total DRAM traffic incl. waste
-    double computeSeconds = 0.0; ///< sum of compute-bound step time
-    double memorySeconds = 0.0;  ///< sum of memory-bound step time
     double transformSeconds = 0.0; ///< explicit-im2col transform part
-    bool memoryBound = false;  ///< fills dominate the TB pipeline
+    /** Where the `seconds` went: the DRAM roofline is stall, explicit
+     *  im2col's transform exposed fill. */
+    conv::TimeBreakdown breakdown;
 };
 
 /** The GPU performance simulator. */
@@ -76,27 +76,9 @@ class GpuSim
     double explicitTransformSeconds(const ConvParams &params) const;
 
   private:
-    /** One shared-memory pipeline stage of a thread block. */
-    struct Step
-    {
-        Flops macs = 0;      ///< MACs this k-step performs per TB
-        Bytes fillBytes = 0; ///< gmem bytes the TB loads (incl. waste)
-    };
-
     /** runConv body, bypassing the kernel memo cache. */
     GpuKernelResult runConvUncached(const ConvParams &params,
                                     const GpuRunOptions &options) const;
-
-    GpuKernelResult runPipeline(Index m, Index n,
-                                const std::vector<Step> &steps,
-                                Flops useful_flops, double compute_eff,
-                                double overhead_sec,
-                                const std::string &label) const;
-
-    /** Raise @p r to the time @p unique_bytes take at sustained DRAM
-     *  bandwidth (plus launch overhead) when that is longer. */
-    void applyDramRoofline(GpuKernelResult &r, Bytes unique_bytes,
-                           double overhead_sec, Flops flops) const;
 
     /** DRAM-transaction waste factor for a strided gather. */
     double gatherWaste(Bytes contiguous_run_bytes, Index stride) const;

@@ -52,10 +52,12 @@ kernelResultChecksum(const GpuKernelResult &r)
     mixFloat(r.seconds);
     mixFloat(r.tflops);
     h = hashCombine(h, static_cast<std::uint64_t>(r.dramBytes));
-    mixFloat(r.computeSeconds);
-    mixFloat(r.memorySeconds);
     mixFloat(r.transformSeconds);
-    h = hashCombine(h, r.memoryBound ? 1 : 0);
+    const conv::TimeBreakdown &b = r.breakdown;
+    for (double part :
+         {b.compute, b.fill, b.exposedFill, b.overhead, b.stall})
+        mixFloat(part);
+    h = hashCombine(h, static_cast<std::uint64_t>(b.steps));
     return h;
 }
 

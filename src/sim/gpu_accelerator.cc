@@ -36,9 +36,9 @@ GpuAccelerator::runLayer(const ConvParams &params,
     rec.flops = tensor::groupedFlops(params, options.groups);
     rec.tflops = static_cast<double>(rec.flops) / rec.seconds / 1e12;
     rec.utilization = rec.tflops / peakTflops();
-    rec.extras["memoryBound"] = r.memoryBound ? 1.0 : 0.0;
-    rec.extras["computeSeconds"] = r.computeSeconds * groups;
-    rec.extras["memorySeconds"] = r.memorySeconds * groups;
+    rec.extras["memoryBound"] = r.breakdown.memoryBound() ? 1.0 : 0.0;
+    rec.extras["computeSeconds"] = r.breakdown.compute * groups;
+    rec.extras["memorySeconds"] = r.breakdown.fill * groups;
     rec.extras["transformSeconds"] = r.transformSeconds * groups;
     // pJ/MAC is a per-MAC ratio, so the single-slice kernel result is
     // the grouped layer's figure too (both energy and MACs scale by

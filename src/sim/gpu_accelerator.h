@@ -4,9 +4,9 @@
  * Backend-specific run knobs (kernel algorithm, inter-tile reuse,
  * vendor tuning) are fixed at construction; grouped layers run one
  * kernel per group slice (tensor::groupSlice(), the one group rule),
- * and GPU-only result fields are exported through
- * LayerRecord::extras ("memoryBound", "computeSeconds",
- * "memorySeconds", "transformSeconds").
+ * and the kernel's time breakdown is exported through
+ * LayerRecord::extras ("memoryBound", "computeSeconds" from its
+ * compute, "memorySeconds" from its fill, "transformSeconds").
  */
 
 #ifndef CFCONV_SIM_GPU_ACCELERATOR_H

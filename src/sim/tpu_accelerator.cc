@@ -35,7 +35,7 @@ TpuAccelerator::runLayer(const ConvParams &params,
     rec.extras["multiTile"] = static_cast<double>(r.multiTile);
     rec.extras["portUtilization"] = r.portUtilization;
     rec.extras["exposedFillFrac"] = r.cycles
-        ? static_cast<double>(r.exposedFillCycles) /
+        ? (r.breakdown.exposedFill + r.breakdown.overhead) /
             static_cast<double>(r.cycles)
         : 0.0;
     rec.extras["peakOnChipBytes"] =

@@ -5,8 +5,8 @@
  * fixed at construction; per-layer calls go through TpuSim's grouped
  * block-diagonal mapping and the tpusim/layer_cache memo cache, and
  * the TPU-only result fields are exported through LayerRecord::extras
- * ("multiTile", "portUtilization", "exposedFillFrac",
- * "peakOnChipBytes", "pjPerMac").
+ * ("multiTile", "portUtilization", "exposedFillFrac": exposed fill and
+ * invoke overhead over cycles, "peakOnChipBytes", "pjPerMac").
  */
 
 #ifndef CFCONV_SIM_TPU_ACCELERATOR_H

@@ -32,7 +32,6 @@ layerCacheKey(const TpuConfig &config, const tensor::ConvParams &params,
     memoKeyAppendInt(key, options.multiTileOverride);
     memoKeyAppendInt(key, static_cast<long long>(options.dramLayout));
     memoKeyAppendFloat(key, options.explicitTransformSeconds);
-    memoKeyAppendInt(key, options.captureTrace ? 1 : 0);
     memoKeyAppendInt(key, options.spaceToDepthFirstLayer ? 1 : 0);
     appendConfig(key, config);
     return key;
@@ -70,9 +69,11 @@ layerResultChecksum(const TpuLayerResult &r)
     mixFloat(r.portUtilization);
     mixInt(static_cast<long long>(r.peakOnChipBytes));
     mixInt(r.vecMemOps);
-    mixInt(static_cast<long long>(r.computeCycles));
-    mixInt(static_cast<long long>(r.fillCycles));
-    mixInt(static_cast<long long>(r.exposedFillCycles));
+    const conv::TimeBreakdown &b = r.breakdown;
+    for (double part :
+         {b.compute, b.fill, b.exposedFill, b.overhead, b.stall})
+        mixFloat(part);
+    mixInt(b.steps);
     return h;
 }
 

@@ -37,10 +37,10 @@ std::string layerCacheKey(const TpuConfig &config,
 std::string gemmCacheKey(const TpuConfig &config, Index m, Index k,
                          Index n, DataType dtype);
 
-/** Field-by-field checksum of a cached timing result (the per-unit
- *  trace rides along uncovered — it is derived data). Entry checksums
- *  let the cache detect corrupted entries (and the `cache.corrupt`
- *  chaos site) and recompute instead of serving damaged figures. */
+/** Field-by-field checksum of a cached timing result, its time
+ *  breakdown included. Entry checksums let the cache detect corrupted
+ *  entries (and the `cache.corrupt` chaos site) and recompute instead
+ *  of serving damaged figures. */
 std::uint64_t layerResultChecksum(const TpuLayerResult &r);
 
 /** The process-wide TPU layer-result memo cache ("layer_cache.hits" /

@@ -45,50 +45,6 @@ convTraceLabel(const ConvParams &params)
     return buf;
 }
 
-std::string
-gemmTraceLabel(Index m, Index k, Index n)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "gemm %lldx%lldx%lld",
-                  static_cast<long long>(m), static_cast<long long>(k),
-                  static_cast<long long>(n));
-    return buf;
-}
-
-/**
- * Re-play a captured unit schedule onto the simulated-cycles clock.
- * Mirrors scheduleUnits' double buffering: fill 0 is fully exposed,
- * fill i+1 overlaps compute i, and time advances by
- * max(compute_i, fill_{i+1}). Two rows per timeline because the
- * overlapped phases would collide on a single track.
- */
-void
-emitSimTimeline(const std::string &label, const TpuConfig &config,
-                const TpuLayerResult &r)
-{
-    if (!trace::enabled() || r.trace.empty())
-        return;
-    // Keep giant layers viewable: past this many units the picture is
-    // periodic anyway.
-    constexpr size_t kMaxUnits = 512;
-    trace::SimTrack fill_row = trace::simTrack(label + " fill");
-    trace::SimTrack compute_row = trace::simTrack(label + " compute");
-    std::uint64_t t = config.invokeOverheadCycles;
-    trace::simSpan(fill_row, "fill", t, r.trace.front().fill);
-    t += r.trace.front().fill;
-    const size_t n = std::min(r.trace.size(), kMaxUnits);
-    for (size_t i = 0; i < n; ++i) {
-        const Cycles c = r.trace[i].compute;
-        const Cycles f =
-            i + 1 < r.trace.size() ? r.trace[i + 1].fill : 0;
-        trace::simSpan(compute_row, "compute", t, c,
-                       {{"unit", static_cast<double>(i)}});
-        if (f > 0)
-            trace::simSpan(fill_row, "fill", t, f);
-        t += std::max(c, f);
-    }
-}
-
 /** Busy fraction of @p config's single-port vector memories, one per
  *  PE row, over @p cycles. */
 double
@@ -126,21 +82,21 @@ TpuSim::tileFillCoreCycles(const ConvParams &params,
     return static_cast<Cycles>(secs * config_.clockGhz * 1e9 + 0.5);
 }
 
+template <typename LabelFn>
 TpuLayerResult
-TpuSim::scheduleUnits(const std::vector<Unit> &units,
-                      Flops total_flops, bool capture_trace) const
+TpuSim::scheduleUnits(const std::vector<Unit> &units, Flops total_flops,
+                      LabelFn &&label) const
 {
-    TpuLayerResult r;
     CFCONV_FATAL_IF(units.empty(), "TpuSim: nothing to schedule");
 
-    // Double buffering: the fill of unit i+1 overlaps the compute of
-    // unit i; only unit 0's fill is fully exposed. With multiple
-    // matrix units, independent passes run concurrently until the
-    // single-port vector memories run out of bandwidth: each MXU needs
-    // its own word stream, so per-unit compute divides by the MXU
-    // count but never below the port-service time.
+    // With multiple matrix units, independent passes run concurrently
+    // until the single-port vector memories run out of bandwidth: each
+    // MXU needs its own word stream, so per-unit compute divides by the
+    // MXU count but never below the port-service time.
     const double mxus = static_cast<double>(config_.mxus);
-    Cycles total = config_.invokeOverheadCycles + units.front().fill;
+    conv::OverlapSchedule schedule(
+        label, static_cast<double>(config_.invokeOverheadCycles));
+    schedule.exposedFill(static_cast<double>(units.front().fill));
     Index port_ops = 0;
     for (size_t i = 0; i < units.size(); ++i) {
         const Cycles next_fill =
@@ -151,20 +107,18 @@ TpuSim::scheduleUnits(const std::vector<Unit> &units,
             static_cast<Cycles>(
                 static_cast<double>(units[i].compute) / mxus + 0.5),
             port_floor);
-        total += std::max(compute, next_fill);
-        r.computeCycles += compute;
-        r.fillCycles += units[i].fill;
+        schedule.step(static_cast<double>(compute),
+                      static_cast<double>(next_fill));
         port_ops += units[i].portOps;
-        if (capture_trace)
-            r.trace.push_back({units[i].fill, compute});
     }
 
-    r.cycles = total;
+    TpuLayerResult r;
+    r.breakdown = schedule.breakdown();
+    r.cycles = static_cast<Cycles>(schedule.total());
     r.vecMemOps = port_ops;
-    r.exposedFillCycles = total - r.computeCycles;
-    r.seconds = config_.cyclesToSeconds(total);
+    r.seconds = config_.cyclesToSeconds(r.cycles);
     r.tflops = static_cast<double>(total_flops) / r.seconds / 1e12;
-    r.portUtilization = portUtilization(config_, port_ops, total);
+    r.portUtilization = portUtilization(config_, port_ops, r.cycles);
     return r;
 }
 
@@ -174,13 +128,6 @@ TpuSim::runConv(const ConvParams &params,
 {
     params.validate();
 
-    // Timeline emission needs the captured unit schedule; forcing the
-    // flag while tracing is benign because captureTrace is part of the
-    // memo key, so traced and untraced runs use distinct entries.
-    TpuRunOptions opts = options;
-    if (trace::enabled())
-        opts.captureTrace = true;
-
     // A layer result is a pure function of (params, options, config);
     // memoize it so repeated shapes (model blocks, sweep grids) are
     // simulated once. Concurrent misses on the same key may compute
@@ -189,15 +136,13 @@ TpuSim::runConv(const ConvParams &params,
     std::string key;
     TpuLayerResult cached;
     if (cache.enabled()) {
-        key = layerCacheKey(config_, params, opts);
+        key = layerCacheKey(config_, params, options);
         if (cache.lookup(key, &cached))
             return cached;
     }
 
     TRACE_SCOPE_DYN("tpusim", convTraceLabel(params));
-    TpuLayerResult r = runConvUncached(params, opts);
-    if (trace::enabled())
-        emitSimTimeline(convTraceLabel(params), config_, r);
+    TpuLayerResult r = runConvUncached(params, options);
     if (cache.enabled())
         cache.insert(key, r);
     return r;
@@ -392,8 +337,8 @@ TpuSim::schedulePlan(const ConvParams &params, const im2col::PassPlan &plan,
     for (auto &u : units)
         u.fill += shared;
 
-    TpuLayerResult r =
-        scheduleUnits(units, params.flops(), options.captureTrace);
+    TpuLayerResult r = scheduleUnits(
+        units, params.flops(), [&] { return convTraceLabel(params); });
     r.dramBytes = dram_bytes;
     r.multiTile = multi_tile;
     r.peakOnChipBytes = peak_on_chip;
@@ -423,8 +368,7 @@ TpuSim::runMaterialized(const ConvParams &params,
         static_cast<Cycles>(transform * config_.clockGhz * 1e9);
     r.seconds += transform;
     r.cycles += transform_cycles;
-    r.fillCycles += transform_cycles;
-    r.exposedFillCycles += transform_cycles;
+    r.breakdown.exposedFill += static_cast<double>(transform_cycles);
     r.portUtilization = portUtilization(config_, r.vecMemOps, r.cycles);
     r.tflops =
         static_cast<double>(params.flops()) / r.seconds / 1e12;
@@ -455,12 +399,10 @@ TpuSim::runGroupedConv(const ConvParams &base, Index groups,
     TpuLayerResult r = runConv(eq, options);
 
     const Index reps = divCeil(groups, packed);
+    r.breakdown = r.breakdown.scaled(static_cast<double>(reps));
     r.seconds *= static_cast<double>(reps);
     r.cycles *= static_cast<Cycles>(reps);
     r.dramBytes *= static_cast<Bytes>(reps);
-    r.computeCycles *= static_cast<Cycles>(reps);
-    r.fillCycles *= static_cast<Cycles>(reps);
-    r.exposedFillCycles *= static_cast<Cycles>(reps);
     r.vecMemOps *= reps;
 
     // Useful work is the grouped FLOP count; the block-diagonal zeros
@@ -483,7 +425,7 @@ TpuSim::runGemm(Index m, Index k, Index n, DataType dtype) const
         if (cache.lookup(key, &cached))
             return cached;
     }
-    TRACE_SCOPE_DYN("tpusim", gemmTraceLabel(m, k, n));
+    TRACE_SCOPE_DYN("tpusim", conv::gemmLabel(m, k, n));
     const Index rows = config_.array.rows;
     const Bytes elem = dataTypeSize(dtype);
     const Index m_tile = mTile(m);
@@ -504,9 +446,8 @@ TpuSim::runGemm(Index m, Index k, Index n, DataType dtype) const
 
     const Flops flops = 2ULL * static_cast<Flops>(m) *
                         static_cast<Flops>(k) * static_cast<Flops>(n);
-    TpuLayerResult r = scheduleUnits(units, flops, trace::enabled());
-    if (trace::enabled())
-        emitSimTimeline(gemmTraceLabel(m, k, n), config_, r);
+    TpuLayerResult r = scheduleUnits(
+        units, flops, [&] { return conv::gemmLabel(m, k, n); });
     r.dramBytes = (static_cast<Bytes>(m) * static_cast<Bytes>(k) +
                    static_cast<Bytes>(k) * static_cast<Bytes>(n) +
                    static_cast<Bytes>(m) * static_cast<Bytes>(n)) *

@@ -4,8 +4,9 @@
  * (Sec. VI). Schedules any conv::Algorithm pass plan onto the systolic
  * array with one loop: depth chunked by array rows, taps merged by the
  * multi-tile rule (Sec. IV-B), fills priced by the plan's feed locality
- * (banked DRAM model for gathers, HWCN vector-memory layout) and double
- * buffered against compute. The paper's channel-first algorithm, the
+ * (banked DRAM model for gathers, HWCN vector-memory layout) and timed
+ * on conv::OverlapSchedule, the overlap rule GpuSim shares (a memo-cache
+ * hit draws no timeline). The paper's channel-first algorithm, the
  * channel-last and explicit-im2col baselines (Figs 2b, 4b, 8b) and the
  * IndirectConv/SMM-Conv zoo additions all run through it.
  */
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "conv/algorithm.h"
+#include "conv/schedule.h"
 #include "tensor/conv_params.h"
 #include "tensor/layout.h"
 #include "tpusim/tpu_config.h"
@@ -39,22 +41,12 @@ struct TpuRunOptions
      * only); the paper estimates this from GPU measurements for Fig 2b.
      */
     double explicitTransformSeconds = 0.0;
-    /** Capture the per-unit schedule into TpuLayerResult::trace. */
-    bool captureTrace = false;
     /**
      * Rewrite shallow stride-2k first layers with space-to-depth
      * before mapping (what production TPU stacks do for C_I = 3
      * stems); quadruples systolic-row occupancy per pass.
      */
     bool spaceToDepthFirstLayer = false;
-};
-
-/** One schedule unit as executed: a DRAM fill phase overlapped with
- *  the previous unit's compute, then this unit's compute passes. */
-struct UnitTrace
-{
-    Cycles fill = 0;
-    Cycles compute = 0;
 };
 
 /** Result of simulating one layer (or one GEMM). */
@@ -70,11 +62,7 @@ struct TpuLayerResult
     double portUtilization = 0.0;  ///< vector-memory port busy fraction
     Bytes peakOnChipBytes = 0;     ///< peak IFMap workspace on chip
     Index vecMemOps = 0;           ///< vector-memory word accesses
-    Cycles computeCycles = 0;      ///< engine-busy cycles
-    Cycles fillCycles = 0;         ///< total DRAM fill cycles
-    Cycles exposedFillCycles = 0;  ///< fill cycles not hidden by compute
-    /** Per-unit schedule (only when TpuRunOptions::captureTrace). */
-    std::vector<UnitTrace> trace;
+    conv::TimeBreakdown breakdown; ///< where the `cycles` went
 };
 
 /** The TPU performance simulator. */
@@ -119,9 +107,11 @@ class TpuSim
     TpuLayerResult runConvUncached(const ConvParams &params,
                                    const TpuRunOptions &options) const;
 
+    /** Time @p units on the overlap schedule; @p label() names its
+     *  timeline. */
+    template <typename LabelFn>
     TpuLayerResult scheduleUnits(const std::vector<Unit> &units,
-                                 Flops total_flops,
-                                 bool capture_trace = false) const;
+                                 Flops total_flops, LabelFn &&label) const;
 
     Cycles dramCycles(Bytes bytes, double efficiency) const;
 

@@ -92,8 +92,8 @@ TEST(DiffAnalyses, AlignsBySignatureAndReportsOneSidedLayers)
               std::string::npos);
     EXPECT_NE(json.find("\"left_only\""), std::string::npos);
     EXPECT_NE(json.find("11x11 3->96"), std::string::npos);
-    // Two stock sides still carry the v2 resilience section.
-    EXPECT_NE(json.find("\"version\": 2"), std::string::npos);
+    // Two stock sides still carry the resilience section.
+    EXPECT_NE(json.find("\"version\": 3"), std::string::npos);
     EXPECT_NE(json.find("\"breaker_trips\""), std::string::npos);
 }
 

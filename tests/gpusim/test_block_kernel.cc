@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "conv/algorithm.h"
 #include "gpusim/block_kernel.h"
+#include "gpusim/gpu_sim.h"
 #include "im2col/reorder.h"
 #include "tensor/conv_ref.h"
 
@@ -104,17 +105,19 @@ TEST(BlockKernel, StagesEveryPassOfEveryPlan)
 {
     // On layers whose M is not a multiple of the TB tile, every
     // registered plan writes each OFMap element once and stages each of
-    // its chunkK-deep passes once per thread block: the k-steps GpuSim
-    // prices.
+    // its k-steps once per thread block: the k-steps GpuSim times, all
+    // but its output-tile epilogue.
     const ConvParams layers[] = {
         makeConv(1, 2, 5, 4, 3),       // M 9, unit stride
         makeConv(1, 3, 6, 5, 3, 2, 1), // M 9, stride 2
         makeConv(1, 4, 7, 8, 3, 1, 1), // M 49
+        makeConv(1, 72, 5, 4, 3),      // C_I 72: two chunks per tap
     };
     BlockKernelConfig cfg;
     cfg.tileM = 16;
     cfg.tileN = 4;
-    cfg.chunkK = 8;
+    cfg.chunkK = kChunkK;
+    const GpuSim sim((GpuConfig::v100()));
     for (const ConvParams &p : layers) {
         Tensor input = tensor::makeInput(p);
         Tensor filter = tensor::makeFilter(p);
@@ -131,8 +134,10 @@ TEST(BlockKernel, StagesEveryPassOfEveryPlan)
             EXPECT_LT(out.maxAbsDiff(ref), 1e-3f)
                 << algo->name() << " on " << p.toString();
             EXPECT_EQ(stats.outputWrites, p.outputElems()) << algo->name();
-            const auto k_steps =
-                static_cast<Index>(plan->passes(cfg.chunkK).size());
+            GpuRunOptions options;
+            options.algorithm = algo->id();
+            const Index k_steps =
+                sim.runConv(p, options).breakdown.steps - 1;
             EXPECT_EQ(stats.stagingSteps, stats.threadBlocks * k_steps)
                 << algo->name() << " on " << p.toString();
         }

@@ -161,9 +161,12 @@ expectSameResult(const tpusim::TpuLayerResult &a,
     EXPECT_EQ(a.portUtilization, b.portUtilization);
     EXPECT_EQ(a.peakOnChipBytes, b.peakOnChipBytes);
     EXPECT_EQ(a.vecMemOps, b.vecMemOps);
-    EXPECT_EQ(a.computeCycles, b.computeCycles);
-    EXPECT_EQ(a.fillCycles, b.fillCycles);
-    EXPECT_EQ(a.exposedFillCycles, b.exposedFillCycles);
+    EXPECT_EQ(a.breakdown.compute, b.breakdown.compute);
+    EXPECT_EQ(a.breakdown.fill, b.breakdown.fill);
+    EXPECT_EQ(a.breakdown.exposedFill, b.breakdown.exposedFill);
+    EXPECT_EQ(a.breakdown.overhead, b.breakdown.overhead);
+    EXPECT_EQ(a.breakdown.stall, b.breakdown.stall);
+    EXPECT_EQ(a.breakdown.steps, b.breakdown.steps);
 }
 
 TEST_F(ParallelDeterminism, CachedRunConvMatchesUncached)

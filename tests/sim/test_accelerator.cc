@@ -94,9 +94,9 @@ TEST(GpuAdapter, MatchesRawSimulatorExactly)
     EXPECT_DOUBLE_EQ(got.seconds, expect.seconds);
     EXPECT_EQ(got.dramBytes, expect.dramBytes);
     EXPECT_EQ(got.extras.at("memoryBound") != 0.0,
-              expect.memoryBound);
-    EXPECT_DOUBLE_EQ(got.extras.at("computeSeconds"),
-                     expect.computeSeconds);
+              expect.breakdown.memoryBound());
+    EXPECT_EQ(got.extras.at("computeSeconds"), expect.breakdown.compute);
+    EXPECT_EQ(got.extras.at("memorySeconds"), expect.breakdown.fill);
 }
 
 TEST(GpuAdapter, GroupedLayerRunsOneKernelPerSlice)

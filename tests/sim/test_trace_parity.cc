@@ -1,20 +1,29 @@
 /** @file Tracing must be an observer: a run with the Chrome-trace
  *  recorder armed must produce bit-identical RunRecords to an untraced
- *  run. The TPU backend flips captureTrace on while tracing (a
- *  distinct memo-cache entry), so this exercises the recompute path
- *  too — any numeric drift between the traced and untraced code paths
- *  fails here. */
+ *  run. Traced and untraced runs share memo-cache entries, so the
+ *  traced run clears the caches and recomputes: any numeric drift
+ *  between the traced and untraced code paths fails here. And the
+ *  timeline a traced run draws is the one schedule that timed each
+ *  layer, drawn once: a TPU layer that delegates (explicit im2col's
+ *  GEMM, the space-to-depth stem's rewritten layer) draws one
+ *  fill/compute pair, and a memo-cache hit draws nothing on either
+ *  backend. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "analyze/trace_model.h"
 #include "common/trace.h"
+#include "gpusim/gpu_sim.h"
 #include "gpusim/kernel_cache.h"
 #include "models/model_zoo.h"
 #include "sim/model_runner.h"
+#include "tensor/space_to_depth.h"
 #include "tpusim/layer_cache.h"
+#include "tpusim/tpu_sim.h"
 
 namespace cfconv::sim {
 namespace {
@@ -85,6 +94,76 @@ TEST_P(TraceParityTest, TracedRunMatchesUntracedBitExactly)
 
     expectBitIdentical(untraced, traced);
     std::remove(path.c_str());
+}
+
+/** The simulated-cycles rows @p run draws, traced on cold caches. */
+template <typename Fn>
+std::vector<std::string>
+drawnRows(const std::string &name, Fn &&run)
+{
+    clearMemoCaches();
+    const std::string path =
+        ::testing::TempDir() + "cfconv_rows_" + name + ".json";
+    trace::start(path);
+    run();
+    EXPECT_TRUE(trace::stop());
+    const auto doc = analyze::parseTraceFile(path);
+    std::remove(path.c_str());
+    EXPECT_TRUE(doc.ok()) << doc.status().toString();
+    std::vector<std::string> rows;
+    if (doc.ok())
+        for (const auto &[pid_tid, label] : doc->trackNames)
+            if (pid_tid.first == analyze::kSimPid)
+                rows.push_back(label);
+    return rows;
+}
+
+class DrawnTimelineTest : public ::testing::Test
+{
+  protected:
+    void TearDown() override { trace::resetForTest(); }
+};
+
+TEST_F(DrawnTimelineTest, DelegatingTpuLayersDrawOnePairOnce)
+{
+    const tpusim::TpuSim sim((tpusim::TpuConfig::tpuV2()));
+
+    // Explicit im2col times the GEMM over its lowered matrix; the
+    // second run of the layer is a memo-cache hit.
+    const ConvParams layer = tensor::makeConv(8, 64, 56, 64, 3, 1, 1);
+    tpusim::TpuRunOptions explicit_im2col;
+    explicit_im2col.algorithm = conv::AlgorithmId::ExplicitIm2col;
+    EXPECT_EQ(drawnRows("explicit",
+                        [&] {
+                            sim.runConv(layer, explicit_im2col);
+                            sim.runConv(layer, explicit_im2col);
+                        }),
+              (std::vector<std::string>{"gemm 25088x576x64 fill",
+                                        "gemm 25088x576x64 compute"}));
+
+    // The stem times its space-to-depth rewrite.
+    const ConvParams stem = tensor::makeConv(8, 3, 224, 64, 7, 2, 3);
+    tpusim::TpuRunOptions s2d;
+    s2d.spaceToDepthFirstLayer = true;
+    const std::string rewritten =
+        "conv 4x4 12->64 M=" +
+        std::to_string(tensor::spaceToDepthParams(stem, 2).gemmM());
+    EXPECT_EQ(drawnRows("s2d", [&] { sim.runConv(stem, s2d); }),
+              (std::vector<std::string>{rewritten + " fill",
+                                        rewritten + " compute"}));
+}
+
+TEST_F(DrawnTimelineTest, GpuCacheHitsDrawNothing)
+{
+    const gpusim::GpuSim sim((gpusim::GpuConfig::v100()));
+    const ConvParams layer = tensor::makeConv(8, 64, 56, 64, 3, 1, 1);
+    EXPECT_EQ(drawnRows("gpu",
+                        [&] {
+                            sim.runConv(layer);
+                            sim.runConv(layer);
+                        }),
+              (std::vector<std::string>{"cf-conv+reuse 3x3 64->64 fill",
+                                        "cf-conv+reuse 3x3 64->64 compute"}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TraceParityTest,

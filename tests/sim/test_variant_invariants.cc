@@ -1,11 +1,12 @@
 /** @file The paper's invariants as properties of every named
  *  variant, not goldens of the stock four: a record's FLOPs, TFLOPS
  *  and utilization agree with its layer, its time and its peak; each
- *  PE row reads one single-port vector memory; no layer beats its
- *  memory roofline; weights and pointer tables always cross DRAM, and
- *  a streamed layer moves at least its compulsory traffic while a
- *  resident TPU layer moves nothing else (Sec. IV-B); the implicit
- *  schemes never write a workspace, IndirectConv pays exactly its
+ *  PE row reads one single-port vector memory; a layer's time
+ *  breakdown has no negative part and sums to its time; no layer
+ *  beats its memory roofline; weights and pointer tables always cross
+ *  DRAM, and a streamed layer moves at least its compulsory traffic
+ *  while a resident TPU layer moves nothing else (Sec. IV-B); the
+ *  implicit schemes never write a workspace, IndirectConv pays exactly its
  *  pointer table and the waste-free GPU feeds move exactly the traffic
  *  model (Table I); explicit never beats channel-last; SMM-Conv runs
  *  exactly the unit-stride layers; channel-first TPU streams shrink by
@@ -26,6 +27,7 @@
 #include "common/rng.h"
 #include "conv/algorithm.h"
 #include "dram/dram_model.h"
+#include "gpusim/gpu_sim.h"
 #include "im2col/filter_decomp.h"
 #include "sim/accelerator.h"
 #include "sim/variants.h"
@@ -133,9 +135,10 @@ TEST(VariantInvariants, EveryPeRowReadsOneSinglePortVectorMemory)
     // Sec. IV, Table II: each PE row has its own single-port vector
     // memory, so a layer never makes more than one word access per
     // memory per cycle, and its port utilization counts array.rows
-    // memories over all of its cycles. Every cycle the engines are not
-    // busy is exposed fill: explicit im2col's transform, which nothing
-    // overlaps, and every repetition of a grouped layer included.
+    // memories over all of its cycles. Every cycle the engines do not
+    // compute is exposed fill or invoke overhead: explicit im2col's
+    // transform, which nothing overlaps, and every repetition of a
+    // grouped layer included.
     const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
     int checked = 0;
     for (const VariantSpec &spec : sim::variantSpecs()) {
@@ -159,9 +162,64 @@ TEST(VariantInvariants, EveryPeRowReadsOneSinglePortVectorMemory)
                       static_cast<double>(r.vecMemOps) / capacity)
                 << spec.name << " on " << layer.params.toString()
                 << " groups " << layer.groups;
-            EXPECT_EQ(r.exposedFillCycles, r.cycles - r.computeCycles)
+            const conv::TimeBreakdown &b = r.breakdown;
+            EXPECT_EQ(b.exposedFill + b.overhead,
+                      static_cast<double>(r.cycles) - b.compute)
                 << spec.name << " on " << layer.params.toString()
                 << " groups " << layer.groups;
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 0);
+}
+
+TEST(VariantInvariants, TimeBreakdownPartsSumToTheTotal)
+{
+    // Fig 2's time breakdown, read off the run that timed the layer:
+    // compute, exposed fill, overhead and stall are never negative and
+    // sum to the layer's time. TPU cycles are whole numbers, so their
+    // parts sum exactly; a GPU kernel's seconds scale one thread
+    // block's total rather than add up its parts, so those sum to
+    // rounding.
+    const std::vector<models::ConvLayerSpec> layers = distinctModelLayers();
+    int checked = 0;
+    for (const VariantSpec &spec : sim::variantSpecs()) {
+        const tpusim::TpuSim tpu(spec.tpuConfig);
+        const gpusim::GpuSim gpu(spec.gpuConfig);
+        for (const models::ConvLayerSpec &layer : layers) {
+            if (!conv::findAlgorithm(algorithmOf(spec))
+                     ->supports(layer.params, layer.groups)
+                     .ok())
+                continue;
+            const bool on_tpu = spec.backend == Backend::Tpu;
+            conv::TimeBreakdown b;
+            double total = 0.0;
+            if (on_tpu) {
+                const tpusim::TpuLayerResult r = tpu.runGroupedConv(
+                    layer.params, layer.groups, spec.tpuOptions);
+                b = r.breakdown;
+                total = static_cast<double>(r.cycles);
+            } else {
+                const gpusim::GpuKernelResult r = gpu.runConv(
+                    tensor::groupSlice(layer.params, layer.groups),
+                    spec.gpuOptions);
+                b = r.breakdown;
+                total = r.seconds;
+            }
+            const std::string where = spec.name + " on " +
+                                      layer.params.toString() +
+                                      " groups " +
+                                      std::to_string(layer.groups);
+            for (const double part : {b.compute, b.fill, b.exposedFill,
+                                      b.overhead, b.stall})
+                EXPECT_GE(part, 0.0) << where;
+            EXPECT_GT(b.steps, 0) << where;
+            const double parts =
+                b.compute + b.exposedFill + b.overhead + b.stall;
+            if (on_tpu)
+                EXPECT_EQ(parts, total) << where;
+            else
+                EXPECT_NEAR(parts, total, 1e-12 * total) << where;
             ++checked;
         }
     }

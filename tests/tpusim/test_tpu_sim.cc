@@ -145,10 +145,14 @@ TEST(TpuSim, ExplicitTransformIsExposedFillWithIdlePorts)
     const TpuLayerResult gemm = s.runGemm(p.gemmM(), p.gemmK(), p.gemmN());
     const Cycles transform = r.cycles - gemm.cycles;
     EXPECT_GT(transform, 0u);
-    EXPECT_EQ(r.computeCycles, gemm.computeCycles);
+    EXPECT_EQ(r.breakdown.compute + r.breakdown.exposedFill +
+                  r.breakdown.overhead,
+              static_cast<double>(r.cycles));
+    EXPECT_EQ(r.breakdown.compute, gemm.breakdown.compute);
+    EXPECT_EQ(r.breakdown.fill, gemm.breakdown.fill);
     EXPECT_EQ(r.vecMemOps, gemm.vecMemOps);
-    EXPECT_EQ(r.exposedFillCycles, gemm.exposedFillCycles + transform);
-    EXPECT_EQ(r.exposedFillCycles, r.cycles - r.computeCycles);
+    EXPECT_EQ(r.breakdown.exposedFill,
+              gemm.breakdown.exposedFill + static_cast<double>(transform));
     EXPECT_EQ(r.portUtilization,
               static_cast<double>(r.vecMemOps) /
                   (static_cast<double>(r.cycles) * 128.0));
@@ -165,10 +169,15 @@ TEST(TpuSim, GroupedRepetitionsScaleTheExposedFill)
         s.runGroupedConv(makeConv(8, 1024, 7, 1024, 3, 1, 1), 1024);
     const TpuLayerResult once = s.runConv(makeConv(8, 128, 7, 128, 3, 1, 1));
     EXPECT_EQ(grouped.cycles, 8 * once.cycles);
-    EXPECT_EQ(grouped.computeCycles, 8 * once.computeCycles);
-    EXPECT_EQ(grouped.exposedFillCycles, 8 * once.exposedFillCycles);
-    EXPECT_EQ(grouped.exposedFillCycles,
-              grouped.cycles - grouped.computeCycles);
+    EXPECT_EQ(grouped.breakdown.compute + grouped.breakdown.exposedFill +
+                  grouped.breakdown.overhead,
+              static_cast<double>(grouped.cycles));
+    EXPECT_EQ(grouped.breakdown.compute, 8 * once.breakdown.compute);
+    EXPECT_EQ(grouped.breakdown.exposedFill,
+              8 * once.breakdown.exposedFill);
+    EXPECT_EQ(grouped.breakdown.overhead, 8 * once.breakdown.overhead);
+    // Steps count one repetition's schedule.
+    EXPECT_EQ(grouped.breakdown.steps, once.breakdown.steps);
 }
 
 TEST(TpuSim, BankedHwcnFillsCalibrateTheClosedForm)
@@ -220,22 +229,22 @@ TEST(TpuSim, DramTrafficFollowsResidency)
 ::testing::AssertionResult
 sameRecord(const TpuLayerResult &got, const TpuLayerResult &want)
 {
+    const conv::TimeBreakdown &g = got.breakdown;
+    const conv::TimeBreakdown &w = want.breakdown;
     if (got.cycles == want.cycles && got.seconds == want.seconds &&
         got.tflops == want.tflops && got.dramBytes == want.dramBytes &&
         got.multiTile == want.multiTile &&
         got.portUtilization == want.portUtilization &&
         got.peakOnChipBytes == want.peakOnChipBytes &&
-        got.vecMemOps == want.vecMemOps &&
-        got.computeCycles == want.computeCycles &&
-        got.fillCycles == want.fillCycles &&
-        got.exposedFillCycles == want.exposedFillCycles &&
-        got.trace.size() == want.trace.size())
+        got.vecMemOps == want.vecMemOps && g.compute == w.compute &&
+        g.fill == w.fill && g.exposedFill == w.exposedFill &&
+        g.overhead == w.overhead && g.stall == w.stall &&
+        g.steps == w.steps)
         return ::testing::AssertionSuccess();
     return ::testing::AssertionFailure()
-           << got.cycles << " cycles, " << got.fillCycles
-           << " fill cycles, " << got.dramBytes << " DRAM bytes; want "
-           << want.cycles << ", " << want.fillCycles << ", "
-           << want.dramBytes;
+           << got.cycles << " cycles, " << g.fill << " fill cycles, "
+           << got.dramBytes << " DRAM bytes; want " << want.cycles << ", "
+           << w.fill << ", " << want.dramBytes;
 }
 
 TEST(TpuSim, ResidentLayerRecordIgnoresItsDramLayout)
@@ -268,10 +277,10 @@ TEST(TpuSim, ResidentLayerRecordIgnoresItsDramLayout)
     EXPECT_NE(
         run(vgg16_conv1_2, conv::AlgorithmId::ChannelFirst,
             tensor::Layout::HWCN)
-            .fillCycles,
+            .breakdown.fill,
         run(vgg16_conv1_2, conv::AlgorithmId::ChannelFirst,
             tensor::Layout::NCHW)
-            .fillCycles);
+            .breakdown.fill);
 }
 
 TEST(TpuSim, RejectsBadGemm)

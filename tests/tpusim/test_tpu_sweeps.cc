@@ -1,18 +1,54 @@
 /** @file Parameterized property sweeps over the TPU simulator:
- *  monotonicity, stride insensitivity, residency, and the
- *  space-to-depth stem rewrite. */
+ *  monotonicity, stride insensitivity, residency, the space-to-depth
+ *  stem rewrite, and the double-buffered schedule a traced layer
+ *  draws. */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "analyze/trace_model.h"
 #include "common/logging.h"
+#include "common/trace.h"
 #include "im2col/pass_plan.h"
 #include "tensor/space_to_depth.h"
+#include "tpusim/layer_cache.h"
 #include "tpusim/tpu_sim.h"
 
 namespace cfconv::tpusim {
 namespace {
 
 using tensor::makeConv;
+
+/** (start, duration) spans per "fill"/"compute" row that simulating
+ *  @p p on cold caches draws, and the run's result in @p out. */
+std::map<std::string, std::vector<std::pair<double, double>>>
+drawnSchedule(const TpuSim &sim, const ConvParams &p, TpuLayerResult *out)
+{
+    LayerCache::instance().clear();
+    const std::string path =
+        ::testing::TempDir() + "cfconv_tpu_schedule.json";
+    trace::start(path);
+    *out = sim.runConv(p);
+    EXPECT_TRUE(trace::stop());
+    trace::resetForTest();
+    const auto doc = analyze::parseTraceFile(path);
+    std::remove(path.c_str());
+    std::map<std::string, std::vector<std::pair<double, double>>> rows;
+    EXPECT_TRUE(doc.ok()) << doc.status().toString();
+    if (!doc.ok())
+        return rows;
+    for (const analyze::TraceEvent *e :
+         doc->eventsOnClock(analyze::kSimPid)) {
+        const std::string &row = doc->simTrackName(e->tid);
+        rows[row.substr(row.rfind(' ') + 1)].push_back({e->ts, e->dur});
+    }
+    return rows;
+}
 
 class TpuStrideSweep : public ::testing::TestWithParam<Index>
 {
@@ -139,50 +175,52 @@ TEST(TpuSweeps, TraceExposesTheDoubleBufferedSchedule)
 {
     TpuSim sim((TpuConfig::tpuV2()));
     const auto p = makeConv(8, 8, 56, 128, 3, 1, 1);
-    TpuRunOptions o;
-    o.captureTrace = true;
-    const auto r = sim.runConv(p, o);
+    TpuLayerResult r;
+    auto rows = drawnSchedule(sim, p, &r);
     // 9 taps at T = 3 -> 3 groups; M = 8*56*56 fits one M tile.
-    ASSERT_EQ(r.trace.size(), 3u);
-    Cycles compute_sum = 0, fill_sum = 0;
-    for (const auto &u : r.trace) {
-        compute_sum += u.compute;
-        fill_sum += u.fill;
+    EXPECT_EQ(r.breakdown.steps, 3);
+    // Resident layer: no DRAM fills at all, so the units compute back
+    // to back from the end of the invoke overhead to the last cycle.
+    EXPECT_TRUE(rows["fill"].empty());
+    EXPECT_EQ(r.breakdown.fill, 0.0);
+    const auto &compute = rows["compute"];
+    ASSERT_EQ(compute.size(), 3u);
+    double t = static_cast<double>(sim.config().invokeOverheadCycles);
+    for (const auto &[start, dur] : compute) {
+        EXPECT_EQ(start, t);
+        t += dur;
     }
-    EXPECT_EQ(compute_sum, r.computeCycles);
-    EXPECT_EQ(fill_sum, r.fillCycles);
-    // Resident layer: no DRAM fills at all.
-    EXPECT_EQ(fill_sum, 0u);
-    // The schedule identity: cycles = overhead + fill0 +
-    // sum(max(compute_i, fill_{i+1})).
-    Cycles expect = sim.config().invokeOverheadCycles +
-                    r.trace.front().fill;
-    for (size_t i = 0; i < r.trace.size(); ++i) {
-        const Cycles next =
-            i + 1 < r.trace.size() ? r.trace[i + 1].fill : 0;
-        expect += std::max(r.trace[i].compute, next);
-    }
-    EXPECT_EQ(r.cycles, expect);
+    EXPECT_EQ(t, static_cast<double>(r.cycles));
+    EXPECT_EQ(r.breakdown.overhead + r.breakdown.compute, t);
 }
 
 TEST(TpuSweeps, TraceOffByDefault)
 {
+    // The recorder is disarmed unless a run arms it: simulating a
+    // layer draws no timeline and records nothing.
+    ASSERT_FALSE(trace::enabled());
+    LayerCache::instance().clear();
     TpuSim sim((TpuConfig::tpuV2()));
-    const auto r = sim.runConv(makeConv(8, 8, 64, 64, 3, 1, 1));
-    EXPECT_TRUE(r.trace.empty());
+    EXPECT_GT(sim.runConv(makeConv(8, 8, 64, 64, 3, 1, 1)).breakdown.steps, 0);
+    EXPECT_EQ(trace::bufferedEventCountForTest(), 0u);
 }
 
 TEST(TpuSweeps, StreamedLayerTraceShowsPerTileFills)
 {
     TpuSim sim((TpuConfig::tpuV2()));
-    // Batch 64 at 112x112x64 exceeds the 32 MB on-chip memory.
+    // Batch 64 at 112x112x64 exceeds the 32 MB on-chip memory, so
+    // every unit's operands stream from DRAM: the first fill, then one
+    // under each unit's compute but the last.
     const auto p = makeConv(64, 64, 112, 64, 3, 1, 1);
-    TpuRunOptions o;
-    o.captureTrace = true;
-    const auto r = sim.runConv(p, o);
-    ASSERT_GT(r.trace.size(), 1u);
-    for (const auto &u : r.trace)
-        EXPECT_GT(u.fill, 0u);
+    TpuLayerResult r;
+    auto rows = drawnSchedule(sim, p, &r);
+    ASSERT_GT(r.breakdown.steps, 1);
+    ASSERT_LE(r.breakdown.steps, conv::OverlapSchedule::kMaxTracedSteps);
+    const auto &fills = rows["fill"];
+    EXPECT_EQ(fills.size(), static_cast<size_t>(r.breakdown.steps));
+    for (const auto &[start, dur] : fills)
+        EXPECT_GT(dur, 0.0) << "fill at " << start;
+    EXPECT_GT(r.breakdown.exposedFill, 0.0);
 }
 
 TEST(TpuSweeps, HigherBandwidthNeverSlower)
