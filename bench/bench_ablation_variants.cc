@@ -6,18 +6,11 @@
  *     analog of Fig 4b's stride insensitivity).
  *  2. Training passes: decomposed backward-data / backward-filter
  *     GEMM cost relative to the forward pass.
- *  3. Deformable convolution: functional equivalence + the gather
- *     footprint bound of the offset-sampled operand.
  */
-
-#include <cstdio>
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "im2col/conv_backward.h"
-#include "im2col/deformable.h"
-#include "tensor/conv_ref.h"
-#include "tensor/winograd.h"
+#include "tensor/conv_params.h"
 #include "tpusim/tpu_sim.h"
 
 using namespace cfconv;
@@ -74,71 +67,6 @@ main(int argc, char **argv)
     }
     t2.print();
 
-    // ---- 3. deformable ----
-    bench::experimentHeader(
-        "Variant 3",
-        "Deformable convolution: functional equivalence + footprint");
-    const auto p = tensor::makeConv(2, 8, 14, 8, 3, 1, 1);
-    tensor::Tensor input = tensor::makeInput(p);
-    tensor::Tensor filter = tensor::makeFilter(p);
-    input.fillRandom(1);
-    filter.fillRandom(2);
-    const auto offsets = im2col::DeformableOffsets::random(p, 3, 2.0);
-    const auto direct =
-        im2col::convDeformableDirect(p, input, offsets, filter);
-    const auto implicit =
-        im2col::convDeformableImplicit(p, input, offsets, filter);
-    const double diff =
-        static_cast<double>(implicit.maxAbsDiff(direct));
-    std::printf("implicit vs direct deformable conv: max |diff| = "
-                "%.2e\n", diff);
-
-    Table t3("Per-tile gather footprint (elements)");
-    t3.setHeader({"tile", "rigid", "deformable bound"});
-    for (const auto &tile : im2col::decomposeFilter(p)) {
-        t3.addRow({cell("<%lld,%lld>", (long long)tile.r,
-                        (long long)tile.s),
-                   cell("%lld",
-                        (long long)im2col::tileFillElems(p, tile)),
-                   cell("%lld", (long long)im2col::deformableTileFillBound(
-                                    p, tile))});
-    }
-    t3.print();
-    bench::summaryLine("Variant-3", "deformable max |diff|", 0.0, diff);
-
-    // ---- 4. Winograd contrast ----
-    bench::experimentHeader(
-        "Variant 4",
-        "Winograd F(2x2,3x3) vs im2col: fewer multiplies, but the "
-        "per-tile transform dataflow is why GEMM engines lower through "
-        "im2col instead");
-    Table t4("Winograd multiplication reduction (stride-1 3x3 layers)");
-    t4.setHeader({"layer", "direct muls", "winograd muls",
-                  "reduction", "exact?"});
-    for (const auto &geom : {tensor::makeConv(1, 16, 34, 16, 3, 1, 1),
-                             tensor::makeConv(1, 8, 15, 8, 3, 1, 1)}) {
-        tensor::Tensor in2 = tensor::makeInput(geom);
-        tensor::Tensor f2 = tensor::makeFilter(geom);
-        in2.fillRandom(5);
-        f2.fillRandom(6);
-        const auto cost = tensor::winogradCost(geom);
-        const double d =
-            static_cast<double>(tensor::convWinograd(geom, in2, f2)
-                                    .maxAbsDiff(tensor::convDirect(
-                                        geom, in2, f2)));
-        t4.addRow({geom.toString(),
-                   cell("%.2fM", static_cast<double>(cost.directMuls) /
-                                     1e6),
-                   cell("%.2fM",
-                        static_cast<double>(cost.winogradMuls) / 1e6),
-                   cell("%.2fx", cost.reduction()),
-                   d < 1e-3 ? "yes" : "NO"});
-    }
-    t4.print();
-    bench::summaryLine("Variant-4", "Winograd mul reduction", 2.25,
-                       tensor::winogradCost(
-                           tensor::makeConv(1, 16, 34, 16, 3, 1, 1))
-                           .reduction());
     bench::printWallClock("bench_ablation_variants", wall);
     return 0;
 }

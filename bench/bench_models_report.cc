@@ -6,13 +6,13 @@
  * two-MXU core, and the V100 channel-first kernel — and write the
  * unified RunRecord document to BENCH_models.json (override with
  * json=FILE; narrow the sweep with model=NAME and backend=NAME, which
- * is how the trace-analyzer gate records clean single-model traces).
+ * is how the trace-analyzer gate records clean single-model traces;
+ * backend= takes any registered variant of sim/variants.h).
  * The BENCH_gemm.json companion tracks raw GEMM; this one
  * tracks whole models, so regressions in the model runner, the memo
  * caches, or either simulator show up in the bench trajectory.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -48,15 +48,14 @@ main(int argc, char **argv)
             zoo.push_back(entry.factory(batch));
     std::vector<std::string> backends = {"tpu-v2", "tpu-v3ish",
                                          "gpu-v100"};
-    if (!backend.empty()) {
-        if (std::find(backends.begin(), backends.end(), backend) ==
-            backends.end())
-            bench::exitIfError(invalidArgumentError(
-                "unknown backend=%s (supported: tpu-v2, tpu-v3ish, "
-                "gpu-v100)",
-                backend.c_str()));
+    if (!backend.empty())
         backends = {backend};
-    }
+    // One runner per backend, reused across the zoo so the memo
+    // caches collapse repeated shapes between models too.
+    std::vector<std::unique_ptr<sim::Accelerator>> accelerators;
+    for (const auto &name : backends)
+        accelerators.push_back(
+            bench::valueOrExit(sim::tryMakeAccelerator(name)));
 
     bench::experimentHeader(
         "models_report",
@@ -66,12 +65,6 @@ main(int argc, char **argv)
     for (const auto &b : backends)
         header.push_back(b);
     t.setHeader(header);
-
-    // One runner per backend, reused across the zoo so the memo
-    // caches collapse repeated shapes between models too.
-    std::vector<std::unique_ptr<sim::Accelerator>> accelerators;
-    for (const auto &name : backends)
-        accelerators.push_back(sim::makeAccelerator(name));
 
     std::vector<sim::RunRecord> records;
     for (const auto &model : zoo) {

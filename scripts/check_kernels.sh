@@ -59,13 +59,18 @@ done
 NOAVX2_DIR=build-noavx2
 echo "==== CFCONV_ENABLE_AVX2=OFF, CFCONV_KERNEL=generic ($NOAVX2_DIR) ===="
 cmake -B "$NOAVX2_DIR" -S . -DCFCONV_ENABLE_AVX2=OFF >/dev/null
-# design_explorer, cfconv_cli, report_models, bench_autotune and the
-# five examples run_all.sh runs are the ctest entries outside the test
-# binary.
+# design_explorer, cfconv_cli, report_models, trace_analyze, every
+# bench but bench_micro_kernels and the five examples run_all.sh runs
+# are the ctest entries outside the test binary.
 cmake --build "$NOAVX2_DIR" \
     --target cfconv_tests design_explorer cfconv_cli report_models \
-    bench_autotune quickstart training_step full_inference resnet_on_tpu \
-    strided_conv_gpu -j "$(nproc)" >/dev/null
+    trace_analyze bench_table1_memory bench_fig2_explicit_overhead \
+    bench_fig4_stride bench_fig13_validation bench_fig14_multitile \
+    bench_fig15_models bench_fig16_design_space bench_fig17_gpu_models \
+    bench_models_report bench_fig18_gpu_opts bench_ablation_hardware \
+    bench_autotune bench_ablation_variants bench_characterization \
+    bench_sparsity bench_serving quickstart training_step full_inference \
+    resnet_on_tpu strided_conv_gpu -j "$(nproc)" >/dev/null
 CFCONV_KERNEL=generic ctest --test-dir "$NOAVX2_DIR" \
     --output-on-failure -j "$(nproc)" || {
     echo "FAILED with CFCONV_ENABLE_AVX2=OFF" >&2

@@ -38,9 +38,6 @@ for b in build/bench/bench_*; do
     wall_summary+="$(printf '%s\n' "$out" | grep '^WALL' || true)"$'\n'
 done
 
-echo "==== structured run reports ===="
-scripts/check_report.sh
-
 echo "==== chrome-trace recorder + offline trace analytics ===="
 scripts/check_analyze.sh
 

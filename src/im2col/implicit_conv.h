@@ -6,10 +6,10 @@
  * over a PassPlan's taps; a lowering contributes only a producer that
  * points each (GEMM row, tap) at its operand values. All five
  * conv::Algorithm lowerings (explicit im2col's M x K workspace is one
- * more producer), grouped, sparse and deformable execution run here,
- * so each is value-identical to the others wherever their plans and
- * gathered values agree. The functional models stage the same
- * producers pass by pass (gatherPass(), passWeights()).
+ * more producer), grouped and sparse execution run here, so each is
+ * value-identical to the others wherever their plans and gathered
+ * values agree. The functional models stage the same producers pass by
+ * pass (gatherPass(), passWeights()).
  */
 
 #ifndef CFCONV_IM2COL_IMPLICIT_CONV_H
@@ -29,10 +29,9 @@ namespace cfconv::im2col {
  * rows[t * ld + (m - m0)] gets the address of the tapDepth contiguous
  * values row m reads at @p taps[t], for exactly the taps asked, whether
  * all of a plan's or one pass's. A producer that addresses the input
- * points into it; one that computes values (a lowering, an
- * interpolation) writes them to @p panel, scratch its caller owns until
- * the pointers are spent, and points there. Producers are called from
- * several workers at once.
+ * points into it; one that computes values (a lowering) writes them to
+ * @p panel, scratch its caller owns until the pointers are spent, and
+ * points there. Producers are called from several workers at once.
  */
 using TapPointers = std::function<void(const std::vector<FilterTile> &taps,
                                        Index m0, Index m1,

@@ -191,12 +191,6 @@ BatchQueue::setBrownoutMinPriority(Index min_priority)
     brownoutMinPriority_ = min_priority;
 }
 
-Index
-BatchQueue::priorityOf(Index class_idx) const
-{
-    return priorities_[static_cast<size_t>(class_idx)];
-}
-
 double
 BatchQueue::sloOf(Index class_idx) const
 {

@@ -127,7 +127,6 @@ class BatchQueue
      */
     void setBrownoutMinPriority(Index min_priority);
 
-    Index priorityOf(Index class_idx) const;
     double sloOf(Index class_idx) const;
 
   private:

@@ -3,7 +3,7 @@
  * JSON emission of sim::RunRecord documents — the BENCH_gemm.json
  * pattern generalized to whole-model runs. Every document has one
  * shape, whatever its records hold (validated by
- * scripts/check_report.sh):
+ * RunRecordSchema.* in tests/sim/test_report.cc):
  *
  *   {
  *     "schema": "cfconv.run_record",
@@ -47,9 +47,9 @@
  *   }
  *
  * Only `extras` varies in its keys, by backend. Non-finite metric
- * values are emitted as null (common/report), which the validator
- * rejects — a bench whose model run produced NaN cannot silently ship
- * a green report.
+ * values are emitted as null (common/report), which those tests
+ * reject — a model run that produced NaN cannot silently ship a green
+ * report.
  */
 
 #ifndef CFCONV_SIM_REPORT_H

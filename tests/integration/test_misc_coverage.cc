@@ -9,9 +9,8 @@
 #include "common/table.h"
 #include "gpusim/gpu_sim.h"
 #include "systolic/systolic_timing.h"
-#include "tensor/conv_ref.h"
+#include "tensor/conv_params.h"
 #include "tensor/nn_ops.h"
-#include "tensor/winograd.h"
 
 namespace cfconv {
 namespace {
@@ -92,18 +91,6 @@ TEST(MiscCoverage, TransformSecondsMonotonicInBatch)
         EXPECT_GT(t, prev);
         prev = t;
     }
-}
-
-TEST(MiscCoverage, WinogradWorksOnNonDefaultInputLayout)
-{
-    const auto p = makeConv(1, 3, 8, 2, 3, 1, 1);
-    Tensor input = tensor::makeInput(p, Layout::NHWC);
-    input.fillRandom(507);
-    Tensor filter = tensor::makeFilter(p);
-    filter.fillRandom(509);
-    const Tensor wino = tensor::convWinograd(p, input, filter);
-    const Tensor ref = tensor::convDirect(p, input, filter);
-    EXPECT_LT(wino.maxAbsDiff(ref), 1e-3f);
 }
 
 TEST(MiscCoverage, ReluAndAddComposeAcrossLayouts)

@@ -1,20 +1,26 @@
 /** @file Tests for the JSON report layer: the common/report writer
  *  primitives and the sim::RunRecord document emitter, whose one
- *  schema every record shape shares. */
+ *  schema every record shape shares and whose every written document
+ *  holds whole counts, finite throughput and named algorithms. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/json.h"
 #include "common/report.h"
 #include "common/trace.h"
+#include "models/model_zoo.h"
 #include "serve/serving_sim.h"
 #include "sim/model_runner.h"
 #include "sim/report.h"
@@ -152,14 +158,13 @@ keysOf(const JsonValue *object)
     return keys;
 }
 
-TEST(RunRecordSchema, EveryDocumentHasTheSameKeys)
+/** The four record shapes the repo writes: a fault-free zoo run, a
+ *  chaos run with retries and failover, a zoo-algorithm variant and a
+ *  serving board. */
+void
+appendRecordShapes(std::vector<RunRecord> &records)
 {
-    // The four record shapes the repo writes: a fault-free zoo run, a
-    // chaos run with retries and failover, a zoo-algorithm variant and
-    // a serving board. One schema means one version and one key set
-    // at every level (only the backend extras differ).
     const auto model = models::alexnet(1);
-    std::vector<RunRecord> records;
     records.push_back(ModelRunner(*makeAccelerator("tpu-v2")).runModel(model));
 
     auto &injector = fault::FaultInjector::instance();
@@ -181,6 +186,76 @@ TEST(RunRecordSchema, EveryDocumentHasTheSameKeys)
     serve::ServingSimulator board(serve::ServingConfig{},
                                   {{"alexnet", &models::alexnet, 1.0}});
     records.push_back(board.run(traffic).record);
+}
+
+/** Every document the repo writes, parsed: one per record shape, then
+ *  the zoo at batch 8 on tpu-v2 and on gpu-v100, the documents
+ *  bench_fig15_models and bench_fig17_gpu_models write. */
+void
+writtenDocuments(std::vector<JsonValue> &docs)
+{
+    std::vector<RunRecord> shapes;
+    ASSERT_NO_FATAL_FAILURE(appendRecordShapes(shapes));
+    std::vector<std::string> texts;
+    for (const RunRecord &record : shapes)
+        texts.push_back(runRecordsJson({record}, ReportMeta{}));
+    for (const char *backend : {"tpu-v2", "gpu-v100"}) {
+        const auto accelerator = makeAccelerator(backend);
+        std::vector<RunRecord> zoo;
+        for (const auto &model : models::allModels(8))
+            zoo.push_back(ModelRunner(*accelerator).runModel(model));
+        texts.push_back(runRecordsJson(zoo));
+    }
+    for (const std::string &text : texts) {
+        auto doc = parseJson(text);
+        ASSERT_TRUE(doc.ok()) << doc.status().toString();
+        docs.push_back(std::move(doc).value());
+    }
+}
+
+/** One record of a written document, named for failure messages. */
+struct WrittenRecord
+{
+    std::string where;
+    const JsonValue *record;
+};
+
+std::vector<WrittenRecord>
+recordsOf(const std::vector<JsonValue> &docs)
+{
+    std::vector<WrittenRecord> records;
+    for (size_t i = 0; i < docs.size(); ++i)
+        if (const JsonValue *list = docs[i].get("records"))
+            for (const JsonValue &record : list->items())
+                records.push_back({"document " + std::to_string(i) +
+                                       " record " +
+                                       record.stringOr("model", ""),
+                                   &record});
+    return records;
+}
+
+/** Expect @p block's @p keys to be whole numbers of at least 0. */
+void
+expectCounts(const JsonValue &block,
+             std::initializer_list<const char *> keys,
+             const std::string &where)
+{
+    for (const char *key : keys) {
+        const JsonValue *value = block.get(key);
+        ASSERT_NE(value, nullptr) << where << " has no " << key;
+        EXPECT_TRUE(value->isNumber()) << where << " " << key;
+        EXPECT_EQ(value->asNumber(), std::floor(value->asNumber()))
+            << where << " " << key << " is not whole";
+        EXPECT_GE(value->asNumber(), 0.0) << where << " " << key;
+    }
+}
+
+TEST(RunRecordSchema, EveryDocumentHasTheSameKeys)
+{
+    // One schema means one version and one key set at every level
+    // (only the backend extras differ).
+    std::vector<RunRecord> records;
+    ASSERT_NO_FATAL_FAILURE(appendRecordShapes(records));
 
     std::set<std::string> document, record, resilience, serving, layer;
     for (size_t i = 0; i < records.size(); ++i) {
@@ -213,6 +288,113 @@ TEST(RunRecordSchema, EveryDocumentHasTheSameKeys)
     EXPECT_EQ(record.count("resilience"), 1u);
     EXPECT_EQ(serving.count("brownout_shed"), 1u);
     EXPECT_EQ(layer.count("algorithm"), 1u);
+}
+
+TEST(RunRecordSchema, EveryDocumentCarriesItsTraceFileAndMetrics)
+{
+    std::vector<JsonValue> docs;
+    ASSERT_NO_FATAL_FAILURE(writtenDocuments(docs));
+    for (size_t i = 0; i < docs.size(); ++i) {
+        const JsonValue *trace_file = docs[i].get("trace_file");
+        EXPECT_TRUE(trace_file && trace_file->isString()) << "document " << i;
+        const JsonValue *metrics = docs[i].get("metrics");
+        ASSERT_TRUE(metrics && metrics->isObject()) << "document " << i;
+        for (const char *key : {"counters", "histograms"}) {
+            const JsonValue *group = metrics->get(key);
+            EXPECT_TRUE(group && group->isObject())
+                << "document " << i << " metrics has no " << key;
+        }
+    }
+}
+
+TEST(RunRecordSchema, EveryRecordHasLayersAndAFinitePositiveTflops)
+{
+    // The writer emits a non-finite double as null, so a NaN anywhere
+    // in a model run fails here as a tflops that is not a number.
+    std::vector<JsonValue> docs;
+    ASSERT_NO_FATAL_FAILURE(writtenDocuments(docs));
+    for (const JsonValue &doc : docs) {
+        const JsonValue *records = doc.get("records");
+        ASSERT_TRUE(records && records->isArray());
+        EXPECT_FALSE(records->items().empty());
+    }
+    for (const auto &[where, record] : recordsOf(docs)) {
+        const JsonValue *layers = record->get("layers");
+        EXPECT_TRUE(layers && !layers->items().empty()) << where;
+        const JsonValue *tflops = record->get("tflops");
+        ASSERT_TRUE(tflops && tflops->isNumber()) << where;
+        EXPECT_TRUE(std::isfinite(tflops->asNumber())) << where;
+        EXPECT_GT(tflops->asNumber(), 0.0) << where;
+    }
+}
+
+TEST(RunRecordSchema, ResilienceCountsAreWholeAndNonNegative)
+{
+    std::vector<JsonValue> docs;
+    ASSERT_NO_FATAL_FAILURE(writtenDocuments(docs));
+    Index active = 0;
+    for (const auto &[where, record] : recordsOf(docs)) {
+        const JsonValue *resilience = record->get("resilience");
+        ASSERT_TRUE(resilience && resilience->isObject()) << where;
+        const JsonValue *on = resilience->get("active");
+        ASSERT_TRUE(on && on->isBool()) << where;
+        active += on->asBool();
+        expectCounts(*resilience,
+                     {"faults_seen", "retries", "failovers",
+                      "layers_failed_over", "layers_resumed"},
+                     where + " resilience");
+        const JsonValue *backoff = resilience->get("backoff_seconds");
+        ASSERT_TRUE(backoff && backoff->isNumber()) << where;
+        EXPECT_GE(backoff->asNumber(), 0.0) << where;
+        const JsonValue *final_backend = resilience->get("final_backend");
+        EXPECT_TRUE(final_backend && final_backend->isString()) << where;
+    }
+    EXPECT_EQ(active, 1) << "only the chaos run is resilient";
+}
+
+TEST(RunRecordSchema, ServingCountsAreWholeAndNonNegative)
+{
+    std::vector<JsonValue> docs;
+    ASSERT_NO_FATAL_FAILURE(writtenDocuments(docs));
+    for (const auto &[where, record] : recordsOf(docs)) {
+        const JsonValue *resilience = record->get("resilience");
+        ASSERT_NE(resilience, nullptr) << where;
+        const JsonValue *serving = resilience->get("serving");
+        ASSERT_TRUE(serving && serving->isObject()) << where;
+        const JsonValue *on = serving->get("active");
+        EXPECT_TRUE(on && on->isBool()) << where;
+        expectCounts(*serving,
+                     {"breaker_trips", "breaker_probes", "breaker_closes",
+                      "hedged_batches", "hedge_wins", "hedge_losses",
+                      "degrade_step_max", "degrade_transitions",
+                      "brownout_shed", "fallback_batches"},
+                     where + " serving");
+    }
+}
+
+TEST(RunRecordSchema, ModelLayersNameTheirAlgorithmBoardRowsLeaveItEmpty)
+{
+    // A model run names the lowering every layer ran; a serving class
+    // row aggregates a whole board and leaves it empty.
+    std::vector<JsonValue> docs;
+    ASSERT_NO_FATAL_FAILURE(writtenDocuments(docs));
+    Index board_rows = 0;
+    for (const auto &[where, record] : recordsOf(docs)) {
+        const bool board =
+            record->stringOr("accelerator", "").starts_with("serve:");
+        const JsonValue *layers = record->get("layers");
+        ASSERT_NE(layers, nullptr) << where;
+        for (const JsonValue &layer : layers->items()) {
+            const std::string row =
+                where + " layer " + layer.stringOr("name", "");
+            const JsonValue *algorithm = layer.get("algorithm");
+            ASSERT_TRUE(algorithm && algorithm->isString()) << row;
+            EXPECT_EQ(algorithm->asString().empty(), board)
+                << row << " algorithm '" << algorithm->asString() << "'";
+            board_rows += board;
+        }
+    }
+    EXPECT_GT(board_rows, 0);
 }
 
 } // namespace
